@@ -109,6 +109,27 @@ class CascadeReport:
     def decided(self) -> list:
         return [f + a for f, a in zip(self.decided_fall, self.decided_adl)]
 
+    def __add__(self, other: "CascadeReport") -> "CascadeReport":
+        """Pooled counts of two routings through the same stations; the
+        window length is this report's."""
+        if other.station_names != self.station_names:
+            raise ValueError("cannot add reports over different stations")
+
+        def add(a, b):
+            return [x + y for x, y in zip(a, b)]
+
+        return CascadeReport(
+            station_names=list(self.station_names),
+            processed=add(self.processed, other.processed),
+            decided_fall=add(self.decided_fall, other.decided_fall),
+            decided_adl=add(self.decided_adl, other.decided_adl),
+            escalated=add(self.escalated, other.escalated),
+            total=self.total + other.total,
+            window_len=self.window_len,
+            tp=self.tp + other.tp, tn=self.tn + other.tn,
+            fp=self.fp + other.fp, fn=self.fn + other.fn,
+        )
+
 
 def run_sample(cascade: Cascade, window: Window) -> RoutedDecision:
     """Route one window through the cascade until a station decides."""
@@ -132,8 +153,7 @@ def run_sample(cascade: Cascade, window: Window) -> RoutedDecision:
     raise AssertionError("unreachable: top station always decides")
 
 
-def run_dataset(cascade: Cascade, windows,
-                collect_decisions: bool = False) -> CascadeReport:
+def run_dataset(cascade: Cascade, windows) -> CascadeReport:
     """Aggregate routing over a set of windows with conservation accounting."""
     windows = list(windows)
     if not windows:
@@ -144,7 +164,6 @@ def run_dataset(cascade: Cascade, windows,
     decided_adl = [0] * n_stations
     escalated = [0] * n_stations
     tp = tn = fp = fn = 0
-    decisions = []
     for window in windows:
         decision = run_sample(cascade, window)
         for i in range(decision.decided_at + 1):
@@ -165,9 +184,7 @@ def run_dataset(cascade: Cascade, windows,
             fp += 1
         else:
             tn += 1
-        if collect_decisions:
-            decisions.append(decision)
-    report = CascadeReport(
+    return CascadeReport(
         station_names=[s.name for s in cascade.stations],
         processed=processed,
         decided_fall=decided_fall,
@@ -177,9 +194,6 @@ def run_dataset(cascade: Cascade, windows,
         window_len=len(windows[0].samples),
         tp=tp, tn=tn, fp=fp, fn=fn,
     )
-    if collect_decisions:
-        report.decisions = decisions
-    return report
 
 
 def build_cascade(models, thresholds: EdgeThresholds, tq_max: float = 0.8,

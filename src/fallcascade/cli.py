@@ -42,7 +42,7 @@ class RunConfig:
     experiment: ExperimentConfig
     variants: list
     compare_normalization: bool
-    topology_path: str | None
+    topology: perfmodel.Topology | None
     horizon_s: float
     out_dir: str
 
@@ -172,9 +172,21 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
     if not variants:
         raise ConfigError("run.variants: at least one variant is required")
 
+    topology = None
     topology_path = _get(cfg, "latency", "topology", None)
-    if topology_path is not None and not os.path.exists(topology_path):
-        raise ConfigError(f"latency.topology: file not found: {topology_path}")
+    if topology_path is not None:
+        if not os.path.exists(topology_path):
+            raise ConfigError(f"latency.topology: file not found: {topology_path}")
+        try:
+            topology = perfmodel.load_topology(topology_path)
+        except ValueError as e:
+            raise ConfigError(f"latency.topology: {e}")
+        for kd_variant, layers in variants:
+            n_stations = 1 + len(evaluate.DEPLOYED_TIERS[layers])
+            if len(topology.layers) != n_stations:
+                raise ConfigError(
+                    f"latency.topology: {len(topology.layers)} layers, but variant "
+                    f"{_variant_token(kd_variant, layers)} has {n_stations} stations")
     horizon_s = _get(cfg, "latency", "horizon_s", 1.0, float)
     if horizon_s <= 0:
         raise ConfigError("latency.horizon_s: must be > 0")
@@ -193,7 +205,7 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
     )
     return RunConfig(synth=synth, manifest=manifest, experiment=experiment,
                      variants=variants, compare_normalization=compare_norm,
-                     topology_path=topology_path, horizon_s=horizon_s,
+                     topology=topology, horizon_s=horizon_s,
                      out_dir=out_dir)
 
 
@@ -332,15 +344,9 @@ def cmd_synth(args) -> int:
 def _run_variant(data, experiment, kd_variant, layers, topology, horizon_s):
     exp = dataclasses.replace(experiment, kd_variant=kd_variant, layers=layers)
     agg = loso_evaluate(data, exp)
-    latency = None
-    if topology is not None:
-        n_stations = len(agg.pooled_report.station_names)
-        if len(topology.layers) == n_stations:
-            latency = perfmodel.cascade_latency(agg.pooled_report, topology, horizon_s)
-    else:
-        default = perfmodel.uniform_topology(len(agg.pooled_report.station_names))
-        latency = perfmodel.cascade_latency(agg.pooled_report, default, horizon_s)
-    return agg, latency
+    if topology is None:
+        topology = perfmodel.uniform_topology(len(agg.pooled_report.station_names))
+    return agg, perfmodel.cascade_latency(agg.pooled_report, topology, horizon_s)
 
 
 def cmd_run(args) -> int:
@@ -352,8 +358,6 @@ def cmd_run(args) -> int:
         return 1
     data = _load_dataset(run_cfg)
     os.makedirs(run_cfg.out_dir, exist_ok=True)
-    topology = (perfmodel.load_topology(run_cfg.topology_path)
-                if run_cfg.topology_path else None)
     modes = (["minmax", "zscore"] if run_cfg.compare_normalization
              else [run_cfg.experiment.normalization])
     comparison_rows = []
@@ -364,7 +368,7 @@ def cmd_run(args) -> int:
             if len(modes) > 1:
                 token = f"{token}_{mode}"
             agg, latency = _run_variant(data, experiment, kd_variant, layers,
-                                        topology, run_cfg.horizon_s)
+                                        run_cfg.topology, run_cfg.horizon_s)
             path = os.path.join(run_cfg.out_dir, f"report_{token}.txt")
             write_report(path, token, data.name, mode, agg, latency)
             _write_plot_data(run_cfg.out_dir, token, agg)
@@ -425,7 +429,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("compare")

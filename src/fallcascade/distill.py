@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (NonPositiveTemperature, TieredModel, TrainConfig, TrainResult,
-                 cross_entropy, forward, softmax_t, train)
+                 ce_rows, forward, softmax_t, train)
 
 PAPER_EQ8 = "paper_eq8"     # student-leading KL, as printed
 STANDARD_KD = "standard"    # teacher-leading KL, conventional KD
@@ -22,6 +22,11 @@ COMPOSITE_EQ10 = "composite_eq10"
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
+
+# what the tiers below the teacher learn from
+KD_NONE = "none"
+KD_DUAL = "dual"
+KD_TRIPLE = "triple"
 
 
 @dataclass(frozen=True)
@@ -53,37 +58,56 @@ def _log_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
     return u - np.log(np.exp(u).sum(axis=-1, keepdims=True))
 
 
+def _kl_rows(log_p, log_q, temperature: float, direction: str):
+    """Per-row KL between the softened student (log_p) and upstream (log_q)
+    distributions, and its gradient with respect to the student logits."""
+    p = np.exp(log_p)
+    if direction == PAPER_EQ8:
+        kl = np.sum(p * (log_p - log_q), axis=1)
+        return kl, p * ((log_p - log_q) - kl[:, None]) / temperature
+    if direction == STANDARD_KD:
+        q = np.exp(log_q)
+        return np.sum(q * (log_q - log_p), axis=1), (p - q) / temperature
+    raise ValueError(f"unknown direction {direction!r}")
+
+
+def _composite_rows(log_p, log_q, log_r, temperature: float, combine: str):
+    """Per-row nested student (log_p) / TA (log_q) / teacher (log_r)
+    divergence, and its gradient with respect to the student logits."""
+    p = np.exp(log_p)
+    a = log_p - log_q
+    b = log_q - log_r
+    if combine == ADDITIVE:
+        comp = np.sum(p * (a + b), axis=1)
+        return comp, p * ((a + b) - comp[:, None]) / temperature
+    if combine == MULTIPLICATIVE:
+        comp = np.sum(p * a * b, axis=1)
+        eb = np.sum(p * b, axis=1)
+        return comp, p * (a * b + b - comp[:, None] - eb[:, None]) / temperature
+    raise ValueError(f"unknown combine {combine!r}")
+
+
+def _blend(cfg: KDConfig, div, ddiv, logits, labels):
+    """Batch mean of lam * T^2 * divergence + (1 - lam) * CE(hard), and its
+    gradient with respect to the logits."""
+    ce, dce = ce_rows(softmax_t(logits, 1.0), labels)
+    scale = cfg.lam * cfg.temperature * cfg.temperature
+    loss = float(np.mean(scale * div + (1.0 - cfg.lam) * ce))
+    return loss, (scale * ddiv + (1.0 - cfg.lam) * dce) / len(labels)
+
+
 def kl_soft(t_logits, s_logits, temperature: float,
             direction: str = PAPER_EQ8) -> float:
     """Divergence between the temperature-softened output distributions."""
-    log_p = _log_softmax(s_logits, temperature)  # student
-    log_q = _log_softmax(t_logits, temperature)  # teacher
-    if direction == PAPER_EQ8:
-        return float(np.sum(np.exp(log_p) * (log_p - log_q)))
-    if direction == STANDARD_KD:
-        return float(np.sum(np.exp(log_q) * (log_q - log_p)))
-    raise ValueError(f"unknown direction {direction!r}")
+    log_p = _log_softmax(np.atleast_2d(s_logits), temperature)  # student
+    log_q = _log_softmax(np.atleast_2d(t_logits), temperature)  # teacher
+    return float(_kl_rows(log_p, log_q, temperature, direction)[0][0])
 
 
 def loss_dual(t_logits, s_logits, label: int, cfg: KDConfig) -> float:
     """lam * T^2 * KL(softened) + (1 - lam) * CE(hard)."""
-    kl = kl_soft(t_logits, s_logits, cfg.temperature, cfg.direction)
-    ce = cross_entropy(softmax_t(s_logits, 1.0), label)
-    return cfg.lam * cfg.temperature ** 2 * kl + (1.0 - cfg.lam) * ce
-
-
-def _composite_kl(t_logits, ta_logits, s_logits, temperature: float,
-                  combine: str) -> float:
-    log_p = _log_softmax(s_logits, temperature)
-    log_q = _log_softmax(ta_logits, temperature)
-    log_r = _log_softmax(t_logits, temperature)
-    a = log_p - log_q
-    b = log_q - log_r
-    if combine == ADDITIVE:
-        return float(np.sum(np.exp(log_p) * (a + b)))
-    if combine == MULTIPLICATIVE:
-        return float(np.sum(np.exp(log_p) * a * b))
-    raise ValueError(f"unknown combine {combine!r}")
+    spec = DualLoss(np.atleast_2d(t_logits), cfg)
+    return spec.value_and_grad(np.atleast_2d(s_logits), [label], [0])[0]
 
 
 def loss_tri(t_logits, ta_logits, s_logits, label: int, cfg: KDConfig) -> float:
@@ -91,20 +115,8 @@ def loss_tri(t_logits, ta_logits, s_logits, label: int, cfg: KDConfig) -> float:
     with hard-label cross-entropy. The operator joining the two bracketed
     log-difference terms is configurable (additive default, multiplicative
     selectable) because the printed form is ambiguous."""
-    comp = _composite_kl(t_logits, ta_logits, s_logits,
-                         cfg.temperature, cfg.tri_combine)
-    ce = cross_entropy(softmax_t(s_logits, 1.0), label)
-    return cfg.lam * cfg.temperature ** 2 * comp + (1.0 - cfg.lam) * ce
-
-
-def _ce_value_and_grad(logits: np.ndarray, labels: np.ndarray):
-    p = softmax_t(logits, 1.0)
-    n = len(labels)
-    picked = np.clip(p[np.arange(n), labels], 1e-12, None)
-    ce = -np.log(picked)
-    dce = p.copy()
-    dce[np.arange(n), labels] -= 1.0
-    return ce, dce
+    spec = TriLoss(np.atleast_2d(t_logits), np.atleast_2d(ta_logits), cfg)
+    return spec.value_and_grad(np.atleast_2d(s_logits), [label], [0])[0]
 
 
 class DualLoss:
@@ -115,24 +127,11 @@ class DualLoss:
         self.cfg = cfg
 
     def value_and_grad(self, logits, labels, idx):
-        cfg = self.cfg
-        T = cfg.temperature
-        n = len(labels)
-        log_p = _log_softmax(logits, T)
-        log_q = _log_softmax(self.teacher_logits[idx], T)
-        p = np.exp(log_p)
-        if cfg.direction == PAPER_EQ8:
-            kl = np.sum(p * (log_p - log_q), axis=1)
-            dkl = p * ((log_p - log_q) - kl[:, None]) / T
-        else:
-            q = np.exp(log_q)
-            kl = np.sum(q * (log_q - log_p), axis=1)
-            dkl = (p - q) / T
-        ce, dce = _ce_value_and_grad(logits, labels)
-        scale = cfg.lam * T * T
-        loss = float(np.mean(scale * kl + (1.0 - cfg.lam) * ce))
-        grad = (scale * dkl + (1.0 - cfg.lam) * dce) / n
-        return loss, grad
+        T = self.cfg.temperature
+        kl, dkl = _kl_rows(_log_softmax(logits, T),
+                           _log_softmax(self.teacher_logits[idx], T),
+                           T, self.cfg.direction)
+        return _blend(self.cfg, kl, dkl, logits, labels)
 
 
 class TriLoss:
@@ -145,27 +144,12 @@ class TriLoss:
         self.cfg = cfg
 
     def value_and_grad(self, logits, labels, idx):
-        cfg = self.cfg
-        T = cfg.temperature
-        n = len(labels)
-        log_p = _log_softmax(logits, T)
-        log_q = _log_softmax(self.ta_logits[idx], T)
-        log_r = _log_softmax(self.teacher_logits[idx], T)
-        p = np.exp(log_p)
-        a = log_p - log_q
-        b = log_q - log_r
-        if cfg.tri_combine == ADDITIVE:
-            comp = np.sum(p * (a + b), axis=1)
-            dcomp = p * ((a + b) - comp[:, None]) / T
-        else:
-            comp = np.sum(p * a * b, axis=1)
-            eb = np.sum(p * b, axis=1)
-            dcomp = p * (a * b + b - comp[:, None] - eb[:, None]) / T
-        ce, dce = _ce_value_and_grad(logits, labels)
-        scale = cfg.lam * T * T
-        loss = float(np.mean(scale * comp + (1.0 - cfg.lam) * ce))
-        grad = (scale * dcomp + (1.0 - cfg.lam) * dce) / n
-        return loss, grad
+        T = self.cfg.temperature
+        comp, dcomp = _composite_rows(_log_softmax(logits, T),
+                                      _log_softmax(self.ta_logits[idx], T),
+                                      _log_softmax(self.teacher_logits[idx], T),
+                                      T, self.cfg.tri_combine)
+        return _blend(self.cfg, comp, dcomp, logits, labels)
 
 
 def distill_train(teacher: TieredModel, student_spec, X, y,
@@ -179,31 +163,50 @@ def distill_train(teacher: TieredModel, student_spec, X, y,
 
 def takd_pipeline(teacher_spec, ta_spec, student_spec, X, y,
                   cfg: KDConfig, train_cfg: TrainConfig,
-                  allow_equal: bool = False):
-    """Staged pipeline: teacher (CE) -> TA (dual KD) -> student.
+                  allow_equal: bool = False, kd: str = KD_TRIPLE):
+    """Staged pipeline: the teacher (CE), then the TA if `ta_spec` is given,
+    then the student: the trainer of every variant's tier stack. Each tier
+    gets its own seed, train_cfg.seed plus 0, 1 and 2.
 
-    Sequential mode distills the student from the TA; composite mode trains
-    the student on the nested three-model divergence with both the teacher
-    and TA frozen. Returns the three TrainResults in capacity order.
+    `kd` says what the lower tiers learn from: KD_NONE trains them on the
+    hard labels alone; KD_DUAL distills each from the teacher; KD_TRIPLE
+    needs the TA and specs capacity-ordered teacher > TA > student (equal
+    sizes pass with allow_equal). It distills the TA from the teacher, and the
+    student from the TA (sequential mode) or from the nested three-model
+    divergence with the teacher and TA frozen (composite mode).
+    Returns the (teacher, TA or None, student) TrainResults.
     """
-    order = (teacher_spec.n_params, ta_spec.n_params, student_spec.n_params)
-    ok = order[0] >= order[1] >= order[2] if allow_equal else order[0] > order[1] > order[2]
-    if not ok:
-        raise ValueError(f"specs must be capacity-ordered teacher > TA > student, got {order}")
+    if kd not in (KD_NONE, KD_DUAL, KD_TRIPLE):
+        raise ValueError(f"unknown kd {kd!r}")
+    if kd == KD_TRIPLE:
+        if ta_spec is None:
+            raise ValueError("triple KD needs a TA spec")
+        order = (teacher_spec.n_params, ta_spec.n_params, student_spec.n_params)
+        ok = order[0] >= order[1] >= order[2] if allow_equal else order[0] > order[1] > order[2]
+        if not ok:
+            raise ValueError(f"specs must be capacity-ordered teacher > TA > student, got {order}")
     X = np.asarray(X, dtype=np.float64)
-    teacher_cfg = train_cfg
     ta_cfg = dataclasses.replace(train_cfg, seed=train_cfg.seed + 1)
     student_cfg = dataclasses.replace(train_cfg, seed=train_cfg.seed + 2)
 
-    teacher_res = train(TieredModel.init(teacher_spec, seed=teacher_cfg.seed),
-                        X, y, teacher_cfg)
-    ta_res = distill_train(teacher_res.model, ta_spec, X, y, cfg, ta_cfg)
-    if cfg.triple_mode == SEQUENTIAL:
-        student_res = distill_train(ta_res.model, student_spec, X, y, cfg, student_cfg)
+    def fit(spec, tier_cfg, upstream):
+        if upstream is None:
+            return train(TieredModel.init(spec, seed=tier_cfg.seed), X, y, tier_cfg)
+        return distill_train(upstream, spec, X, y, cfg, tier_cfg)
+
+    teacher_res = fit(teacher_spec, train_cfg, None)
+    teacher = teacher_res.model
+    ta_res = None
+    if ta_spec is not None:
+        ta_res = fit(ta_spec, ta_cfg, None if kd == KD_NONE else teacher)
+    if kd == KD_NONE:
+        student_res = fit(student_spec, student_cfg, None)
+    elif kd == KD_DUAL:
+        student_res = fit(student_spec, student_cfg, teacher)
+    elif cfg.triple_mode == SEQUENTIAL:
+        student_res = fit(student_spec, student_cfg, ta_res.model)
     else:
-        teacher_logits = forward(teacher_res.model, X)
-        ta_logits = forward(ta_res.model, X)
+        loss = TriLoss(forward(teacher, X), forward(ta_res.model, X), cfg)
         student = TieredModel.init(student_spec, seed=student_cfg.seed)
-        student_res = train(student, X, y, student_cfg,
-                            TriLoss(teacher_logits, ta_logits, cfg))
+        student_res = train(student, X, y, student_cfg, loss)
     return teacher_res, ta_res, student_res

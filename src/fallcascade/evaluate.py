@@ -2,7 +2,8 @@
 experiment driver that ties preprocessing, training, and routing together."""
 from __future__ import annotations
 
-import dataclasses
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,20 +11,20 @@ import numpy as np
 from . import distill, nn
 from .cascade import CascadeReport, build_cascade, run_dataset
 from .dataset import Dataset, loso_splits
-from .distill import KDConfig
-from .edge_threshold import fit_thresholds
-from .nn import TieredModel, TrainConfig, default_tier_spec
+from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KDConfig
+from .edge_threshold import MissingClass, fit_thresholds
+from .nn import TrainConfig, default_tier_spec
 from .preprocess import WindowSpec, extract_features, extract_window, feature_matrix
 
 F1_STANDARD = "standard"
 F1_PAPER = "paper"
 
-KD_NONE = "none"
-KD_DUAL = "dual"
-KD_TRIPLE = "triple"
-
 LAYERS_DUAL = "dual"
 LAYERS_TRIPLE = "triple"
+
+# the classifier tiers each layer layout deploys above the gate, bottom-up
+DEPLOYED_TIERS = {LAYERS_DUAL: ("student", "teacher"),
+                  LAYERS_TRIPLE: ("student", "ta", "teacher")}
 
 
 class UndefinedMetric(Exception):
@@ -164,69 +165,6 @@ class AggregateReport:
     loss_curves: dict = field(default_factory=dict)
 
 
-def _train_fold_models(cfg: ExperimentConfig, X, y):
-    """Returns ({model_name: TrainResult}, deployed model list bottom-up)."""
-    base = cfg.train
-    teacher_cfg = base
-    ta_cfg = dataclasses.replace(base, seed=base.seed + 1)
-    student_cfg = dataclasses.replace(base, seed=base.seed + 2)
-    results = {}
-    if cfg.kd_variant == KD_TRIPLE:
-        t_res, ta_res, s_res = distill.takd_pipeline(
-            cfg.teacher, cfg.ta, cfg.student, X, y, cfg.kd, base)
-        results = {"teacher": t_res, "ta": ta_res, "student": s_res}
-    else:
-        t_res = nn.train(TieredModel.init(cfg.teacher, teacher_cfg.seed),
-                         X, y, teacher_cfg)
-        results["teacher"] = t_res
-        if cfg.kd_variant == KD_DUAL:
-            if cfg.layers == LAYERS_TRIPLE:
-                results["ta"] = distill.distill_train(
-                    t_res.model, cfg.ta, X, y, cfg.kd, ta_cfg)
-            results["student"] = distill.distill_train(
-                t_res.model, cfg.student, X, y, cfg.kd, student_cfg)
-        else:
-            if cfg.layers == LAYERS_TRIPLE:
-                results["ta"] = nn.train(TieredModel.init(cfg.ta, ta_cfg.seed),
-                                         X, y, ta_cfg)
-            results["student"] = nn.train(
-                TieredModel.init(cfg.student, student_cfg.seed), X, y, student_cfg)
-    if cfg.layers == LAYERS_TRIPLE:
-        if "ta" not in results:
-            results["ta"] = nn.train(TieredModel.init(cfg.ta, ta_cfg.seed),
-                                     X, y, ta_cfg)
-        deployed = [results["student"].model, results["ta"].model,
-                    results["teacher"].model]
-    else:
-        deployed = [results["student"].model, results["teacher"].model]
-    return results, deployed
-
-
-def _sum_reports(reports) -> CascadeReport:
-    first = reports[0]
-    out = CascadeReport(
-        station_names=list(first.station_names),
-        processed=[0] * len(first.processed),
-        decided_fall=[0] * len(first.processed),
-        decided_adl=[0] * len(first.processed),
-        escalated=[0] * len(first.processed),
-        total=0,
-        window_len=first.window_len,
-    )
-    for r in reports:
-        out.total += r.total
-        out.tp += r.tp
-        out.tn += r.tn
-        out.fp += r.fp
-        out.fn += r.fn
-        for i in range(len(out.processed)):
-            out.processed[i] += r.processed[i]
-            out.decided_fall[i] += r.decided_fall[i]
-            out.decided_adl[i] += r.decided_adl[i]
-            out.escalated[i] += r.escalated[i]
-    return out
-
-
 def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
                   f1_mode: str = F1_STANDARD) -> AggregateReport:
     """Full LOSO experiment: per fold, fit the gate and train the tier stack
@@ -236,13 +174,23 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
     folds = []
     reports = []
     curves = {}
+    # the TA is trained when it is deployed or when it teaches the student
+    trains_ta = cfg.kd_variant == KD_TRIPLE or cfg.layers == LAYERS_TRIPLE
     for subject, train_ds, test_ds in loso_splits(dataset):
         train_windows = [extract_window(t, cfg.window) for t in train_ds.traces]
         test_windows = [extract_window(t, cfg.window) for t in test_ds.traces]
-        thresholds = fit_thresholds(train_windows)
+        try:
+            thresholds = fit_thresholds(train_windows)
+        except MissingClass as e:
+            raise MissingClass(f"fold holding out {subject}: {e}") from e
         X_train, y_train = feature_matrix(train_windows, cfg.vertical_axis)
         scaler = fit_scaler(X_train, cfg.normalization)
-        results, deployed = _train_fold_models(cfg, scaler(X_train), y_train)
+        stack = distill.takd_pipeline(
+            cfg.teacher, cfg.ta if trains_ta else None, cfg.student,
+            scaler(X_train), y_train, cfg.kd, cfg.train, kd=cfg.kd_variant)
+        results = {name: res for name, res in zip(("teacher", "ta", "student"), stack)
+                   if res is not None}
+        deployed = [results[name].model for name in DEPLOYED_TIERS[cfg.layers]]
         featurize = lambda w, s=scaler: s(extract_features(w, cfg.vertical_axis))
         cascade = build_cascade(
             deployed, thresholds, tq_max=cfg.tq_max, tq_min=cfg.tq_min,
@@ -269,6 +217,6 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
         pooled_cm=pooled_cm,
         pooled_metrics=metrics(pooled_cm, f1_mode),
         mean_metrics=Metrics(f1_mode=f1_mode, **mean),
-        pooled_report=_sum_reports(reports),
+        pooled_report=functools.reduce(operator.add, reports),
         loss_curves=mean_curves,
     )

@@ -120,23 +120,28 @@ def softmax_t(logits, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def ce_rows(probs: np.ndarray, labels) -> tuple:
+    """Per-row cross-entropy of the true labels, with the log argument
+    clamped at 1e-12, and its gradient with respect to the logits the rows
+    of `probs` are the T=1 softmax of."""
+    rows = np.arange(len(labels))
+    ce = -np.log(np.clip(probs[rows, labels], 1e-12, None))
+    grad = probs.copy()
+    grad[rows, labels] -= 1.0
+    return ce, grad
+
+
 def cross_entropy(probs, label: int) -> float:
     """Negative log-likelihood of the true label; log argument clamped at 1e-12."""
-    p = np.asarray(probs, dtype=np.float64)
-    return float(-np.log(max(p[label], 1e-12)))
+    return float(ce_rows(np.asarray(probs, dtype=np.float64)[None], [label])[0][0])
 
 
 class CELoss:
     """Plain cross-entropy on the hard labels."""
 
     def value_and_grad(self, logits: np.ndarray, labels: np.ndarray, idx):
-        p = softmax_t(logits, 1.0)
-        n = len(labels)
-        picked = np.clip(p[np.arange(n), labels], 1e-12, None)
-        loss = float(-np.mean(np.log(picked)))
-        grad = p.copy()
-        grad[np.arange(n), labels] -= 1.0
-        return loss, grad / n
+        ce, grad = ce_rows(softmax_t(logits, 1.0), labels)
+        return float(np.mean(ce)), grad / len(labels)
 
 
 def grad(model: TieredModel, X, y, loss_spec=None, idx=None):
@@ -222,10 +227,6 @@ def count_params(model_or_spec) -> int:
     return spec.n_params
 
 
-def predict_proba(model: TieredModel, X, temperature: float = 1.0) -> np.ndarray:
-    return softmax_t(forward(model, X), temperature)
-
-
 def accuracy(model: TieredModel, X, y) -> float:
     logits = forward(model, np.asarray(X, dtype=np.float64))
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
@@ -253,12 +254,17 @@ def load_model(path) -> TieredModel:
         lines = f.read().splitlines()
     if not lines or lines[0] != "format=fallcascade-model-v1":
         raise ValueError(f"{path}: not a model checkpoint")
-    header = dict(line.split("=", 1) for line in lines[1:4])
+    n_header = next((i for i, line in enumerate(lines) if line.startswith("layer=")),
+                    len(lines))
+    header = dict(line.split("=", 1) for line in lines[1:n_header])
+    missing = {"tier", "widths", "seed"} - header.keys()
+    if missing:
+        raise ValueError(f"{path}: checkpoint header lacks {sorted(missing)}")
     spec = TierSpec(header["tier"],
                     tuple(int(w) for w in header["widths"].split(",")))
     weights, biases = [], []
     rows = []
-    for line in lines[4:]:
+    for line in lines[n_header:]:
         if line.startswith("layer="):
             rows = []
         elif line.startswith("W "):
@@ -266,10 +272,12 @@ def load_model(path) -> TieredModel:
         elif line.startswith("b "):
             weights.append(np.array(rows))
             biases.append(np.array([float(v) for v in line[2:].split()]))
-    model = TieredModel(spec=spec, weights=weights, biases=biases,
-                        seed=int(header["seed"]))
-    for W, (fan_in, fan_out) in zip(model.weights,
-                                    zip(spec.layer_widths, spec.layer_widths[1:])):
-        if W.shape != (fan_in, fan_out):
+    shapes = list(zip(spec.layer_widths, spec.layer_widths[1:]))
+    if len(weights) != len(shapes):
+        raise ShapeMismatch(f"{path}: checkpoint has {len(weights)} layers, "
+                            f"widths {spec.layer_widths} need {len(shapes)}")
+    for W, b, (fan_in, fan_out) in zip(weights, biases, shapes):
+        if W.shape != (fan_in, fan_out) or b.shape != (fan_out,):
             raise ShapeMismatch(f"{path}: checkpoint shapes do not match spec")
-    return model
+    return TieredModel(spec=spec, weights=weights, biases=biases,
+                       seed=int(header["seed"]))

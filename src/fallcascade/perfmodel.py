@@ -182,10 +182,13 @@ def load_topology(path) -> Topology:
                 name = parts[1]
                 kv = dict(p.split("=", 1) for p in parts[2:])
                 parent = None if kv.get("parent", "-") == "-" else kv["parent"]
-                params = NodeParams(
-                    s=float(kv["s"]), b=float(kv["b"]), theta=float(kv["theta"]),
-                    rho=float(kv["rho"]), lam=float(kv["lambda"]),
-                    beta=float(kv["beta"]), phi=float(kv["phi"]))
+                try:
+                    params = NodeParams(
+                        s=float(kv["s"]), b=float(kv["b"]), theta=float(kv["theta"]),
+                        rho=float(kv["rho"]), lam=float(kv["lambda"]),
+                        beta=float(kv["beta"]), phi=float(kv["phi"]))
+                except KeyError as e:
+                    raise ValueError(f"{path}: node {name} lacks {e}") from e
                 current.append(Node(name, parent, params))
             else:
                 raise ValueError(f"{path}: unrecognized line {line!r}")

@@ -125,6 +125,18 @@ class TestRunDataset:
         report = cs.run_dataset(casc, self._mixed_windows())
         assert report.processed_samples == [c * 10 for c in report.processed]
 
+    def test_reports_add_to_the_routing_of_both_sets(self):
+        casc = two_station_cascade(0.0, 1.0)
+        wins = self._mixed_windows()
+        pooled = cs.run_dataset(casc, wins[:30]) + cs.run_dataset(casc, wins[30:])
+        assert pooled == cs.run_dataset(casc, wins)
+
+    def test_adding_reports_over_other_stations_raises(self):
+        wins = self._mixed_windows(2)
+        three = cs.build_cascade([const_model(0.0)] * 3, TH)
+        with pytest.raises(ValueError):
+            cs.run_dataset(two_station_cascade(0.0, 1.0), wins) + cs.run_dataset(three, wins)
+
 
 class TestCascadeValidation:
     def test_needs_gate_first(self):

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from fallcascade import cli
+from fallcascade import cli, perfmodel
 
 
 TINY_CONFIG = """\
@@ -63,6 +63,26 @@ class TestValidate:
         rc = cli.main(["validate", "--config", cfg])
         assert rc != 0
         assert "latency.topology" in capsys.readouterr().err
+
+    def test_topology_layer_count_must_match_every_variant(self, tmp_path, capsys):
+        topo = tmp_path / "topo.txt"
+        perfmodel.write_topology(perfmodel.uniform_topology(4), topo)
+        cfg = write_config(tmp_path, TINY_CONFIG.replace(
+            "variants = nokd:dual", "variants = nokd:triple,nokd:dual")
+            + f"\n[latency]\ntopology = {topo}\n")
+        rc = cli.main(["validate", "--config", cfg])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert "latency.topology" in err and "nokd_dual" in err
+
+    def test_malformed_topology_names_field_and_key(self, tmp_path, capsys):
+        topo = tmp_path / "topo.txt"
+        topo.write_text("layer 0\nnode g parent=- s=0.5\n")
+        cfg = write_config(tmp_path, TINY_CONFIG + f"\n[latency]\ntopology = {topo}\n")
+        rc = cli.main(["validate", "--config", cfg])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert "latency.topology" in err and "node g lacks 'b'" in err
 
     def test_bad_variant_token(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_CONFIG.replace(

@@ -206,3 +206,25 @@ class TestTakdPipeline:
         for r1, r2 in zip(out1, out2):
             for a, b in zip(r1.model.weights, r2.model.weights):
                 assert a.tobytes() == b.tobytes()
+
+    def test_without_kd_each_tier_is_plain_training_with_its_seed(self, separable_xy):
+        X, y = separable_xy
+        cfg = nn.TrainConfig(epochs=3, seed=16)
+        stack = distill.takd_pipeline(*self.SPECS, X, y, distill.KDConfig(), cfg,
+                                      kd=distill.KD_NONE)
+        for offset, (spec, res) in enumerate(zip(self.SPECS, stack)):
+            tier_cfg = nn.TrainConfig(epochs=3, seed=16 + offset)
+            plain = nn.train(nn.TieredModel.init(spec, seed=16 + offset), X, y, tier_cfg)
+            for a, b in zip(res.model.weights, plain.model.weights):
+                assert a.tobytes() == b.tobytes()
+
+    def test_ta_is_optional_except_for_triple_kd(self, separable_xy):
+        X, y = separable_xy
+        cfg = nn.TrainConfig(epochs=2, seed=17)
+        teacher, ta, student = distill.takd_pipeline(
+            self.SPECS[0], None, self.SPECS[2], X, y, distill.KDConfig(), cfg,
+            kd=distill.KD_DUAL)
+        assert ta is None and student.model.spec == self.SPECS[2]
+        with pytest.raises(ValueError):
+            distill.takd_pipeline(self.SPECS[0], None, self.SPECS[2], X, y,
+                                  distill.KDConfig(), cfg)

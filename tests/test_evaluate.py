@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from fallcascade import distill
 from fallcascade import evaluate as ev
 from fallcascade import nn
+from fallcascade.dataset import FALL, Dataset, SynthSpec, synth_generate
+from fallcascade.edge_threshold import MissingClass
 from fallcascade.preprocess import WindowSpec
 
 
@@ -149,8 +152,74 @@ class TestLosoEvaluate:
         assert len(agg.pooled_report.station_names) == n_stations
         assert sum(agg.pooled_report.decided) == agg.pooled_report.total
 
+    def test_fold_without_a_class_is_named(self, small_dataset):
+        only = small_dataset.subjects[0]
+        traces = [t for t in small_dataset.traces
+                  if t.label != FALL or t.subject_id == only]
+        with pytest.raises(MissingClass, match=f"holding out {only}"):
+            ev.loso_evaluate(Dataset("falls-in-one", traces), fast_config())
+
     def test_needs_two_subjects(self, small_dataset):
         from fallcascade.dataset import split_loso
         _, single = split_loso(small_dataset, small_dataset.subjects[0])
         with pytest.raises(ValueError):
             ev.loso_evaluate(single, fast_config())
+
+
+# noisy, overlapping peak ranges: the gate passes most windows on, and the
+# briefly trained tiers are unsure enough that windows reach every station
+ESCALATING_SPEC = SynthSpec(n_subjects=3, falls_per_subject=5, adls_per_subject=5,
+                            fall_peak_range=(1.5, 4.0), adl_peak_range=(0.8, 3.0),
+                            trace_duration_s=2.0, noise_sd=0.5, sample_rate_hz=50,
+                            seed=0)
+
+# (kd_variant, layers, triple_mode) -> (tp, tn, fp, fn), processed per station
+VARIANT_PINS = {
+    (ev.KD_NONE, ev.LAYERS_DUAL, distill.SEQUENTIAL): ((15, 13, 2, 0), [30, 17, 7]),
+    (ev.KD_NONE, ev.LAYERS_DUAL, distill.COMPOSITE_EQ10): ((15, 13, 2, 0), [30, 17, 7]),
+    (ev.KD_NONE, ev.LAYERS_TRIPLE, distill.SEQUENTIAL): ((15, 13, 2, 0), [30, 17, 7, 7]),
+    (ev.KD_NONE, ev.LAYERS_TRIPLE, distill.COMPOSITE_EQ10): ((15, 13, 2, 0), [30, 17, 7, 7]),
+    (ev.KD_DUAL, ev.LAYERS_DUAL, distill.SEQUENTIAL): ((15, 13, 2, 0), [30, 17, 5]),
+    (ev.KD_DUAL, ev.LAYERS_DUAL, distill.COMPOSITE_EQ10): ((15, 13, 2, 0), [30, 17, 5]),
+    (ev.KD_DUAL, ev.LAYERS_TRIPLE, distill.SEQUENTIAL): ((15, 13, 2, 0), [30, 17, 5, 3]),
+    (ev.KD_DUAL, ev.LAYERS_TRIPLE, distill.COMPOSITE_EQ10): ((15, 13, 2, 0), [30, 17, 5, 3]),
+    (ev.KD_TRIPLE, ev.LAYERS_DUAL, distill.SEQUENTIAL): ((15, 13, 2, 0), [30, 17, 4]),
+    (ev.KD_TRIPLE, ev.LAYERS_DUAL, distill.COMPOSITE_EQ10): ((15, 13, 2, 0), [30, 17, 5]),
+    (ev.KD_TRIPLE, ev.LAYERS_TRIPLE, distill.SEQUENTIAL): ((15, 13, 2, 0), [30, 17, 4, 3]),
+    (ev.KD_TRIPLE, ev.LAYERS_TRIPLE, distill.COMPOSITE_EQ10): ((15, 13, 2, 0), [30, 17, 5, 3]),
+}
+
+
+class TestVariantMatrix:
+    """Every (kd, layers) variant under both triple modes: which tiers are
+    trained, what is deployed, and the routing outcome pinned."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return synth_generate(ESCALATING_SPEC)
+
+    @pytest.mark.parametrize("key", sorted(VARIANT_PINS))
+    def test_variant(self, data, key):
+        kd_variant, layers, mode = key
+        cfg = fast_config(
+            train=nn.TrainConfig(epochs=20, batch_size=8, learning_rate=0.02, seed=0),
+            kd=distill.KDConfig(lam=0.7, temperature=20.0, triple_mode=mode),
+            kd_variant=kd_variant, layers=layers)
+        agg = ev.loso_evaluate(data, cfg)
+        trains_ta = kd_variant == ev.KD_TRIPLE or layers == ev.LAYERS_TRIPLE
+        assert set(agg.loss_curves) == ({"teacher", "ta", "student"} if trains_ta
+                                        else {"teacher", "student"})
+        n_stations = 4 if layers == ev.LAYERS_TRIPLE else 3
+        assert len(agg.pooled_report.station_names) == n_stations
+        cm, processed = VARIANT_PINS[key]
+        assert (agg.pooled_cm.tp, agg.pooled_cm.tn,
+                agg.pooled_cm.fp, agg.pooled_cm.fn) == cm
+        assert agg.pooled_report.processed == processed
+
+    def test_pipeline_defaults_enforce_capacity_order(self, separable_xy):
+        X, y = separable_xy
+        small, big = (nn.TierSpec(nn.STUDENT, (2, 4, 2)),
+                      nn.TierSpec(nn.TEACHER, (2, 16, 2)))
+        with pytest.raises(ValueError):
+            distill.takd_pipeline(small, big, big, X, y, distill.KDConfig(),
+                                  nn.TrainConfig(epochs=1))
