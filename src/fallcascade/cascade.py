@@ -198,7 +198,8 @@ def run_dataset(cascade: Cascade, windows) -> CascadeReport:
 
 def build_cascade(models, thresholds: EdgeThresholds, tq_max: float = 0.8,
                   tq_min: float = 0.2, inference_temperature: float = 1.0,
-                  featurize=None, names=None) -> Cascade:
+                  featurize=None, names=None,
+                  strict_paper_gate: bool = False) -> Cascade:
     """Gate plus the given models in order; the last model is the top station."""
     if names is None:
         names = [f"mec{i + 1}" for i in range(len(models) - 1)] + ["cc"]
@@ -209,4 +210,4 @@ def build_cascade(models, thresholds: EdgeThresholds, tq_max: float = 0.8,
                                 tq_max=tq_max, tq_min=tq_min, is_top=top))
     return Cascade(stations=stations, thresholds=thresholds,
                    inference_temperature=inference_temperature,
-                   featurize=featurize)
+                   strict_paper_gate=strict_paper_gate, featurize=featurize)

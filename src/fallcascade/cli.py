@@ -18,7 +18,7 @@ from . import __version__, dataset as ds, evaluate, nn, perfmodel
 from .distill import KDConfig
 from .evaluate import ExperimentConfig, loso_evaluate
 from .nn import TierSpec, TrainConfig
-from .preprocess import WindowSpec
+from .preprocess import N_FEATURES, PLANE_AXES, WindowSpec
 
 SCHEMA_VERSION = "1"
 
@@ -112,6 +112,9 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
                             ws_b_s=_get(cfg, "window", "ws_b_s", 0.8, float))
     except ValueError as e:
         raise ConfigError(f"window: {e}")
+    vertical_axis = _get(cfg, "window", "vertical_axis", "x")
+    if vertical_axis not in PLANE_AXES:
+        raise ConfigError(f"window.vertical_axis: must be x, y or z, got {vertical_axis!r}")
 
     normalization = _get(cfg, "normalize", "mode", "minmax")
     if normalization not in ("minmax", "zscore"):
@@ -127,6 +130,10 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
                                             nn.DEFAULT_TIER_WIDTHS[nn.TEACHER], _widths))
     except ValueError as e:
         raise ConfigError(f"tiers: {e}")
+    for key, spec in (("student", student), ("ta", ta), ("teacher", teacher)):
+        if spec.layer_widths[0] != N_FEATURES:
+            raise ConfigError(f"tiers.{key}: input width must be {N_FEATURES}, "
+                              f"one per feature, got {spec.layer_widths[0]}")
 
     try:
         train = TrainConfig(
@@ -201,7 +208,7 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
         kd_variant=evaluate.KD_DUAL, layers=evaluate.LAYERS_DUAL,
         tq_max=tq_max, tq_min=tq_min,
         inference_temperature=inference_temperature,
-        vertical_axis=_get(cfg, "window", "vertical_axis", "x"),
+        vertical_axis=vertical_axis,
     )
     return RunConfig(synth=synth, manifest=manifest, experiment=experiment,
                      variants=variants, compare_normalization=compare_norm,

@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass
 
 from .dataset import FALL
-from .preprocess import Window, _norms_hori, _norms_xyz
+from .preprocess import Window, norm_hori, norm_xyz
 
 
 class MissingClass(Exception):
@@ -32,8 +32,8 @@ class EdgeThresholds:
 
 def window_peaks(window: Window):
     """(max norm_xyz, max norm_hori) of the window."""
-    return (float(_norms_xyz(window.samples).max()),
-            float(_norms_hori(window.samples).max()))
+    return (float(norm_xyz(window.samples).max()),
+            float(norm_hori(window.samples).max()))
 
 
 def fit_thresholds(train_windows) -> EdgeThresholds:

@@ -194,8 +194,8 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
         featurize = lambda w, s=scaler: s(extract_features(w, cfg.vertical_axis))
         cascade = build_cascade(
             deployed, thresholds, tq_max=cfg.tq_max, tq_min=cfg.tq_min,
-            inference_temperature=cfg.inference_temperature, featurize=featurize)
-        cascade.strict_paper_gate = cfg.strict_paper_gate
+            inference_temperature=cfg.inference_temperature, featurize=featurize,
+            strict_paper_gate=cfg.strict_paper_gate)
         report = run_dataset(cascade, test_windows)
         cm = ConfusionMatrix(report.tp, report.tn, report.fp, report.fn)
         folds.append(FoldResult(subject, cm, metrics(cm, f1_mode), report))

@@ -56,31 +56,36 @@ class Window:
         object.__setattr__(self, "samples", samples)
 
 
-def norm_xyz(s) -> float:
-    """Spatial acceleration norm sqrt(ax^2 + ay^2 + az^2)."""
+# (vertical-plane, horizontal-plane) axis pairs for each vertical axis
+PLANE_AXES = {"x": ((0, 1), (1, 2)), "y": ((1, 2), (0, 2)), "z": ((2, 0), (0, 1))}
+
+# channel index pairs of the six Pearson correlations, in FEATURE_NAMES order
+_CORR_PAIRS = np.array([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+
+
+def norm_xyz(s):
+    """Spatial acceleration norm sqrt(ax^2 + ay^2 + az^2) of each sample in a
+    (..., 3) array; one sample gives a scalar."""
     s = np.asarray(s, dtype=np.float64)
-    return float(np.sqrt(np.sum(s * s)))
+    return np.sqrt(np.sum(s * s, axis=-1))
 
 
-def norm_hori(s) -> float:
-    """Horizontal-plane norm sqrt(ay^2 + az^2)."""
-    s = np.asarray(s, dtype=np.float64)
-    return float(np.sqrt(s[1] * s[1] + s[2] * s[2]))
+def _plane_norm(s, axes):
+    a, b = s[..., axes[0]], s[..., axes[1]]
+    return np.sqrt(a * a + b * b)
 
 
-def _norms_xyz(samples: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(samples * samples, axis=1))
-
-
-def _norms_hori(samples: np.ndarray) -> np.ndarray:
-    return np.sqrt(samples[:, 1] ** 2 + samples[:, 2] ** 2)
+def norm_hori(s):
+    """Horizontal-plane norm sqrt(ay^2 + az^2) of each sample in a (..., 3)
+    array; one sample gives a scalar."""
+    return _plane_norm(np.asarray(s, dtype=np.float64), (1, 2))
 
 
 def find_impact(trace_or_samples) -> int:
     """Index of the sample maximizing norm_xyz; ties break to the earliest."""
     samples = getattr(trace_or_samples, "samples", trace_or_samples)
     samples = np.asarray(samples, dtype=np.float64)
-    return int(np.argmax(_norms_xyz(samples)))
+    return int(np.argmax(norm_xyz(samples)))
 
 
 def extract_window(trace: Trace, spec: WindowSpec) -> Window:
@@ -123,48 +128,14 @@ def zscore_standardize(seq) -> np.ndarray:
     return (x - mu) / sd
 
 
-def _skewness(x: np.ndarray) -> float:
-    m2 = np.mean((x - x.mean()) ** 2)
-    if m2 == 0:
-        return 0.0
-    m3 = np.mean((x - x.mean()) ** 3)
-    return float(m3 / m2 ** 1.5)
-
-
-def _kurtosis_excess(x: np.ndarray) -> float:
-    m2 = np.mean((x - x.mean()) ** 2)
-    if m2 == 0:
-        return 0.0
-    m4 = np.mean((x - x.mean()) ** 4)
-    return float(m4 / m2 ** 2 - 3.0)
-
-
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = np.sqrt(np.sum(da * da) * np.sum(db * db))
-    if denom == 0:
-        return 0.0
-    return float(np.sum(da * db) / denom)
-
-
 def channel_matrix(samples: np.ndarray, vertical_axis: str = "x") -> np.ndarray:
     """Stack the six analysis channels as columns."""
-    samples = np.asarray(samples, dtype=np.float64)
-    ax, ay, az = samples[:, 0], samples[:, 1], samples[:, 2]
-    a_norm = _norms_xyz(samples)
-    if vertical_axis == "x":
-        a_verti = np.sqrt(ax * ax + ay * ay)
-        a_hori = np.sqrt(ay * ay + az * az)
-    elif vertical_axis == "y":
-        a_verti = np.sqrt(ay * ay + az * az)
-        a_hori = np.sqrt(ax * ax + az * az)
-    elif vertical_axis == "z":
-        a_verti = np.sqrt(az * az + ax * ax)
-        a_hori = np.sqrt(ax * ax + ay * ay)
-    else:
+    if vertical_axis not in PLANE_AXES:
         raise ValueError(f"vertical_axis must be x/y/z, got {vertical_axis!r}")
-    return np.column_stack([ax, ay, az, a_norm, a_verti, a_hori])
+    samples = np.asarray(samples, dtype=np.float64)
+    verti, hori = PLANE_AXES[vertical_axis]
+    return np.column_stack([samples, norm_xyz(samples),
+                            _plane_norm(samples, verti), _plane_norm(samples, hori)])
 
 
 def extract_features(window: Window, vertical_axis: str = "x") -> np.ndarray:
@@ -180,18 +151,27 @@ def extract_features(window: Window, vertical_axis: str = "x") -> np.ndarray:
     f[0:6] = ch.mean(axis=0)
     f[6:12] = ch.std(axis=0)
     f[12:18] = ch.var(axis=0)
-    f[18:24] = ch.max(axis=0)
-    f[24:30] = ch.min(axis=0)
-    f[30:36] = ch.max(axis=0) - ch.min(axis=0)
-    for j in range(6):
-        f[36 + j] = _kurtosis_excess(ch[:, j])
-        f[42 + j] = _skewness(ch[:, j])
-    f[48] = _pearson(ch[:, 0], ch[:, 1])
-    f[49] = _pearson(ch[:, 0], ch[:, 2])
-    f[50] = _pearson(ch[:, 1], ch[:, 2])
-    f[51] = _pearson(ch[:, 3], ch[:, 4])
-    f[52] = _pearson(ch[:, 3], ch[:, 5])
-    f[53] = _pearson(ch[:, 4], ch[:, 5])
+    hi, lo = ch.max(axis=0), ch.min(axis=0)
+    f[18:24] = hi
+    f[24:30] = lo
+    f[30:36] = hi - lo
+    # one channel per contiguous row, so each sum below is numpy's pairwise
+    # sum over that channel alone
+    rows = np.ascontiguousarray(ch.T)
+    d = rows - rows.mean(axis=1, keepdims=True)
+    ss = np.sum(d * d, axis=1)
+    m2 = ss / len(ch)
+    # a flat channel's shape statistics are 0; dividing its zero moments by 1
+    # keeps 0/0 out. float_power rounds as libm's pow does; array ** may take
+    # a SIMD pow that differs from it in the last bit
+    flat = m2 == 0
+    m2 = np.where(flat, 1.0, m2)
+    f[36:42] = np.where(flat, 0.0, np.mean(d ** 4, axis=1) / np.float_power(m2, 2) - 3.0)
+    f[42:48] = np.where(flat, 0.0, np.mean(d ** 3, axis=1) / np.float_power(m2, 1.5))
+    i, j = _CORR_PAIRS.T
+    denom = np.sqrt(ss[i] * ss[j])
+    f[48:54] = np.divide(np.sum(d[i] * d[j], axis=1), denom,
+                         out=np.zeros(len(denom)), where=denom != 0)
     return f
 
 

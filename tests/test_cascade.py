@@ -81,6 +81,16 @@ class TestRunSample:
         assert decision.final == FALL
 
 
+    def test_strict_paper_gate_decides_adl_between_the_bands(self):
+        # peaks (2.77, 1.92) lie below t_fall_* (3.0, 2.0) and above t_adl_*
+        window = make_window([2.0, 1.5, 1.2], FALL)
+        models = [const_model(0.0), const_model(0.0)]
+        strict = cs.run_sample(cs.build_cascade(models, TH, strict_paper_gate=True),
+                               window)
+        assert (strict.final, strict.decided_at) == (ADL, 0)
+        assert cs.run_sample(cs.build_cascade(models, TH), window).decided_at > 0
+
+
 class TestRunDataset:
     def _mixed_windows(self, n_each=20):
         wins = []

@@ -84,6 +84,23 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "latency.topology" in err and "node g lacks 'b'" in err
 
+    def test_unknown_vertical_axis_names_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_CONFIG.replace(
+            "ws_b_s = 0.5", "ws_b_s = 0.5\nvertical_axis = w"))
+        rc = cli.main(["validate", "--config", cfg])
+        assert rc != 0
+        assert "window.vertical_axis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, line", [("student", "student = 10,8,2"),
+                                           ("ta", "ta = 53,16,2"),
+                                           ("teacher", "teacher = 55,32,2")])
+    def test_tier_input_width_must_be_feature_count(self, tmp_path, capsys, key, line):
+        default = {"student": "54,8,2", "ta": "54,16,2", "teacher": "54,32,2"}[key]
+        cfg = write_config(tmp_path, TINY_CONFIG.replace(f"{key} = {default}", line))
+        rc = cli.main(["validate", "--config", cfg])
+        assert rc != 0
+        assert f"tiers.{key}" in capsys.readouterr().err
+
     def test_bad_variant_token(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_CONFIG.replace(
             "variants = nokd:dual", "variants = megakd:dual"))

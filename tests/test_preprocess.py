@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from fallcascade import preprocess as pp
@@ -184,3 +185,66 @@ class TestFeatures:
         window = pp.Window(samples, 0, "FALL", "S1", "T1", 50)
         f = pp.extract_features(window, vertical_axis=axis)
         np.testing.assert_allclose(f, _oracle_features(window, axis), rtol=1e-9)
+
+
+class TestChannelMatrix:
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_columns_match_hand_formulas(self, axis):
+        rng = np.random.default_rng(11)
+        samples = rng.normal(scale=2.0, size=(40, 3))
+        ax, ay, az = samples.T
+        verti, hori = {
+            "x": (np.sqrt(ax**2 + ay**2), np.sqrt(ay**2 + az**2)),
+            "y": (np.sqrt(ay**2 + az**2), np.sqrt(ax**2 + az**2)),
+            "z": (np.sqrt(az**2 + ax**2), np.sqrt(ax**2 + ay**2)),
+        }[axis]
+        expected = np.column_stack(
+            [ax, ay, az, np.sqrt(ax**2 + ay**2 + az**2), verti, hori])
+        ch = pp.channel_matrix(samples, axis)
+        assert ch.shape == (40, 6)
+        np.testing.assert_allclose(ch, expected, rtol=1e-15, atol=0)
+
+    def test_unknown_vertical_axis(self):
+        with pytest.raises(ValueError, match="vertical_axis"):
+            pp.channel_matrix(np.zeros((4, 3)), "w")
+
+
+@st.composite
+def feature_windows(draw):
+    """Random windows of length 1-300: gravity-offset noise, optionally a
+    zero-padded run at either end and axes held at a constant reading.
+    Constant readings are dyadic and at most one is non-zero, so every
+    constant channel (the norms included) has a mean the float sum
+    reproduces exactly."""
+    length = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.floats(-2.0, 2.0))
+    scale = draw(st.floats(0.01, 5.0))
+    samples = offset + scale * rng.normal(size=(length, 3))
+    held = draw(st.lists(st.integers(0, 2), unique=True, max_size=3))
+    reading = draw(st.integers(-32, 32)) / 8.0
+    for i, axis in enumerate(held):
+        samples[:, axis] = reading if i == 0 else 0.0
+    pad = draw(st.integers(0, length))
+    if draw(st.booleans()):
+        samples[:pad] = 0.0
+    else:
+        samples[length - pad:] = 0.0
+    return pp.Window(samples, 0, "FALL", "S1", "T1", 50)
+
+
+class TestFeatureProperties:
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(window=feature_windows())
+    def test_matches_scipy_oracle(self, axis, window):
+        f = pp.extract_features(window, axis)
+        np.testing.assert_allclose(f, _oracle_features(window, axis),
+                                   rtol=1e-9, atol=1e-12)
+        constant = np.ptp(pp.channel_matrix(window.samples, axis), axis=0) == 0
+        assert np.all(f[36:42][constant] == 0.0)  # kurtosis
+        assert np.all(f[42:48][constant] == 0.0)  # skewness
+        pairs = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+        for k, (i, j) in enumerate(pairs):
+            if constant[i] or constant[j]:
+                assert f[48 + k] == 0.0
