@@ -348,14 +348,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _run_variant(data, experiment, kd_variant, layers, topology, horizon_s):
-    exp = dataclasses.replace(experiment, kd_variant=kd_variant, layers=layers)
-    agg = loso_evaluate(data, exp)
-    if topology is None:
-        topology = perfmodel.uniform_topology(len(agg.pooled_report.station_names))
-    return agg, perfmodel.cascade_latency(agg.pooled_report, topology, horizon_s)
-
-
 def cmd_run(args) -> int:
     try:
         run_cfg = parse_config(args.config, seed_override=args.seed,
@@ -370,12 +362,18 @@ def cmd_run(args) -> int:
     comparison_rows = []
     for mode in modes:
         experiment = dataclasses.replace(run_cfg.experiment, normalization=mode)
-        for kd_variant, layers in run_cfg.variants:
+        aggs = loso_evaluate(data, experiment, variants=run_cfg.variants)
+        for (kd_variant, layers), agg in zip(run_cfg.variants, aggs):
             token = _variant_token(kd_variant, layers)
             if len(modes) > 1:
                 token = f"{token}_{mode}"
-            agg, latency = _run_variant(data, experiment, kd_variant, layers,
-                                        run_cfg.topology, run_cfg.horizon_s)
+            r = agg.pooled_report
+            topology = run_cfg.topology or perfmodel.uniform_topology(len(r.station_names))
+            latency = perfmodel.cascade_latency(r, topology, run_cfg.horizon_s)
+            idle = [name for name, n in zip(r.station_names[1:], r.processed[1:]) if n == 0]
+            if idle:
+                print(f"warning: {token}: classifier station(s) {', '.join(idle)} "
+                      f"processed 0 windows in every fold", file=sys.stderr)
             path = os.path.join(run_cfg.out_dir, f"report_{token}.txt")
             write_report(path, token, data.name, mode, agg, latency)
             _write_plot_data(run_cfg.out_dir, token, agg)

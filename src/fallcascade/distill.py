@@ -163,10 +163,11 @@ def distill_train(teacher: TieredModel, student_spec, X, y,
 
 def takd_pipeline(teacher_spec, ta_spec, student_spec, X, y,
                   cfg: KDConfig, train_cfg: TrainConfig,
-                  allow_equal: bool = False, kd: str = KD_TRIPLE):
+                  allow_equal: bool = False, kd: str = KD_TRIPLE, teacher=None):
     """Staged pipeline: the teacher (CE), then the TA if `ta_spec` is given,
     then the student: the trainer of every variant's tier stack. Each tier
-    gets its own seed, train_cfg.seed plus 0, 1 and 2.
+    gets its own seed, train_cfg.seed plus 0, 1 and 2. A `teacher` this
+    pipeline returned for the same inputs, whatever their `kd`, is reused.
 
     `kd` says what the lower tiers learn from: KD_NONE trains them on the
     hard labels alone; KD_DUAL distills each from the teacher; KD_TRIPLE
@@ -194,7 +195,7 @@ def takd_pipeline(teacher_spec, ta_spec, student_spec, X, y,
             return train(TieredModel.init(spec, seed=tier_cfg.seed), X, y, tier_cfg)
         return distill_train(upstream, spec, X, y, cfg, tier_cfg)
 
-    teacher_res = fit(teacher_spec, train_cfg, None)
+    teacher_res = teacher if teacher is not None else fit(teacher_spec, train_cfg, None)
     teacher = teacher_res.model
     ta_res = None
     if ta_spec is not None:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import distill, nn
 from .cascade import CascadeReport, build_cascade, run_dataset
-from .dataset import Dataset, loso_splits
+from .dataset import Dataset
 from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KDConfig
 from .edge_threshold import MissingClass, fit_thresholds
 from .nn import TrainConfig, default_tier_spec
@@ -164,59 +164,67 @@ class AggregateReport:
     pooled_report: CascadeReport
     loss_curves: dict = field(default_factory=dict)
 
+    @classmethod
+    def pool(cls, folds, curves, f1_mode: str) -> "AggregateReport":
+        pooled_cm = functools.reduce(operator.add, (fold.cm for fold in folds))
+        mean = {}
+        for name in ("acc", "pre", "rec", "f1"):
+            vals = [getattr(f.metrics, name) for f in folds
+                    if getattr(f.metrics, name) is not None]
+            mean[name] = float(np.mean(vals)) if vals else None
+        return cls(
+            folds=folds,
+            pooled_cm=pooled_cm,
+            pooled_metrics=metrics(pooled_cm, f1_mode),
+            mean_metrics=Metrics(f1_mode=f1_mode, **mean),
+            pooled_report=functools.reduce(operator.add, (fold.report for fold in folds)),
+            loss_curves={name: np.mean(np.array(c), axis=0).tolist()
+                         for name, c in curves.items()},
+        )
+
 
 def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
-                  f1_mode: str = F1_STANDARD) -> AggregateReport:
+                  f1_mode: str = F1_STANDARD,
+                  variants=None) -> AggregateReport | list[AggregateReport]:
     """Full LOSO experiment: per fold, fit the gate and train the tier stack
-    on the training subjects, then route the held-out subject's windows."""
+    on the training subjects, then route the held-out subject's windows.
+    Returns cfg's variant's AggregateReport, or the list of those of
+    `variants`, (kd_variant, layers) pairs that share each fold's teacher."""
     if len(dataset.subjects) < 2:
         raise ValueError("LOSO needs at least 2 subjects")
-    folds = []
-    reports = []
-    curves = {}
-    # the TA is trained when it is deployed or when it teaches the student
-    trains_ta = cfg.kd_variant == KD_TRIPLE or cfg.layers == LAYERS_TRIPLE
-    for subject, train_ds, test_ds in loso_splits(dataset):
-        train_windows = [extract_window(t, cfg.window) for t in train_ds.traces]
-        test_windows = [extract_window(t, cfg.window) for t in test_ds.traces]
+    pairs = [(cfg.kd_variant, cfg.layers)] if variants is None else list(variants)
+    windows = [extract_window(t, cfg.window) for t in dataset.traces]
+    features, labels = feature_matrix(windows, cfg.vertical_axis)
+    runs = [([], {}) for _ in pairs]  # each variant's fold results and loss curves
+    for subject in dataset.subjects:
+        train_rows = [i for i, w in enumerate(windows) if w.subject_id != subject]
+        test_windows = [w for w in windows if w.subject_id == subject]
         try:
-            thresholds = fit_thresholds(train_windows)
-        except MissingClass as e:
-            raise MissingClass(f"fold holding out {subject}: {e}") from e
-        X_train, y_train = feature_matrix(train_windows, cfg.vertical_axis)
-        scaler = fit_scaler(X_train, cfg.normalization)
-        stack = distill.takd_pipeline(
-            cfg.teacher, cfg.ta if trains_ta else None, cfg.student,
-            scaler(X_train), y_train, cfg.kd, cfg.train, kd=cfg.kd_variant)
-        results = {name: res for name, res in zip(("teacher", "ta", "student"), stack)
-                   if res is not None}
-        deployed = [results[name].model for name in DEPLOYED_TIERS[cfg.layers]]
-        featurize = lambda w, s=scaler: s(extract_features(w, cfg.vertical_axis))
-        cascade = build_cascade(
-            deployed, thresholds, tq_max=cfg.tq_max, tq_min=cfg.tq_min,
-            inference_temperature=cfg.inference_temperature, featurize=featurize,
-            strict_paper_gate=cfg.strict_paper_gate)
-        report = run_dataset(cascade, test_windows)
-        cm = ConfusionMatrix(report.tp, report.tn, report.fp, report.fn)
-        folds.append(FoldResult(subject, cm, metrics(cm, f1_mode), report))
-        reports.append(report)
-        for name, res in results.items():
-            curves.setdefault(name, []).append(res.epoch_losses)
-    pooled_cm = ConfusionMatrix()
-    for fold in folds:
-        pooled_cm = pooled_cm + fold.cm
-    mean = {}
-    for name in ("acc", "pre", "rec", "f1"):
-        vals = [getattr(f.metrics, name) for f in folds
-                if getattr(f.metrics, name) is not None]
-        mean[name] = float(np.mean(vals)) if vals else None
-    mean_curves = {name: np.mean(np.array(c), axis=0).tolist()
-                   for name, c in curves.items()}
-    return AggregateReport(
-        folds=folds,
-        pooled_cm=pooled_cm,
-        pooled_metrics=metrics(pooled_cm, f1_mode),
-        mean_metrics=Metrics(f1_mode=f1_mode, **mean),
-        pooled_report=functools.reduce(operator.add, reports),
-        loss_curves=mean_curves,
-    )
+            thresholds = fit_thresholds([windows[i] for i in train_rows])
+            scaler = fit_scaler(features[train_rows], cfg.normalization)
+            X_train, y_train = scaler(features[train_rows]), labels[train_rows]
+            featurize = lambda w, s=scaler: s(extract_features(w, cfg.vertical_axis))
+            teacher = None
+            for (kd_variant, layers), (folds, curves) in zip(pairs, runs):
+                # the TA is trained when it is deployed or when it teaches the student
+                trains_ta = kd_variant == KD_TRIPLE or layers == LAYERS_TRIPLE
+                stack = distill.takd_pipeline(
+                    cfg.teacher, cfg.ta if trains_ta else None, cfg.student,
+                    X_train, y_train, cfg.kd, cfg.train, kd=kd_variant, teacher=teacher)
+                teacher = stack[0]
+                results = {name: res for name, res in
+                           zip(("teacher", "ta", "student"), stack) if res is not None}
+                deployed = [results[name].model for name in DEPLOYED_TIERS[layers]]
+                cascade = build_cascade(
+                    deployed, thresholds, tq_max=cfg.tq_max, tq_min=cfg.tq_min,
+                    inference_temperature=cfg.inference_temperature, featurize=featurize,
+                    strict_paper_gate=cfg.strict_paper_gate)
+                report = run_dataset(cascade, test_windows)
+                cm = ConfusionMatrix(report.tp, report.tn, report.fp, report.fn)
+                folds.append(FoldResult(subject, cm, metrics(cm, f1_mode), report))
+                for name, res in results.items():
+                    curves.setdefault(name, []).append(res.epoch_losses)
+        except (MissingClass, nn.NonFiniteLoss) as e:
+            raise type(e)(f"fold holding out {subject}: {e}") from e
+    aggs = [AggregateReport.pool(folds, curves, f1_mode) for folds, curves in runs]
+    return aggs[0] if variants is None else aggs

@@ -35,6 +35,10 @@ class EmptyData(Exception):
     pass
 
 
+class NonFiniteLoss(Exception):
+    pass
+
+
 @dataclass(frozen=True)
 class TierSpec:
     tier: str
@@ -191,7 +195,8 @@ class TrainResult:
 def train(model: TieredModel, X, y, cfg: TrainConfig,
           loss_spec=None) -> TrainResult:
     """SGD with momentum; deterministic given cfg.seed. The input model is
-    not mutated; the trained copy and per-epoch mean losses are returned."""
+    not mutated; the trained copy and per-epoch mean losses are returned.
+    An epoch whose mean loss is not finite raises NonFiniteLoss."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if len(X) == 0:
@@ -219,6 +224,9 @@ def train(model: TieredModel, X, y, cfg: TrainConfig,
                 model.weights[l] += vel_w[l]
                 model.biases[l] += vel_b[l]
         losses.append(epoch_loss / n_batches)
+        if not np.isfinite(losses[-1]):
+            raise NonFiniteLoss(f"{model.spec.tier} training loss is {losses[-1]} "
+                                f"at epoch {len(losses)}")
     return TrainResult(model=model, epoch_losses=losses)
 
 

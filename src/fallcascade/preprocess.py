@@ -159,6 +159,7 @@ def extract_features(window: Window, vertical_axis: str = "x") -> np.ndarray:
     # sum over that channel alone
     rows = np.ascontiguousarray(ch.T)
     d = rows - rows.mean(axis=1, keepdims=True)
+    d[hi == lo] = 0.0  # a constant channel's float mean can miss its reading
     ss = np.sum(d * d, axis=1)
     m2 = ss / len(ch)
     # a flat channel's shape statistics are 0; dividing its zero moments by 1

@@ -159,8 +159,8 @@ def test_criterion_6_kd_efficacy():
     kd_accs, ce_accs, kd_wins = [], [], 0
     for seed in range(KD_SEEDS):
         data = synth_generate(SynthSpec(seed=seed, **KD_SPEC))
-        kd = ev.loso_evaluate(data, _kd_config(seed, ev.KD_DUAL))
-        ce = ev.loso_evaluate(data, _kd_config(seed, ev.KD_NONE))
+        kd, ce = ev.loso_evaluate(data, _kd_config(seed, ev.KD_DUAL), variants=[
+            (ev.KD_DUAL, ev.LAYERS_DUAL), (ev.KD_NONE, ev.LAYERS_DUAL)])
         kd_accs.append(kd.pooled_metrics.acc)
         ce_accs.append(ce.pooled_metrics.acc)
         if kd.pooled_report.processed[-1] <= ce.pooled_report.processed[-1]:

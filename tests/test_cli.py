@@ -33,6 +33,41 @@ variants = nokd:dual
 """
 
 
+# noisy, overlapping peak ranges and briefly trained tiers: windows reach
+# every station
+NOISY_CONFIG = """\
+[dataset]
+source = synth
+n_subjects = 3
+falls_per_subject = 5
+adls_per_subject = 5
+fall_peak_min = 1.5
+fall_peak_max = 4.0
+adl_peak_min = 0.8
+adl_peak_max = 3.0
+trace_duration_s = 2.0
+noise_sd = 0.5
+seed = 0
+
+[window]
+ws_f_s = 0.6
+ws_b_s = 0.5
+
+[tiers]
+student = 54,8,2
+ta = 54,16,2
+teacher = 54,32,2
+
+[train]
+epochs = 20
+batch_size = 8
+learning_rate = 0.02
+
+[run]
+variants = nokd:dual
+"""
+
+
 def write_config(tmp_path, text=TINY_CONFIG, name="cfg.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -162,6 +197,19 @@ class TestRun:
             else:
                 with open(pa) as fa, open(pb) as fb:
                     assert fa.read() == fb.read()
+
+    def test_idle_classifier_stations_warn_on_stderr(self, tmp_path, capsys):
+        # the default peak ranges: the gate decides every window
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: nokd_dual: classifier station(s) mec1, cc processed 0 "
+            "windows in every fold\n")
+
+    def test_no_warning_when_every_station_sees_windows(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, NOISY_CONFIG)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_normalization_compare_emits_table(self, tmp_path):
         cfg = write_config(tmp_path, TINY_CONFIG +

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,13 @@ class TestLosoEvaluate:
         with pytest.raises(MissingClass, match=f"holding out {only}"):
             ev.loso_evaluate(Dataset("falls-in-one", traces), fast_config())
 
+    def test_non_finite_loss_is_named_with_its_fold(self, small_dataset):
+        diverging = nn.TrainConfig(epochs=3, batch_size=16, learning_rate=1e300)
+        first = small_dataset.subjects[0]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                nn.NonFiniteLoss, match=f"holding out {first}: Teacher training loss"):
+            ev.loso_evaluate(small_dataset, fast_config(train=diverging))
+
     def test_needs_two_subjects(self, small_dataset):
         from fallcascade.dataset import split_loso
         _, single = split_loso(small_dataset, small_dataset.subjects[0])
@@ -223,3 +232,68 @@ class TestVariantMatrix:
         with pytest.raises(ValueError):
             distill.takd_pipeline(small, big, big, X, y, distill.KDConfig(),
                                   nn.TrainConfig(epochs=1))
+
+
+class TestSharedPass:
+    """One call over several variants shares each fold's windows, features,
+    gate, scaler and teacher, and gives each variant its solo call's result."""
+
+    VARIANTS = [(kd, layers) for kd in (ev.KD_NONE, ev.KD_DUAL, ev.KD_TRIPLE)
+                for layers in (ev.LAYERS_DUAL, ev.LAYERS_TRIPLE)]
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return synth_generate(ESCALATING_SPEC)
+
+    @staticmethod
+    def config(mode):
+        return fast_config(
+            train=nn.TrainConfig(epochs=20, batch_size=8, learning_rate=0.02, seed=0),
+            kd=distill.KDConfig(lam=0.7, temperature=20.0, triple_mode=mode))
+
+    @pytest.mark.parametrize("mode", [distill.SEQUENTIAL, distill.COMPOSITE_EQ10])
+    def test_equals_each_solo_call(self, data, mode):
+        cfg = self.config(mode)
+        shared = ev.loso_evaluate(data, cfg, variants=self.VARIANTS)
+        assert len(shared) == len(self.VARIANTS)
+        for (kd_variant, layers), agg in zip(self.VARIANTS, shared):
+            solo = ev.loso_evaluate(
+                data, dataclasses.replace(cfg, kd_variant=kd_variant, layers=layers))
+            assert [f.cm for f in agg.folds] == [f.cm for f in solo.folds]
+            assert [f.report for f in agg.folds] == [f.report for f in solo.folds]
+            assert agg.pooled_report == solo.pooled_report
+            assert agg.pooled_metrics == solo.pooled_metrics
+            assert agg.mean_metrics == solo.mean_metrics
+            assert sorted(agg.loss_curves) == sorted(solo.loss_curves)
+            for name, curve in agg.loss_curves.items():
+                assert np.array(curve).tobytes() == np.array(solo.loss_curves[name]).tobytes()
+
+    def test_without_variants_returns_the_config_variant(self, data):
+        cfg = self.config(distill.SEQUENTIAL)
+        agg = ev.loso_evaluate(data, cfg)
+        [listed] = ev.loso_evaluate(data, cfg, variants=[(cfg.kd_variant, cfg.layers)])
+        assert isinstance(agg, ev.AggregateReport)
+        assert agg == listed
+
+    def test_windows_features_and_teacher_once(self, data, monkeypatch):
+        calls = {"windows": 0, "feature_tables": 0, "teacher_fits": 0}
+        extract_window, feature_matrix, train = ev.extract_window, ev.feature_matrix, distill.train
+
+        def count_window(*args, **kwargs):
+            calls["windows"] += 1
+            return extract_window(*args, **kwargs)
+
+        def count_table(*args, **kwargs):
+            calls["feature_tables"] += 1
+            return feature_matrix(*args, **kwargs)
+
+        def count_fit(model, *args, **kwargs):
+            calls["teacher_fits"] += model.spec.tier == nn.TEACHER
+            return train(model, *args, **kwargs)
+
+        monkeypatch.setattr(ev, "extract_window", count_window)
+        monkeypatch.setattr(ev, "feature_matrix", count_table)
+        monkeypatch.setattr(distill, "train", count_fit)
+        ev.loso_evaluate(data, self.config(distill.SEQUENTIAL), variants=self.VARIANTS)
+        assert calls == {"windows": len(data), "feature_tables": 1,
+                         "teacher_fits": len(data.subjects)}

@@ -161,6 +161,14 @@ class TestTrain:
         for i in range(20, len(smooth) - 1):
             assert smooth[i + 1] <= smooth[i] * 1.05
 
+    def test_non_finite_loss_names_tier_and_epoch(self, separable_xy):
+        X, y = separable_xy
+        X = X.copy()
+        X[7, 0] = np.nan
+        model = nn.TieredModel.init(nn.TierSpec(nn.TA, (2, 4, 2)), seed=0)
+        with pytest.raises(nn.NonFiniteLoss, match="TA training loss is nan at epoch 1"):
+            nn.train(model, X, y, nn.TrainConfig(epochs=3, batch_size=16))
+
 
 class TestCountParams:
     def test_default_student(self):

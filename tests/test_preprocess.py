@@ -161,6 +161,16 @@ class TestFeatures:
         assert f[30] == 0.0      # range ax
         assert np.all(f[36:48] == 0.0)  # shape stats of constant channels
 
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_inexact_constant_channels_read_flat(self, axis):
+        # 0.1 is not dyadic: the float mean of 50 copies misses it by a
+        # rounding residue, which must not pass for spread
+        samples = np.zeros((50, 3))
+        samples[:, 1] = 0.1
+        f = pp.extract_features(pp.Window(samples, 0, "ADL", "S1", "T1", 50), axis)
+        assert np.all(f[36:48] == 0.0)  # kurtosis and skewness of every channel
+        assert np.all(f[48:54] == 0.0)  # every correlation has a constant channel
+
     def test_equal_axes_perfect_correlation(self):
         rng = np.random.default_rng(4)
         col = rng.normal(size=30)
