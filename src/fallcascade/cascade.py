@@ -12,9 +12,6 @@ from .edge_threshold import EdgeThresholds, TriDecision, classify_tc, window_pea
 from .nn import TieredModel, count_params, forward, softmax_t
 from .preprocess import Window, extract_features
 
-GATE = "gate"
-CLASSIFIER = "classifier"
-
 FALL_CLASS = 1  # logit / probability index of the Fall class
 
 
@@ -34,30 +31,25 @@ def judge_tq(p_fall: float, tq_max: float, tq_min: float) -> TriDecision:
     return TriDecision.UNCERTAIN
 
 
-@dataclass
+@dataclass(frozen=True)
 class Station:
-    name: str
-    kind: str = CLASSIFIER
-    model: TieredModel | None = None
-    tq_max: float = 0.8
-    tq_min: float = 0.2
-    is_top: bool = False
+    """One station of the cascade: the threshold gate when `model` is None,
+    a classifier otherwise."""
 
-    def __post_init__(self):
-        if self.kind not in (GATE, CLASSIFIER):
-            raise ValueError(f"unknown station kind {self.kind!r}")
-        if self.kind == CLASSIFIER and self.model is None:
-            raise ValueError(f"classifier station {self.name!r} needs a model")
-        if self.kind == CLASSIFIER and not self.is_top:
-            if not (0.0 <= self.tq_min < self.tq_max <= 1.0):
-                raise InvalidThresholds(
-                    f"station {self.name!r}: need 0 <= tq_min < tq_max <= 1")
+    name: str
+    model: TieredModel | None = None
 
 
 @dataclass
 class Cascade:
+    """The gate, then classifier stations in ascending capacity. Every
+    classifier below the last escalates windows whose fall probability lies
+    in the band [tq_min, tq_max]; the last decides by argmax."""
+
     stations: list
     thresholds: EdgeThresholds
+    tq_max: float = 0.8
+    tq_min: float = 0.2
     inference_temperature: float = 1.0
     strict_paper_gate: bool = False
     featurize: object = None  # callable Window -> model input; default raw features
@@ -65,19 +57,41 @@ class Cascade:
     def __post_init__(self):
         if len(self.stations) < 2:
             raise ValueError("cascade needs at least a gate and one classifier")
-        if self.stations[0].kind != GATE:
+        if self.stations[0].model is not None:
             raise ValueError("first station must be the threshold gate")
-        tops = [s for s in self.stations if s.is_top]
-        if tops != [self.stations[-1]]:
-            raise ValueError("exactly the last station must be marked top")
+        if any(s.model is None for s in self.stations[1:]):
+            raise ValueError("every station after the gate needs a model")
+        if not (0.0 <= self.tq_min < self.tq_max <= 1.0):
+            raise InvalidThresholds(
+                f"need 0 <= tq_min < tq_max <= 1, got ({self.tq_max}, {self.tq_min})")
         if self.inference_temperature <= 0:
             raise ValueError("inference_temperature must be > 0")
-        sizes = [count_params(s.model) for s in self.stations if s.kind == CLASSIFIER]
+        sizes = [count_params(s.model) for s in self.stations[1:]]
         if any(a > b for a, b in zip(sizes, sizes[1:])):
             warnings.warn("classifier stations are not capacity-ordered ascending",
                           stacklevel=2)
         if self.featurize is None:
             self.featurize = extract_features
+
+
+@dataclass(frozen=True)
+class ConfusionMatrix:
+    tp: int = 0
+    tn: int = 0
+    fp: int = 0
+    fn: int = 0
+
+    def __post_init__(self):
+        if min(self.tp, self.tn, self.fp, self.fn) < 0:
+            raise ValueError("confusion counts must be non-negative")
+
+    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
+        return ConfusionMatrix(self.tp + other.tp, self.tn + other.tn,
+                               self.fp + other.fp, self.fn + other.fn)
+
+    @property
+    def total(self) -> int:
+        return self.tp + self.tn + self.fp + self.fn
 
 
 @dataclass
@@ -96,10 +110,7 @@ class CascadeReport:
     escalated: list
     total: int
     window_len: int
-    tp: int = 0
-    tn: int = 0
-    fp: int = 0
-    fn: int = 0
+    cm: ConfusionMatrix = ConfusionMatrix()
 
     @property
     def processed_samples(self) -> list:
@@ -126,8 +137,7 @@ class CascadeReport:
             escalated=add(self.escalated, other.escalated),
             total=self.total + other.total,
             window_len=self.window_len,
-            tp=self.tp + other.tp, tn=self.tn + other.tn,
-            fp=self.fp + other.fp, fn=self.fn + other.fn,
+            cm=self.cm + other.cm,
         )
 
 
@@ -140,59 +150,46 @@ def run_sample(cascade: Cascade, window: Window) -> RoutedDecision:
         return RoutedDecision(gate.value, 0, [])
     x = cascade.featurize(window)
     probs = []
+    top = len(cascade.stations) - 1
     for i, station in enumerate(cascade.stations[1:], start=1):
         logits = forward(station.model, x)
         p_fall = float(softmax_t(logits, cascade.inference_temperature)[FALL_CLASS])
         probs.append(p_fall)
-        if station.is_top:
+        if i == top:
             final = FALL if int(np.argmax(logits)) == FALL_CLASS else ADL
             return RoutedDecision(final, i, probs)
-        verdict = judge_tq(p_fall, station.tq_max, station.tq_min)
+        verdict = judge_tq(p_fall, cascade.tq_max, cascade.tq_min)
         if verdict is not TriDecision.UNCERTAIN:
             return RoutedDecision(verdict.value, i, probs)
-    raise AssertionError("unreachable: top station always decides")
 
 
 def run_dataset(cascade: Cascade, windows) -> CascadeReport:
-    """Aggregate routing over a set of windows with conservation accounting."""
+    """Route each window and count where it exits and with what outcome; each
+    station above the gate receives the windows the one below did not decide."""
     windows = list(windows)
     if not windows:
         raise ValueError("no windows to route")
     n_stations = len(cascade.stations)
-    processed = [0] * n_stations
-    decided_fall = [0] * n_stations
-    decided_adl = [0] * n_stations
-    escalated = [0] * n_stations
-    tp = tn = fp = fn = 0
+    decided = {FALL: [0] * n_stations, ADL: [0] * n_stations}
+    outcomes = [0] * 4  # tn, fn, fp, tp at 2 * (predicted fall) + (actual fall)
     for window in windows:
         decision = run_sample(cascade, window)
-        for i in range(decision.decided_at + 1):
-            processed[i] += 1
-            if i < decision.decided_at:
-                escalated[i] += 1
-        if decision.final == FALL:
-            decided_fall[decision.decided_at] += 1
-        else:
-            decided_adl[decision.decided_at] += 1
-        actual_fall = window.label == FALL
-        predicted_fall = decision.final == FALL
-        if actual_fall and predicted_fall:
-            tp += 1
-        elif actual_fall:
-            fn += 1
-        elif predicted_fall:
-            fp += 1
-        else:
-            tn += 1
+        decided[decision.final][decision.decided_at] += 1
+        outcomes[2 * (decision.final == FALL) + (window.label == FALL)] += 1
+    tn, fn, fp, tp = outcomes
+    exits = [f + a for f, a in zip(decided[FALL], decided[ADL])]
+    processed = [len(windows)]
+    for e in exits[:-1]:
+        processed.append(processed[-1] - e)
     return CascadeReport(
         station_names=[s.name for s in cascade.stations],
         processed=processed,
-        decided_fall=decided_fall,
-        decided_adl=decided_adl,
-        escalated=escalated,
+        decided_fall=decided[FALL],
+        decided_adl=decided[ADL],
+        escalated=[p - e for p, e in zip(processed, exits)],
         total=len(windows),
         window_len=len(windows[0].samples),
-        tp=tp, tn=tn, fp=fp, fn=fn,
+        cm=ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn),
     )
 
 
@@ -203,11 +200,7 @@ def build_cascade(models, thresholds: EdgeThresholds, tq_max: float = 0.8,
     """Gate plus the given models in order; the last model is the top station."""
     if names is None:
         names = [f"mec{i + 1}" for i in range(len(models) - 1)] + ["cc"]
-    stations = [Station("ed_gate", kind=GATE, is_top=False)]
-    for i, model in enumerate(models):
-        top = i == len(models) - 1
-        stations.append(Station(names[i], kind=CLASSIFIER, model=model,
-                                tq_max=tq_max, tq_min=tq_min, is_top=top))
-    return Cascade(stations=stations, thresholds=thresholds,
-                   inference_temperature=inference_temperature,
+    stations = [Station("ed_gate")] + [Station(names[i], m) for i, m in enumerate(models)]
+    return Cascade(stations=stations, thresholds=thresholds, tq_max=tq_max,
+                   tq_min=tq_min, inference_temperature=inference_temperature,
                    strict_paper_gate=strict_paper_gate, featurize=featurize)

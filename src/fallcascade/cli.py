@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import math
 import os
 import sys
 from datetime import datetime, timezone
 
 from . import __version__, dataset as ds, evaluate, nn, perfmodel
 from .distill import KDConfig
+from .edge_threshold import MissingClass
 from .evaluate import ExperimentConfig, loso_evaluate
 from .nn import TierSpec, TrainConfig
 from .preprocess import N_FEATURES, PLANE_AXES, WindowSpec
@@ -47,14 +49,28 @@ class RunConfig:
     out_dir: str
 
 
+class _ConfigFile(configparser.ConfigParser):
+    """A config file that records the keys `_get` reads from it, so that a
+    key nothing reads is reported instead of ignored. [DEFAULT] is a section
+    like any other, so its keys are not copied into every section."""
+
+    def __init__(self):
+        super().__init__(default_section="")
+        self.read_keys = set()
+
+
 def _get(cfg, section, key, default, cast=str):
+    cfg.read_keys.add((section, key))
     try:
         raw = cfg.get(section, key, fallback=None)
         if raw is None:
             return default
-        return cast(raw)
+        value = cast(raw)
     except ValueError as e:
         raise ConfigError(f"{section}.{key}: {e}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: must be finite, got {raw!r}")
+    return value
 
 
 def _widths(raw: str):
@@ -72,33 +88,34 @@ def _bool(raw: str) -> bool:
 def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    cfg = configparser.ConfigParser()
+    cfg = _ConfigFile()
     cfg.read(path)
 
+    # every key is read whatever the source, so that none is reported unknown
     source = _get(cfg, "dataset", "source", "synth")
-    manifest = None
-    synth = None
+    manifest = _get(cfg, "dataset", "manifest", None)
+    synth = ds.SynthSpec(
+        n_subjects=_get(cfg, "dataset", "n_subjects", 6, int),
+        falls_per_subject=_get(cfg, "dataset", "falls_per_subject", 4, int),
+        adls_per_subject=_get(cfg, "dataset", "adls_per_subject", 4, int),
+        fall_peak_range=(_get(cfg, "dataset", "fall_peak_min", 3.0, float),
+                         _get(cfg, "dataset", "fall_peak_max", 6.0, float)),
+        adl_peak_range=(_get(cfg, "dataset", "adl_peak_min", 0.8, float),
+                        _get(cfg, "dataset", "adl_peak_max", 1.8, float)),
+        trace_duration_s=_get(cfg, "dataset", "trace_duration_s", 3.0, float),
+        noise_sd=_get(cfg, "dataset", "noise_sd", 0.05, float),
+        sample_rate_hz=_get(cfg, "dataset", "sample_rate_hz", 50, int),
+        seed=_get(cfg, "dataset", "seed", 0, int),
+    )
     if source == "manifest":
-        manifest = _get(cfg, "dataset", "manifest", None)
+        synth = None
         if manifest is None:
             raise ConfigError("dataset.manifest: required when source=manifest")
         if not os.path.exists(manifest):
             raise ConfigError(f"dataset.manifest: file not found: {manifest}")
     elif source == "synth":
+        manifest = None
         try:
-            synth = ds.SynthSpec(
-                n_subjects=_get(cfg, "dataset", "n_subjects", 6, int),
-                falls_per_subject=_get(cfg, "dataset", "falls_per_subject", 4, int),
-                adls_per_subject=_get(cfg, "dataset", "adls_per_subject", 4, int),
-                fall_peak_range=(_get(cfg, "dataset", "fall_peak_min", 3.0, float),
-                                 _get(cfg, "dataset", "fall_peak_max", 6.0, float)),
-                adl_peak_range=(_get(cfg, "dataset", "adl_peak_min", 0.8, float),
-                                _get(cfg, "dataset", "adl_peak_max", 1.8, float)),
-                trace_duration_s=_get(cfg, "dataset", "trace_duration_s", 3.0, float),
-                noise_sd=_get(cfg, "dataset", "noise_sd", 0.05, float),
-                sample_rate_hz=_get(cfg, "dataset", "sample_rate_hz", 50, int),
-                seed=_get(cfg, "dataset", "seed", 0, int),
-            )
             synth.validate()
         except ds.InvalidSpec as e:
             raise ConfigError(f"dataset: {e}")
@@ -135,14 +152,14 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
             raise ConfigError(f"tiers.{key}: input width must be {N_FEATURES}, "
                               f"one per feature, got {spec.layer_widths[0]}")
 
+    train_seed = _get(cfg, "train", "seed", 0, int)
     try:
         train = TrainConfig(
             epochs=_get(cfg, "train", "epochs", 200, int),
             batch_size=_get(cfg, "train", "batch_size", 64, int),
             learning_rate=_get(cfg, "train", "learning_rate", 0.001, float),
             momentum=_get(cfg, "train", "momentum", 0.9, float),
-            seed=seed_override if seed_override is not None
-            else _get(cfg, "train", "seed", 0, int),
+            seed=train_seed if seed_override is None else seed_override,
         )
     except ValueError as e:
         raise ConfigError(f"train: {e}")
@@ -198,8 +215,12 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
     if horizon_s <= 0:
         raise ConfigError("latency.horizon_s: must be > 0")
 
-    out_dir = (out_override or _get(cfg, "run", "out", None)
-               or os.environ.get("FALLCASCADE_OUT", "out"))
+    config_out = _get(cfg, "run", "out", None)
+    out_dir = out_override or config_out or os.environ.get("FALLCASCADE_OUT", "out")
+    unknown = [f"{section}.{key}" for section in cfg.sections()
+               for key in cfg.options(section) if (section, key) not in cfg.read_keys]
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown key")
 
     experiment = ExperimentConfig(
         window=window, normalization=normalization,
@@ -318,22 +339,13 @@ def _write_plot_data(out_dir, token, agg) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        parse_config(args.config, seed_override=args.seed, out_override=args.out)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
+    parse_config(args.config, seed_override=args.seed, out_override=args.out)
     print("config ok")
     return 0
 
 
 def cmd_synth(args) -> int:
-    try:
-        run_cfg = parse_config(args.config, seed_override=args.seed,
-                               out_override=args.out)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
+    run_cfg = parse_config(args.config, seed_override=args.seed, out_override=args.out)
     if run_cfg.synth is None:
         print("config error: dataset.source must be synth for the synth command",
               file=sys.stderr)
@@ -349,12 +361,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        run_cfg = parse_config(args.config, seed_override=args.seed,
-                               out_override=args.out)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
+    run_cfg = parse_config(args.config, seed_override=args.seed, out_override=args.out)
     data = _load_dataset(run_cfg)
     os.makedirs(run_cfg.out_dir, exist_ok=True)
     modes = (["minmax", "zscore"] if run_cfg.compare_normalization
@@ -407,8 +414,7 @@ def cmd_compare(args) -> int:
         if "NA" in (ra, rb) or float(ra) == 0.0:
             print(f"{name}_imp=NA")
             continue
-        imp = 100.0 * (float(rb) - float(ra)) / float(ra)
-        print(f"{name}_imp={imp:+.4f}%")
+        print(f"{name}_imp={evaluate.percent_change(float(rb), float(ra)):+.4f}%")
     hops_a = a.get("latency", {})
     hops_b = b.get("latency", {})
     for hop in hops_a:
@@ -417,7 +423,8 @@ def cmd_compare(args) -> int:
             if la == 0:
                 print(f"latency_reduction {hop}=NA")
             else:
-                print(f"latency_reduction {hop}={100.0 * (la - lb) / la:+.4f}%")
+                print(f"latency_reduction {hop}="
+                      f"{perfmodel.percent_reduction(la, lb):+.4f}%")
     return 0
 
 
@@ -444,7 +451,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SchemaMismatch as e:
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 1
+    except (SchemaMismatch, MissingClass, nn.NonFiniteLoss) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distill, nn
-from .cascade import CascadeReport, build_cascade, run_dataset
+from .cascade import CascadeReport, ConfusionMatrix, build_cascade, run_dataset
 from .dataset import Dataset
 from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KDConfig
 from .edge_threshold import MissingClass, fit_thresholds
@@ -33,26 +33,6 @@ class UndefinedMetric(Exception):
 
 class ZeroBaseline(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int = 0
-    tn: int = 0
-    fp: int = 0
-    fn: int = 0
-
-    def __post_init__(self):
-        if min(self.tp, self.tn, self.fp, self.fn) < 0:
-            raise ValueError("confusion counts must be non-negative")
-
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.tp + other.tp, self.tn + other.tn,
-                               self.fp + other.fp, self.fn + other.fn)
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
 
 
 @dataclass(frozen=True)
@@ -92,6 +72,11 @@ class ImprovementReport:
     f1_imp: float
 
 
+def percent_change(new: float, base: float) -> float:
+    """Signed percentage change of `new` relative to a nonzero `base`."""
+    return 100.0 * (new - base) / base
+
+
 def improvement(distilled: Metrics, original: Metrics) -> ImprovementReport:
     """Signed percentage change of each metric relative to the original."""
     out = {}
@@ -100,7 +85,7 @@ def improvement(distilled: Metrics, original: Metrics) -> ImprovementReport:
         o = getattr(original, name)
         if o is None or o == 0 or d is None:
             raise ZeroBaseline(f"metric {name!r} has no nonzero baseline")
-        out[name + "_imp"] = 100.0 * (d - o) / o
+        out[name + "_imp"] = percent_change(d, o)
     return ImprovementReport(**out)
 
 
@@ -165,7 +150,7 @@ class AggregateReport:
     loss_curves: dict = field(default_factory=dict)
 
     @classmethod
-    def pool(cls, folds, curves, f1_mode: str) -> "AggregateReport":
+    def pool(cls, folds, curves) -> "AggregateReport":
         pooled_cm = functools.reduce(operator.add, (fold.cm for fold in folds))
         mean = {}
         for name in ("acc", "pre", "rec", "f1"):
@@ -175,8 +160,8 @@ class AggregateReport:
         return cls(
             folds=folds,
             pooled_cm=pooled_cm,
-            pooled_metrics=metrics(pooled_cm, f1_mode),
-            mean_metrics=Metrics(f1_mode=f1_mode, **mean),
+            pooled_metrics=metrics(pooled_cm),
+            mean_metrics=Metrics(**mean),
             pooled_report=functools.reduce(operator.add, (fold.report for fold in folds)),
             loss_curves={name: np.mean(np.array(c), axis=0).tolist()
                          for name, c in curves.items()},
@@ -184,7 +169,6 @@ class AggregateReport:
 
 
 def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
-                  f1_mode: str = F1_STANDARD,
                   variants=None) -> AggregateReport | list[AggregateReport]:
     """Full LOSO experiment: per fold, fit the gate and train the tier stack
     on the training subjects, then route the held-out subject's windows.
@@ -220,11 +204,10 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
                     inference_temperature=cfg.inference_temperature, featurize=featurize,
                     strict_paper_gate=cfg.strict_paper_gate)
                 report = run_dataset(cascade, test_windows)
-                cm = ConfusionMatrix(report.tp, report.tn, report.fp, report.fn)
-                folds.append(FoldResult(subject, cm, metrics(cm, f1_mode), report))
+                folds.append(FoldResult(subject, report.cm, metrics(report.cm), report))
                 for name, res in results.items():
                     curves.setdefault(name, []).append(res.epoch_losses)
         except (MissingClass, nn.NonFiniteLoss) as e:
             raise type(e)(f"fold holding out {subject}: {e}") from e
-    aggs = [AggregateReport.pool(folds, curves, f1_mode) for folds, curves in runs]
+    aggs = [AggregateReport.pool(folds, curves) for folds, curves in runs]
     return aggs[0] if variants is None else aggs

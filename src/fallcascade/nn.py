@@ -177,7 +177,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     momentum: float = 0.9
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0:
@@ -210,7 +209,7 @@ def train(model: TieredModel, X, y, cfg: TrainConfig,
     n = len(X)
     losses = []
     for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, n, cfg.batch_size):

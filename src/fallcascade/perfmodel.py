@@ -126,14 +126,18 @@ def cascade_latency(report: CascadeReport, topology: Topology,
                          volumes_samples=list(volumes))
 
 
+def percent_reduction(before: float, after: float) -> float:
+    """Percentage by which `after` lies below a nonzero `before`."""
+    return 100.0 * (before - after) / before
+
+
 def latency_reduction(before: LatencyReport, after: LatencyReport) -> list:
-    """Per-hop percentage reduction of `after` relative to `before`."""
+    """Per-hop percentage reduction of `after` relative to `before`; 0.0 for
+    a hop whose `before` latency is 0."""
     if before.hop_names != after.hop_names:
         raise TopologyMismatch("latency reports cover different hops")
-    out = []
-    for a, b in zip(before.hop_ms, after.hop_ms):
-        out.append(100.0 * (a - b) / a if a != 0 else 0.0)
-    return out
+    return [percent_reduction(a, b) if a != 0 else 0.0
+            for a, b in zip(before.hop_ms, after.hop_ms)]
 
 
 def uniform_topology(n_layers: int, s: float = 0.5, b: float = 1.0,

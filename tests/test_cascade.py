@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fallcascade import cascade as cs
-from fallcascade import nn
+from fallcascade import evaluate, nn
 from fallcascade.dataset import ADL, FALL
 from fallcascade.edge_threshold import EdgeThresholds, TriDecision
 from fallcascade.preprocess import Window
@@ -128,7 +131,8 @@ class TestRunDataset:
     def test_confusion_counts_sum_to_total(self):
         casc = two_station_cascade(0.0, 1.0)
         report = cs.run_dataset(casc, self._mixed_windows())
-        assert report.tp + report.tn + report.fp + report.fn == report.total
+        cm = report.cm
+        assert cm.tp + cm.tn + cm.fp + cm.fn == report.total
 
     def test_sample_volume_accounting(self):
         casc = two_station_cascade(0.0, 1.0)
@@ -141,6 +145,13 @@ class TestRunDataset:
         pooled = cs.run_dataset(casc, wins[:30]) + cs.run_dataset(casc, wins[30:])
         assert pooled == cs.run_dataset(casc, wins)
 
+    def test_report_without_confusion_counts_holds_an_empty_matrix(self):
+        report = cs.CascadeReport(station_names=["g", "cc"], processed=[4, 1],
+                                  decided_fall=[2, 0], decided_adl=[1, 1],
+                                  escalated=[1, 0], total=4, window_len=10)
+        assert report.cm == cs.ConfusionMatrix()
+        assert (report + report).cm == cs.ConfusionMatrix()
+
     def test_adding_reports_over_other_stations_raises(self):
         wins = self._mixed_windows(2)
         three = cs.build_cascade([const_model(0.0)] * 3, TH)
@@ -151,10 +162,8 @@ class TestRunDataset:
 class TestCascadeValidation:
     def test_needs_gate_first(self):
         with pytest.raises(ValueError):
-            cs.Cascade(stations=[cs.Station("a", model=const_model(0), is_top=False,
-                                            kind=cs.CLASSIFIER),
-                                 cs.Station("b", model=const_model(0), is_top=True,
-                                            kind=cs.CLASSIFIER)],
+            cs.Cascade(stations=[cs.Station("a", const_model(0)),
+                                 cs.Station("b", const_model(0))],
                        thresholds=TH)
 
     def test_capacity_inversion_warns_only(self):
@@ -162,3 +171,65 @@ class TestCascadeValidation:
         small = nn.TieredModel.init(nn.TierSpec(nn.STUDENT, (54, 2)), seed=0)
         with pytest.warns(UserWarning):
             cs.build_cascade([big, small], TH)
+
+    @pytest.mark.parametrize("n_models", [1, 2, 3])
+    @pytest.mark.parametrize("tq_max, tq_min", [(0.2, 0.8), (0.3, 0.3)])
+    def test_band_is_checked_for_any_depth(self, n_models, tq_max, tq_min):
+        with pytest.raises(cs.InvalidThresholds):
+            cs.build_cascade([const_model(0.0)] * n_models, TH,
+                             tq_max=tq_max, tq_min=tq_min)
+
+    def test_every_station_after_the_gate_needs_a_model(self):
+        with pytest.raises(ValueError):
+            cs.Cascade(stations=[cs.Station("g"), cs.Station("b")], thresholds=TH)
+
+    def test_needs_a_classifier(self):
+        with pytest.raises(ValueError):
+            cs.Cascade(stations=[cs.Station("g")], thresholds=TH)
+
+
+class TestDataModel:
+    def test_station_is_a_frozen_name_and_model(self):
+        assert [f.name for f in dataclasses.fields(cs.Station)] == ["name", "model"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cs.Station("g").model = const_model(0.0)
+
+    def test_built_cascade_holds_one_band(self):
+        casc = two_station_cascade(0.0, 0.0, tq_max=0.7, tq_min=0.1)
+        assert (casc.tq_max, casc.tq_min) == (0.7, 0.1)
+        assert [s.name for s in casc.stations] == ["ed_gate", "mec1", "cc"]
+        assert casc.stations[0].model is None
+
+    def test_evaluate_uses_the_cascade_confusion_matrix(self):
+        assert evaluate.ConfusionMatrix is cs.ConfusionMatrix
+
+
+# two gate-uncertain windows, one the gate calls a fall, one it calls ADL
+PEAKS = [[2.0, 1.5, 1.2], [1.8, 1.4, 1.1], [4.0, 3.0, 3.0], [0.5, 0.3, 0.3]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(logits=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
+       band=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(
+           lambda b: b[0] < b[1]),
+       picks=st.lists(st.tuples(st.integers(0, 3), st.booleans()),
+                      min_size=1, max_size=12))
+def test_run_dataset_counts_the_single_window_decisions(logits, band, picks):
+    """Random depths, bands and logits: each station's counts in the report
+    and its confusion matrix are those of the per-window decisions."""
+    wins = [make_window(PEAKS[k], FALL if fall else ADL) for k, fall in picks]
+    casc = cs.build_cascade([const_model(v) for v in logits], TH,
+                            tq_max=band[1], tq_min=band[0])
+    report = cs.run_dataset(casc, wins)
+    decisions = [cs.run_sample(casc, w) for w in wins]
+    assert report.total == len(wins)
+    for i in range(len(casc.stations)):
+        exits = [d.final for d in decisions if d.decided_at == i]
+        assert report.decided_fall[i] == exits.count(FALL)
+        assert report.decided_adl[i] == exits.count(ADL)
+        assert report.processed[i] == sum(d.decided_at >= i for d in decisions)
+        assert report.escalated[i] == sum(d.decided_at > i for d in decisions)
+    outcomes = [(d.final == FALL, w.label == FALL) for d, w in zip(decisions, wins)]
+    assert report.cm == cs.ConfusionMatrix(
+        tp=outcomes.count((True, True)), tn=outcomes.count((False, False)),
+        fp=outcomes.count((True, False)), fn=outcomes.count((False, True)))

@@ -1,8 +1,14 @@
 import os
+import re
+import types
 
+import numpy as np
 import pytest
 
 from fallcascade import cli, perfmodel
+from fallcascade import dataset as ds
+from fallcascade import evaluate as ev
+from fallcascade.cascade import CascadeReport, ConfusionMatrix
 
 
 TINY_CONFIG = """\
@@ -74,6 +80,13 @@ def write_config(tmp_path, text=TINY_CONFIG, name="cfg.ini"):
     return str(path)
 
 
+def with_key(text, section, key, value):
+    """The config text with `key = value` added to `section`."""
+    if f"[{section}]\n" in text:
+        return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    return text + f"\n[{section}]\n{key} = {value}\n"
+
+
 def strip_timestamp(path):
     with open(path) as f:
         lines = f.readlines()
@@ -142,6 +155,44 @@ class TestValidate:
         rc = cli.main(["validate", "--config", cfg])
         assert rc != 0
         assert "run.variants" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("section, key", [("train", "learning_rat"),
+                                              ("cascde", "tq_max"),
+                                              ("DEFAULT", "seed")])
+    def test_unknown_key_names_it(self, tmp_path, capsys, section, key):
+        cfg = write_config(tmp_path, with_key(TINY_CONFIG, section, key, "2"))
+        assert cli.main(["validate", "--config", cfg]) != 0
+        assert capsys.readouterr().err == f"config error: {section}.{key}: unknown key\n"
+
+    @pytest.mark.parametrize("section, key", [("cascade", "inference_temperature"),
+                                              ("train", "learning_rate"),
+                                              ("dataset", "noise_sd")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_names_key(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path, with_key(TINY_CONFIG, section, key, value))
+        assert cli.main(["validate", "--config", cfg]) != 0
+        assert capsys.readouterr().err == (
+            f"config error: {section}.{key}: must be finite, got '{value}'\n")
+
+    def test_keys_read_only_by_some_settings_are_known(self, tmp_path, capsys):
+        # run.out under --out, train.seed under --seed and dataset.manifest
+        # under source = synth are overridden or unused, not unknown
+        cfg = write_config(tmp_path, TINY_CONFIG.replace(
+            "source = synth", "source = synth\nmanifest = nowhere.txt").replace(
+            "batch_size = 16", "batch_size = 16\nseed = 3") + "out = elsewhere\n")
+        argv = ["validate", "--config", cfg, "--seed", "1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "config ok\n"
+
+    def test_readme_config_sample_validates(self, tmp_path, capsys):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as f:
+            samples = re.findall(r"```ini\n(.*?)```", f.read(), re.S)
+        assert len(samples) == 1
+        cfg = write_config(tmp_path, samples[0])
+        assert cli.main(["validate", "--config", cfg]) == 0
+        assert capsys.readouterr().out == "config ok\n"
 
 
 class TestSynth:
@@ -224,6 +275,32 @@ class TestRun:
         assert modes == {"minmax", "zscore"}
 
 
+    def test_diverging_fold_is_an_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[dataset]\nn_subjects = 3\n"
+                                     "[train]\nlearning_rate = 1e300\nepochs = 3\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fold holding out S01: Teacher training loss is ")
+        assert err.count("\n") == 1
+
+    def test_fold_without_a_class_is_an_error_line(self, tmp_path, capsys):
+        data = ds.synth_generate(ds.SynthSpec(n_subjects=3, falls_per_subject=3,
+                                              adls_per_subject=3, seed=7))
+        only = data.subjects[0]
+        traces = [t for t in data.traces if t.label != ds.FALL or t.subject_id == only]
+        manifest = ds.write_dataset(ds.Dataset("falls-in-one", traces),
+                                    str(tmp_path / "data"))
+        cfg = write_config(tmp_path, TINY_CONFIG.replace(
+            "source = synth", f"source = manifest\nmanifest = {manifest}"))
+        rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: fold holding out {only}: ")
+        assert err.count("\n") == 1
+
+
 class TestCompare:
     def _make_report(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -246,3 +323,51 @@ class TestCompare:
         rc = cli.main(["compare", report, str(bad)])
         assert rc != 0
         assert "schema" in capsys.readouterr().err
+
+    @staticmethod
+    def _write(path, metrics, hop_ms):
+        """A report with the given pooled metrics and hop latencies."""
+        report = CascadeReport(station_names=["ed_gate", "mec1", "cc"],
+                               processed=[8, 5, 2], decided_fall=[2, 2, 1],
+                               decided_adl=[1, 1, 1], escalated=[5, 2, 0],
+                               total=8, window_len=50)
+        agg = types.SimpleNamespace(pooled_cm=ConfusionMatrix(3, 2, 2, 1),
+                                    pooled_metrics=metrics, mean_metrics=metrics,
+                                    folds=[], pooled_report=report)
+        latency = perfmodel.LatencyReport(["ed_gate_to_mec1", "mec1_to_cc"],
+                                          hop_ms, [400, 250, 100])
+        cli.write_report(str(path), "x", "d", "minmax", agg, latency)
+        return latency
+
+    def test_printed_numbers_are_the_checked_formulas(self, tmp_path, capsys):
+        base_m = ev.Metrics(acc=0.6875, pre=0.7142857142857143, rec=0.625,
+                            f1=0.6666666666666666)
+        new_m = ev.Metrics(acc=0.8125, pre=0.9, rec=0.5625, f1=0.6923076923076923)
+        base = self._write(tmp_path / "a.txt", base_m, [0.12345, 0.0375])
+        new = self._write(tmp_path / "b.txt", new_m, [0.0999, 0.05])
+        assert cli.main(["compare", str(tmp_path / "a.txt"),
+                         str(tmp_path / "b.txt")]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        imp = ev.improvement(new_m, base_m)
+        reductions = perfmodel.latency_reduction(base, new)
+        assert lines == (
+            [f"{m}_imp={getattr(imp, m + '_imp'):+.4f}%" for m in ("acc", "pre", "rec", "f1")]
+            + [f"latency_reduction {hop}={r:+.4f}%"
+               for hop, r in zip(base.hop_names, reductions)])
+        assert len(set(lines)) == len(lines)
+
+    def test_zero_baselines_print_na(self, tmp_path, capsys):
+        base_m = ev.Metrics(acc=0.0, pre=None, rec=0.5, f1=None)
+        new_m = ev.Metrics(acc=0.5, pre=0.5, rec=None, f1=0.5)
+        base = self._write(tmp_path / "a.txt", base_m, [0.0, 0.04])
+        new = self._write(tmp_path / "b.txt", new_m, [0.01, 0.03])
+        assert cli.main(["compare", str(tmp_path / "a.txt"),
+                         str(tmp_path / "b.txt")]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        with pytest.raises(ev.ZeroBaseline):
+            ev.improvement(new_m, base_m)
+        assert perfmodel.latency_reduction(base, new)[0] == 0.0
+        assert lines == ["acc_imp=NA", "pre_imp=NA", "rec_imp=NA", "f1_imp=NA",
+                         "latency_reduction ed_gate_to_mec1=NA",
+                         f"latency_reduction mec1_to_cc="
+                         f"{perfmodel.latency_reduction(base, new)[1]:+.4f}%"]
