@@ -14,16 +14,25 @@ from .preprocess import Window, extract_features
 
 FALL_CLASS = 1  # logit / probability index of the Fall class
 
+# the per-station counts of a CascadeReport, in report and CSV column order
+STATION_COLUMNS = ("processed", "decided_fall", "decided_adl", "escalated",
+                   "processed_samples")
+
 
 class InvalidThresholds(Exception):
     pass
 
 
-def judge_tq(p_fall: float, tq_max: float, tq_min: float) -> TriDecision:
-    """Confidence banding of the fall probability: above tq_max is Fall,
-    below tq_min is ADL, anything in between escalates."""
+def check_band(tq_max: float, tq_min: float) -> None:
+    """Raise InvalidThresholds unless 0 <= tq_min < tq_max <= 1."""
     if not (0.0 <= tq_min < tq_max <= 1.0):
         raise InvalidThresholds(f"need 0 <= tq_min < tq_max <= 1, got ({tq_max}, {tq_min})")
+
+
+def judge_tq(p_fall: float, tq_max: float, tq_min: float) -> TriDecision:
+    """Confidence banding of the fall probability against a band that
+    check_band accepts: above tq_max is Fall, below tq_min is ADL, anything
+    in between escalates."""
     if p_fall > tq_max:
         return TriDecision.FALL
     if p_fall < tq_min:
@@ -51,7 +60,6 @@ class Cascade:
     tq_max: float = 0.8
     tq_min: float = 0.2
     inference_temperature: float = 1.0
-    strict_paper_gate: bool = False
     featurize: object = None  # callable Window -> model input; default raw features
 
     def __post_init__(self):
@@ -61,9 +69,7 @@ class Cascade:
             raise ValueError("first station must be the threshold gate")
         if any(s.model is None for s in self.stations[1:]):
             raise ValueError("every station after the gate needs a model")
-        if not (0.0 <= self.tq_min < self.tq_max <= 1.0):
-            raise InvalidThresholds(
-                f"need 0 <= tq_min < tq_max <= 1, got ({self.tq_max}, {self.tq_min})")
+        check_band(self.tq_max, self.tq_min)
         if self.inference_temperature <= 0:
             raise ValueError("inference_temperature must be > 0")
         sizes = [count_params(s.model) for s in self.stations[1:]]
@@ -120,6 +126,11 @@ class CascadeReport:
     def decided(self) -> list:
         return [f + a for f, a in zip(self.decided_fall, self.decided_adl)]
 
+    def station_rows(self) -> list:
+        """(name, *counts) of each station, bottom-up, with the counts in
+        STATION_COLUMNS order."""
+        return list(zip(self.station_names, *(getattr(self, c) for c in STATION_COLUMNS)))
+
     def __add__(self, other: "CascadeReport") -> "CascadeReport":
         """Pooled counts of two routings through the same stations; the
         window length is this report's."""
@@ -144,8 +155,7 @@ class CascadeReport:
 def run_sample(cascade: Cascade, window: Window) -> RoutedDecision:
     """Route one window through the cascade until a station decides."""
     v, w = window_peaks(window)
-    gate = classify_tc(v, w, cascade.thresholds,
-                       strict_paper=cascade.strict_paper_gate)
+    gate = classify_tc(v, w, cascade.thresholds)
     if gate is not TriDecision.UNCERTAIN:
         return RoutedDecision(gate.value, 0, [])
     x = cascade.featurize(window)
@@ -195,12 +205,11 @@ def run_dataset(cascade: Cascade, windows) -> CascadeReport:
 
 def build_cascade(models, thresholds: EdgeThresholds, tq_max: float = 0.8,
                   tq_min: float = 0.2, inference_temperature: float = 1.0,
-                  featurize=None, names=None,
-                  strict_paper_gate: bool = False) -> Cascade:
+                  featurize=None, names=None) -> Cascade:
     """Gate plus the given models in order; the last model is the top station."""
     if names is None:
         names = [f"mec{i + 1}" for i in range(len(models) - 1)] + ["cc"]
     stations = [Station("ed_gate")] + [Station(names[i], m) for i, m in enumerate(models)]
     return Cascade(stations=stations, thresholds=thresholds, tq_max=tq_max,
                    tq_min=tq_min, inference_temperature=inference_temperature,
-                   strict_paper_gate=strict_paper_gate, featurize=featurize)
+                   featurize=featurize)

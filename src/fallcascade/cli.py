@@ -15,7 +15,7 @@ import os
 import sys
 from datetime import datetime, timezone
 
-from . import __version__, dataset as ds, evaluate, nn, perfmodel
+from . import __version__, cascade, dataset as ds, evaluate, nn, perfmodel
 from .distill import KDConfig
 from .edge_threshold import MissingClass
 from .evaluate import ExperimentConfig, loso_evaluate
@@ -119,6 +119,9 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
             synth.validate()
         except ds.InvalidSpec as e:
             raise ConfigError(f"dataset: {e}")
+        if synth.n_subjects < 2:
+            raise ConfigError(f"dataset.n_subjects: LOSO needs at least 2 subjects, "
+                              f"got {synth.n_subjects}")
     else:
         raise ConfigError(f"dataset.source: must be synth or manifest, got {source!r}")
     if seed_override is not None and synth is not None:
@@ -177,8 +180,10 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
 
     tq_max = _get(cfg, "cascade", "tq_max", 0.8, float)
     tq_min = _get(cfg, "cascade", "tq_min", 0.2, float)
-    if not (0.0 <= tq_min < tq_max <= 1.0):
-        raise ConfigError(f"cascade.tq_max/tq_min: need 0 <= tq_min < tq_max <= 1")
+    try:
+        cascade.check_band(tq_max, tq_min)
+    except cascade.InvalidThresholds as e:
+        raise ConfigError(f"cascade.tq_max/tq_min: {e}")
     inference_temperature = _get(cfg, "cascade", "inference_temperature", 1.0, float)
     if inference_temperature <= 0:
         raise ConfigError("cascade.inference_temperature: must be > 0")
@@ -247,6 +252,15 @@ def _f(v) -> str:
     return "NA" if v is None else repr(float(v))
 
 
+def _value(raw: str) -> float | None:
+    """A report value read back: the inverse of _f."""
+    return None if raw == "NA" else float(raw)
+
+
+def _percent(delta) -> str:
+    return "NA" if delta is None else f"{delta:+.4f}%"
+
+
 def _variant_token(kd_variant, layers) -> str:
     inv_kd = {v: k for k, v in VARIANT_KD.items()}
     inv_layers = {v: k for k, v in VARIANT_LAYERS.items()}
@@ -280,13 +294,9 @@ def write_report(path, variant_token, dataset_name, normalization,
         lines.append(f"fn={fold.cm.fn}")
         lines.append(f"acc={_f(fold.metrics.acc)}")
     lines.append("[layers]")
-    r = agg.pooled_report
-    for i, name in enumerate(r.station_names):
-        lines.append(f"{name} processed={r.processed[i]} "
-                     f"decided_fall={r.decided_fall[i]} "
-                     f"decided_adl={r.decided_adl[i]} "
-                     f"escalated={r.escalated[i]} "
-                     f"processed_samples={r.processed_samples[i]}")
+    for name, *counts in agg.pooled_report.station_rows():
+        lines.append(" ".join([name] + [f"{column}={n}" for column, n
+                                        in zip(cascade.STATION_COLUMNS, counts)]))
     if latency is not None:
         lines.append("[latency]")
         for name, ms in zip(latency.hop_names, latency.hop_ms):
@@ -325,12 +335,10 @@ def _write_plot_data(out_dir, token, agg) -> None:
             row = [str(e + 1)] + [repr(agg.loss_curves[n][e]) for n in names]
             f.write(",".join(row) + "\n")
     vol_path = os.path.join(out_dir, f"layer_volumes_{token}.csv")
-    r = agg.pooled_report
     with open(vol_path, "w") as f:
-        f.write("station,processed,decided_fall,decided_adl,escalated,processed_samples\n")
-        for i, name in enumerate(r.station_names):
-            f.write(f"{name},{r.processed[i]},{r.decided_fall[i]},"
-                    f"{r.decided_adl[i]},{r.escalated[i]},{r.processed_samples[i]}\n")
+        f.write(",".join(("station",) + cascade.STATION_COLUMNS) + "\n")
+        for row in agg.pooled_report.station_rows():
+            f.write(",".join(str(v) for v in row) + "\n")
     met_path = os.path.join(out_dir, f"metrics_{token}.csv")
     with open(met_path, "w") as f:
         f.write("scope,acc,pre,rec,f1\n")
@@ -407,24 +415,16 @@ def cmd_compare(args) -> int:
     if va != vb or va != SCHEMA_VERSION:
         raise SchemaMismatch(f"schema versions differ or unsupported: {va}, {vb}")
     print(f"comparing {args.report_b} against baseline {args.report_a}")
-    names = ("acc", "pre", "rec", "f1")
-    for name in names:
-        ra = a["pooled_metrics"][name]
-        rb = b["pooled_metrics"][name]
-        if "NA" in (ra, rb) or float(ra) == 0.0:
-            print(f"{name}_imp=NA")
-            continue
-        print(f"{name}_imp={evaluate.percent_change(float(rb), float(ra)):+.4f}%")
+    for name in ("acc", "pre", "rec", "f1"):
+        delta = evaluate.percent_change(_value(b["pooled_metrics"][name]),
+                                        _value(a["pooled_metrics"][name]))
+        print(f"{name}_imp={_percent(delta)}")
     hops_a = a.get("latency", {})
     hops_b = b.get("latency", {})
     for hop in hops_a:
         if hop in hops_b:
-            la, lb = float(hops_a[hop]), float(hops_b[hop])
-            if la == 0:
-                print(f"latency_reduction {hop}=NA")
-            else:
-                print(f"latency_reduction {hop}="
-                      f"{perfmodel.percent_reduction(la, lb):+.4f}%")
+            delta = perfmodel.percent_reduction(_value(hops_a[hop]), _value(hops_b[hop]))
+            print(f"latency_reduction {hop}={_percent(delta)}")
     return 0
 
 
@@ -454,7 +454,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (SchemaMismatch, MissingClass, nn.NonFiniteLoss) as e:
+    except (SchemaMismatch, MissingClass, nn.NonFiniteLoss, ds.TooFewSubjects) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

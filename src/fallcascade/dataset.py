@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .preprocess import norm_xyz
+
 FALL = "FALL"
 ADL = "ADL"
 LABELS = (FALL, ADL)
@@ -36,7 +38,7 @@ class InvalidSpec(DatasetError):
     pass
 
 
-class UnknownSubject(DatasetError):
+class TooFewSubjects(DatasetError, ValueError):
     pass
 
 
@@ -228,14 +230,11 @@ def _unit_vector(rng) -> np.ndarray:
 
 
 def _rescale_to_peak(sig: np.ndarray, peak: float) -> np.ndarray:
-    norms = np.sqrt(np.sum(sig * sig, axis=1))
-    m = norms.max()
+    m = norm_xyz(sig).max()
     if m < 1e-12:
         sig = sig.copy()
         sig[0, 0] = 1.0
-        m = 1.0
-        norms = np.sqrt(np.sum(sig * sig, axis=1))
-        m = norms.max()
+        m = norm_xyz(sig).max()
     return sig * (peak / m)
 
 
@@ -299,19 +298,13 @@ def synth_generate(spec: SynthSpec) -> Dataset:
     return Dataset(name=f"synth-seed{spec.seed}", traces=tuple(traces))
 
 
-def split_loso(dataset: Dataset, held_out_subject: str):
-    """Leave-one-subject-out split: (train, test)."""
-    if held_out_subject not in dataset.subjects:
-        raise UnknownSubject(
-            f"{held_out_subject!r} not in subjects {list(dataset.subjects)}")
-    test = tuple(t for t in dataset.traces if t.subject_id == held_out_subject)
-    train = tuple(t for t in dataset.traces if t.subject_id != held_out_subject)
-    return (Dataset(f"{dataset.name}-train-{held_out_subject}", train),
-            Dataset(f"{dataset.name}-test-{held_out_subject}", test))
-
-
-def loso_splits(dataset: Dataset):
-    """Yield (held_out_subject, train, test) for every subject in order."""
-    for subject in dataset.subjects:
-        train, test = split_loso(dataset, subject)
-        yield subject, train, test
+def loso_folds(subject_ids) -> list:
+    """Leave-one-subject-out folds over rows tagged with their subject ids:
+    (subject, train_rows, test_rows) per subject, in sorted-subject order."""
+    subject_ids = list(subject_ids)
+    subjects = sorted(set(subject_ids))
+    if len(subjects) < 2:
+        raise TooFewSubjects(f"LOSO needs at least 2 subjects, got {len(subjects)}")
+    return [(subject, [i for i, s in enumerate(subject_ids) if s != subject],
+             [i for i, s in enumerate(subject_ids) if s == subject])
+            for subject in subjects]

@@ -163,7 +163,7 @@ def distill_train(teacher: TieredModel, student_spec, X, y,
 
 def takd_pipeline(teacher_spec, ta_spec, student_spec, X, y,
                   cfg: KDConfig, train_cfg: TrainConfig,
-                  allow_equal: bool = False, kd: str = KD_TRIPLE, teacher=None):
+                  kd: str = KD_TRIPLE, teacher=None):
     """Staged pipeline: the teacher (CE), then the TA if `ta_spec` is given,
     then the student: the trainer of every variant's tier stack. Each tier
     gets its own seed, train_cfg.seed plus 0, 1 and 2. A `teacher` this
@@ -171,10 +171,10 @@ def takd_pipeline(teacher_spec, ta_spec, student_spec, X, y,
 
     `kd` says what the lower tiers learn from: KD_NONE trains them on the
     hard labels alone; KD_DUAL distills each from the teacher; KD_TRIPLE
-    needs the TA and specs capacity-ordered teacher > TA > student (equal
-    sizes pass with allow_equal). It distills the TA from the teacher, and the
-    student from the TA (sequential mode) or from the nested three-model
-    divergence with the teacher and TA frozen (composite mode).
+    needs the TA and specs strictly capacity-ordered teacher > TA > student.
+    It distills the TA from the teacher, and the student from the TA
+    (sequential mode) or from the nested three-model divergence with the
+    teacher and TA frozen (composite mode).
     Returns the (teacher, TA or None, student) TrainResults.
     """
     if kd not in (KD_NONE, KD_DUAL, KD_TRIPLE):
@@ -183,8 +183,7 @@ def takd_pipeline(teacher_spec, ta_spec, student_spec, X, y,
         if ta_spec is None:
             raise ValueError("triple KD needs a TA spec")
         order = (teacher_spec.n_params, ta_spec.n_params, student_spec.n_params)
-        ok = order[0] >= order[1] >= order[2] if allow_equal else order[0] > order[1] > order[2]
-        if not ok:
+        if not order[0] > order[1] > order[2]:
             raise ValueError(f"specs must be capacity-ordered teacher > TA > student, got {order}")
     X = np.asarray(X, dtype=np.float64)
     ta_cfg = dataclasses.replace(train_cfg, seed=train_cfg.seed + 1)

@@ -56,22 +56,17 @@ def fit_thresholds(train_windows) -> EdgeThresholds:
     )
 
 
-def classify_tc(v: float, w: float, th: EdgeThresholds,
-                strict_paper: bool = False) -> TriDecision:
+def classify_tc(v: float, w: float, th: EdgeThresholds) -> TriDecision:
     """Three-way band classification of the peak pair (v, w).
 
     Fall requires both peaks above the absolute-fall bounds, ADL both
-    below the absolute-ADL bounds (strict_paper compares the ADL branch
-    against t_fall_* instead). A pair satisfying both branches at once —
+    below the absolute-ADL bounds. A pair satisfying both branches at once —
     possible when the training classes are separable, so the fall bounds
     sit below the ADL bounds — is ambiguous and stays Uncertain, as does
     boundary equality.
     """
     is_fall = v > th.t_fall_xyz and w > th.t_fall_hori
-    if strict_paper:
-        is_adl = v < th.t_fall_xyz and w < th.t_fall_hori
-    else:
-        is_adl = v < th.t_adl_xyz and w < th.t_adl_hori
+    is_adl = v < th.t_adl_xyz and w < th.t_adl_hori
     if is_fall and not is_adl:
         return TriDecision.FALL
     if is_adl and not is_fall:

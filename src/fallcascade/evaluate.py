@@ -10,7 +10,7 @@ import numpy as np
 
 from . import distill, nn
 from .cascade import CascadeReport, ConfusionMatrix, build_cascade, run_dataset
-from .dataset import Dataset
+from .dataset import Dataset, loso_folds
 from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KDConfig
 from .edge_threshold import MissingClass, fit_thresholds
 from .nn import TrainConfig, default_tier_spec
@@ -28,10 +28,6 @@ DEPLOYED_TIERS = {LAYERS_DUAL: ("student", "teacher"),
 
 
 class UndefinedMetric(Exception):
-    pass
-
-
-class ZeroBaseline(Exception):
     pass
 
 
@@ -64,29 +60,12 @@ def metrics(cm: ConfusionMatrix, f1_mode: str = F1_STANDARD) -> Metrics:
     return Metrics(acc=acc, pre=pre, rec=rec, f1=f1, f1_mode=f1_mode)
 
 
-@dataclass(frozen=True)
-class ImprovementReport:
-    acc_imp: float
-    pre_imp: float
-    rec_imp: float
-    f1_imp: float
-
-
-def percent_change(new: float, base: float) -> float:
-    """Signed percentage change of `new` relative to a nonzero `base`."""
+def percent_change(new: float | None, base: float | None) -> float | None:
+    """Signed percentage change of `new` relative to `base`; None, like an
+    undefined metric, when `base` is None or 0 or `new` is None."""
+    if base is None or base == 0 or new is None:
+        return None
     return 100.0 * (new - base) / base
-
-
-def improvement(distilled: Metrics, original: Metrics) -> ImprovementReport:
-    """Signed percentage change of each metric relative to the original."""
-    out = {}
-    for name in ("acc", "pre", "rec", "f1"):
-        d = getattr(distilled, name)
-        o = getattr(original, name)
-        if o is None or o == 0 or d is None:
-            raise ZeroBaseline(f"metric {name!r} has no nonzero baseline")
-        out[name + "_imp"] = percent_change(d, o)
-    return ImprovementReport(**out)
 
 
 def fit_scaler(X_train: np.ndarray, mode: str):
@@ -119,7 +98,6 @@ class ExperimentConfig:
     tq_min: float = 0.2
     inference_temperature: float = 1.0
     vertical_axis: str = "x"
-    strict_paper_gate: bool = False
 
     def __post_init__(self):
         if self.kd_variant not in (KD_NONE, KD_DUAL, KD_TRIPLE):
@@ -174,15 +152,13 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
     on the training subjects, then route the held-out subject's windows.
     Returns cfg's variant's AggregateReport, or the list of those of
     `variants`, (kd_variant, layers) pairs that share each fold's teacher."""
-    if len(dataset.subjects) < 2:
-        raise ValueError("LOSO needs at least 2 subjects")
+    splits = loso_folds(t.subject_id for t in dataset.traces)
     pairs = [(cfg.kd_variant, cfg.layers)] if variants is None else list(variants)
     windows = [extract_window(t, cfg.window) for t in dataset.traces]
     features, labels = feature_matrix(windows, cfg.vertical_axis)
     runs = [([], {}) for _ in pairs]  # each variant's fold results and loss curves
-    for subject in dataset.subjects:
-        train_rows = [i for i, w in enumerate(windows) if w.subject_id != subject]
-        test_windows = [w for w in windows if w.subject_id == subject]
+    for subject, train_rows, test_rows in splits:
+        test_windows = [windows[i] for i in test_rows]
         try:
             thresholds = fit_thresholds([windows[i] for i in train_rows])
             scaler = fit_scaler(features[train_rows], cfg.normalization)
@@ -201,8 +177,7 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
                 deployed = [results[name].model for name in DEPLOYED_TIERS[layers]]
                 cascade = build_cascade(
                     deployed, thresholds, tq_max=cfg.tq_max, tq_min=cfg.tq_min,
-                    inference_temperature=cfg.inference_temperature, featurize=featurize,
-                    strict_paper_gate=cfg.strict_paper_gate)
+                    inference_temperature=cfg.inference_temperature, featurize=featurize)
                 report = run_dataset(cascade, test_windows)
                 folds.append(FoldResult(subject, report.cm, metrics(report.cm), report))
                 for name, res in results.items():

@@ -94,12 +94,8 @@ def forward(model: TieredModel, x) -> np.ndarray:
     if a.shape[1] != model.spec.layer_widths[0]:
         raise ShapeMismatch(
             f"input width {a.shape[1]} != {model.spec.layer_widths[0]}")
-    last = len(model.weights) - 1
-    for l, (W, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ W + b
-        if l != last:
-            a = np.maximum(a, 0.0)
-    return a[0] if single else a
+    logits = _forward_cached(model, a)[0]
+    return logits[0] if single else logits
 
 
 def _forward_cached(model: TieredModel, X: np.ndarray):

@@ -93,7 +93,6 @@ def model_flops(model_or_spec) -> int:
 class LatencyReport:
     hop_names: list
     hop_ms: list
-    volumes_samples: list  # per-station routed volume, in sample counts
 
 
 def cascade_latency(report: CascadeReport, topology: Topology,
@@ -122,22 +121,15 @@ def cascade_latency(report: CascadeReport, topology: Topology,
             total += node_latency(p)
         hop_names.append(f"{report.station_names[n - 1]}_to_{report.station_names[n]}")
         hop_ms.append(total * 1000.0)
-    return LatencyReport(hop_names=hop_names, hop_ms=hop_ms,
-                         volumes_samples=list(volumes))
+    return LatencyReport(hop_names=hop_names, hop_ms=hop_ms)
 
 
-def percent_reduction(before: float, after: float) -> float:
-    """Percentage by which `after` lies below a nonzero `before`."""
+def percent_reduction(before: float | None, after: float | None) -> float | None:
+    """Percentage by which `after` lies below `before`; None, like an
+    undefined metric, when `before` is None or 0 or `after` is None."""
+    if before is None or before == 0 or after is None:
+        return None
     return 100.0 * (before - after) / before
-
-
-def latency_reduction(before: LatencyReport, after: LatencyReport) -> list:
-    """Per-hop percentage reduction of `after` relative to `before`; 0.0 for
-    a hop whose `before` latency is 0."""
-    if before.hop_names != after.hop_names:
-        raise TopologyMismatch("latency reports cover different hops")
-    return [percent_reduction(a, b) if a != 0 else 0.0
-            for a, b in zip(before.hop_ms, after.hop_ms)]
 
 
 def uniform_topology(n_layers: int, s: float = 0.5, b: float = 1.0,

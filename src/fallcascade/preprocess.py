@@ -1,4 +1,4 @@
-"""Impact-centered windowing, normalization, and the 54 time-domain features.
+"""Impact-centered windowing and the 54 time-domain features.
 
 Channels are the three raw axes plus three derived norms:
 ax, ay, az, a_norm = |(ax,ay,az)|, a_verti = |(ax,ay)|, a_hori = |(ay,az)|.
@@ -7,10 +7,12 @@ The device x axis is taken as vertical by default (configurable).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import Trace
+if TYPE_CHECKING:
+    from .dataset import Trace
 
 N_FEATURES = 54
 
@@ -103,29 +105,6 @@ def extract_window(trace: Trace, spec: WindowSpec) -> Window:
     src_hi = min(hi, len(trace.samples))
     out[src_lo - lo: src_hi - lo] = trace.samples[src_lo:src_hi]
     return Window(out, wb, trace.label, trace.subject_id, trace.trial_id, rate)
-
-
-def minmax_normalize(seq) -> np.ndarray:
-    """Map a sequence affinely onto [0, 1]; constant input maps to zeros."""
-    x = np.asarray(seq, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("empty sequence")
-    lo, hi = x.min(), x.max()
-    if hi - lo == 0:
-        return np.zeros_like(x)
-    return (x - lo) / (hi - lo)
-
-
-def zscore_standardize(seq) -> np.ndarray:
-    """Center to mean 0 and scale to population SD 1; constant input -> zeros."""
-    x = np.asarray(seq, dtype=np.float64)
-    if x.size < 2:
-        raise ValueError("need at least 2 values")
-    mu = x.mean()
-    sd = x.std()
-    if sd == 0:
-        return np.zeros_like(x)
-    return (x - mu) / sd
 
 
 def channel_matrix(samples: np.ndarray, vertical_axis: str = "x") -> np.ndarray:

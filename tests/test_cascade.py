@@ -47,8 +47,9 @@ class TestJudgeTq:
         assert cs.judge_tq(0.5, 0.8, 0.2) is TriDecision.UNCERTAIN
 
     def test_invalid_thresholds(self):
+        # the band is checked once, when its cascade is built
         with pytest.raises(cs.InvalidThresholds):
-            cs.judge_tq(0.5, 0.2, 0.8)
+            two_station_cascade(0.0, 0.0, tq_max=0.2, tq_min=0.8)
 
 
 class TestRunSample:
@@ -83,15 +84,6 @@ class TestRunSample:
         assert decision.decided_at == 1
         assert decision.final == FALL
 
-
-    def test_strict_paper_gate_decides_adl_between_the_bands(self):
-        # peaks (2.77, 1.92) lie below t_fall_* (3.0, 2.0) and above t_adl_*
-        window = make_window([2.0, 1.5, 1.2], FALL)
-        models = [const_model(0.0), const_model(0.0)]
-        strict = cs.run_sample(cs.build_cascade(models, TH, strict_paper_gate=True),
-                               window)
-        assert (strict.final, strict.decided_at) == (ADL, 0)
-        assert cs.run_sample(cs.build_cascade(models, TH), window).decided_at > 0
 
 
 class TestRunDataset:
@@ -173,7 +165,8 @@ class TestCascadeValidation:
             cs.build_cascade([big, small], TH)
 
     @pytest.mark.parametrize("n_models", [1, 2, 3])
-    @pytest.mark.parametrize("tq_max, tq_min", [(0.2, 0.8), (0.3, 0.3)])
+    @pytest.mark.parametrize("tq_max, tq_min",
+                             [(0.2, 0.8), (0.3, 0.3), (0.8, -0.1), (1.1, 0.2)])
     def test_band_is_checked_for_any_depth(self, n_models, tq_max, tq_min):
         with pytest.raises(cs.InvalidThresholds):
             cs.build_cascade([const_model(0.0)] * n_models, TH,

@@ -156,6 +156,20 @@ class TestValidate:
         assert rc != 0
         assert "run.variants" in capsys.readouterr().err
 
+    def test_one_subject_names_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_CONFIG.replace("n_subjects = 3", "n_subjects = 1"))
+        assert cli.main(["validate", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "config error: dataset.n_subjects: LOSO needs at least 2 subjects, got 1\n")
+
+    @pytest.mark.parametrize("tq_max, tq_min",
+                             [(0.2, 0.8), (0.3, 0.3), (0.8, -0.1), (1.1, 0.2)])
+    def test_band_names_the_keys(self, tmp_path, capsys, tq_max, tq_min):
+        text = with_key(with_key(TINY_CONFIG, "cascade", "tq_max", tq_max),
+                        "cascade", "tq_min", tq_min)
+        assert cli.main(["validate", "--config", write_config(tmp_path, text)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: cascade.tq_max/tq_min: need 0 <= tq_min < tq_max <= 1")
 
     @pytest.mark.parametrize("section, key", [("train", "learning_rat"),
                                               ("cascde", "tq_max"),
@@ -185,7 +199,7 @@ class TestValidate:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == "config ok\n"
 
-    def test_readme_config_sample_validates(self, tmp_path, capsys):
+    def test_readme_config_sample_validates(self, tmp_path, capsys, monkeypatch):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme) as f:
             samples = re.findall(r"```ini\n(.*?)```", f.read(), re.S)
@@ -193,6 +207,10 @@ class TestValidate:
         cfg = write_config(tmp_path, samples[0])
         assert cli.main(["validate", "--config", cfg]) == 0
         assert capsys.readouterr().out == "config ok\n"
+        # the sample spells out every default: it parses as an empty config does
+        monkeypatch.delenv("FALLCASCADE_OUT", raising=False)
+        empty = write_config(tmp_path, "", name="empty.ini")
+        assert cli.parse_config(cfg) == cli.parse_config(empty)
 
 
 class TestSynth:
@@ -300,6 +318,17 @@ class TestRun:
         assert err.startswith(f"error: fold holding out {only}: ")
         assert err.count("\n") == 1
 
+    def test_one_subject_manifest_is_an_error_line(self, tmp_path, capsys):
+        data = ds.synth_generate(ds.SynthSpec(n_subjects=2, falls_per_subject=3,
+                                              adls_per_subject=3, seed=7))
+        traces = [t for t in data.traces if t.subject_id == data.subjects[0]]
+        manifest = ds.write_dataset(ds.Dataset("one-subject", traces),
+                                    str(tmp_path / "data"))
+        cfg = write_config(tmp_path, TINY_CONFIG.replace(
+            "source = synth", f"source = manifest\nmanifest = {manifest}"))
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: LOSO needs at least 2 subjects, got 1\n"
+
 
 class TestCompare:
     def _make_report(self, tmp_path):
@@ -325,7 +354,7 @@ class TestCompare:
         assert "schema" in capsys.readouterr().err
 
     @staticmethod
-    def _write(path, metrics, hop_ms):
+    def _write(path, metrics, hop_ms, hop_names=("ed_gate_to_mec1", "mec1_to_cc")):
         """A report with the given pooled metrics and hop latencies."""
         report = CascadeReport(station_names=["ed_gate", "mec1", "cc"],
                                processed=[8, 5, 2], decided_fall=[2, 2, 1],
@@ -334,8 +363,7 @@ class TestCompare:
         agg = types.SimpleNamespace(pooled_cm=ConfusionMatrix(3, 2, 2, 1),
                                     pooled_metrics=metrics, mean_metrics=metrics,
                                     folds=[], pooled_report=report)
-        latency = perfmodel.LatencyReport(["ed_gate_to_mec1", "mec1_to_cc"],
-                                          hop_ms, [400, 250, 100])
+        latency = perfmodel.LatencyReport(list(hop_names), hop_ms)
         cli.write_report(str(path), "x", "d", "minmax", agg, latency)
         return latency
 
@@ -348,12 +376,11 @@ class TestCompare:
         assert cli.main(["compare", str(tmp_path / "a.txt"),
                          str(tmp_path / "b.txt")]) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
-        imp = ev.improvement(new_m, base_m)
-        reductions = perfmodel.latency_reduction(base, new)
         assert lines == (
-            [f"{m}_imp={getattr(imp, m + '_imp'):+.4f}%" for m in ("acc", "pre", "rec", "f1")]
-            + [f"latency_reduction {hop}={r:+.4f}%"
-               for hop, r in zip(base.hop_names, reductions)])
+            [f"{m}_imp={ev.percent_change(getattr(new_m, m), getattr(base_m, m)):+.4f}%"
+             for m in ("acc", "pre", "rec", "f1")]
+            + [f"latency_reduction {hop}={perfmodel.percent_reduction(a, b):+.4f}%"
+               for hop, a, b in zip(base.hop_names, base.hop_ms, new.hop_ms)])
         assert len(set(lines)) == len(lines)
 
     def test_zero_baselines_print_na(self, tmp_path, capsys):
@@ -364,10 +391,20 @@ class TestCompare:
         assert cli.main(["compare", str(tmp_path / "a.txt"),
                          str(tmp_path / "b.txt")]) == 0
         lines = capsys.readouterr().out.splitlines()[1:]
-        with pytest.raises(ev.ZeroBaseline):
-            ev.improvement(new_m, base_m)
-        assert perfmodel.latency_reduction(base, new)[0] == 0.0
+        assert [ev.percent_change(getattr(new_m, m), getattr(base_m, m))
+                for m in ("acc", "pre", "rec", "f1")] == [None] * 4
+        assert perfmodel.percent_reduction(base.hop_ms[0], new.hop_ms[0]) is None
         assert lines == ["acc_imp=NA", "pre_imp=NA", "rec_imp=NA", "f1_imp=NA",
                          "latency_reduction ed_gate_to_mec1=NA",
                          f"latency_reduction mec1_to_cc="
-                         f"{perfmodel.latency_reduction(base, new)[1]:+.4f}%"]
+                         f"{perfmodel.percent_reduction(0.04, 0.03):+.4f}%"]
+
+    def test_only_shared_hops_are_compared(self, tmp_path, capsys):
+        m = ev.Metrics(acc=0.5, pre=0.5, rec=0.5, f1=0.5)
+        self._write(tmp_path / "dual.txt", m, [0.2, 0.1])
+        self._write(tmp_path / "triple.txt", m, [0.1, 0.1, 0.05],
+                    ["ed_gate_to_mec1", "mec1_to_mec2", "mec2_to_cc"])
+        assert cli.main(["compare", str(tmp_path / "dual.txt"),
+                         str(tmp_path / "triple.txt")]) == 0
+        assert capsys.readouterr().out.splitlines()[5:] == [
+            "latency_reduction ed_gate_to_mec1=+50.0000%"]

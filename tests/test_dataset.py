@@ -91,22 +91,36 @@ class TestSynthGenerate:
             ds.synth_generate(ds.SynthSpec(fall_peak_range=(2.0, 2.0)))
 
 
+def _subject_ids(dataset):
+    return [t.subject_id for t in dataset.traces]
+
+
 class TestSplitLoso:
     def test_held_out_subject_isolated(self, small_dataset):
-        train, test = ds.split_loso(small_dataset, "S02")
-        assert {t.subject_id for t in test.traces} == {"S02"}
-        assert "S02" not in {t.subject_id for t in train.traces}
+        ids = _subject_ids(small_dataset)
+        folds = {subject: (train, test) for subject, train, test in ds.loso_folds(ids)}
+        train, test = folds["S02"]
+        assert {ids[i] for i in test} == {"S02"}
+        assert "S02" not in {ids[i] for i in train}
 
     def test_every_subject_tested_once(self, small_dataset):
-        tested = [subject for subject, _, _ in ds.loso_splits(small_dataset)]
+        tested = [subject for subject, _, _ in ds.loso_folds(_subject_ids(small_dataset))]
         assert tested == list(small_dataset.subjects)
         assert len(tested) == len(small_dataset.subjects)
 
-    def test_unknown_subject(self, small_dataset):
-        with pytest.raises(ds.UnknownSubject):
-            ds.split_loso(small_dataset, "S99")
-
     def test_partition_property(self, small_dataset):
-        for subject, train, test in ds.loso_splits(small_dataset):
-            assert len(train) + len(test) == len(small_dataset)
-            assert set(train.subjects).isdisjoint(test.subjects)
+        ids = _subject_ids(small_dataset)
+        for subject, train, test in ds.loso_folds(ids):
+            assert sorted(train + test) == list(range(len(ids)))
+            assert {ids[i] for i in train}.isdisjoint(ids[i] for i in test)
+
+    def test_rows_keep_their_order(self):
+        folds = ds.loso_folds(["S2", "S1", "S2", "S1", "S3"])
+        assert folds == [("S1", [0, 2, 4], [1, 3]), ("S2", [1, 3, 4], [0, 2]),
+                         ("S3", [0, 1, 2, 3], [4])]
+
+    @pytest.mark.parametrize("ids", [[], ["S1"], ["S1", "S1"]])
+    def test_needs_two_subjects(self, ids):
+        with pytest.raises(ds.TooFewSubjects, match=f"got {len(set(ids))}"):
+            ds.loso_folds(ids)
+        assert issubclass(ds.TooFewSubjects, ValueError)

@@ -189,14 +189,9 @@ class TestTakdPipeline:
         with pytest.raises(ValueError):
             distill.takd_pipeline(self.SPECS[2], self.SPECS[1], self.SPECS[0],
                                   X, y, distill.KDConfig(), cfg)
-
-    def test_equal_specs_allowed_with_override(self, separable_xy):
-        X, y = separable_xy
-        cfg = nn.TrainConfig(epochs=2, seed=14)
-        t, ta, s = distill.takd_pipeline(
-            self.SPECS[0], self.SPECS[0], self.SPECS[2], X, y,
-            distill.KDConfig(), cfg, allow_equal=True)
-        assert ta.model.spec == self.SPECS[0]
+        with pytest.raises(ValueError):  # equal sizes are not an order either
+            distill.takd_pipeline(self.SPECS[0], self.SPECS[0], self.SPECS[2],
+                                  X, y, distill.KDConfig(), cfg)
 
     def test_determinism(self, separable_xy):
         X, y = separable_xy

@@ -71,14 +71,6 @@ class TestClassifyTc:
         assert et.classify_tc(4.0, 4.0, sep) is et.TriDecision.FALL
         assert et.classify_tc(1.0, 1.0, sep) is et.TriDecision.ADL
 
-    def test_strict_paper_mode_uses_fall_bounds_for_adl(self):
-        # between t_fall and t_adl: printed inequalities call it ADL only
-        # when below the fall bounds, so 2.0 is uncertain in both modes,
-        # but 1.0 < t_fall is ADL in strict mode even with t_adl above it.
-        th = et.EdgeThresholds(1.5, 1.5, 0.5, 0.5)
-        assert et.classify_tc(1.0, 1.0, th, strict_paper=True) is et.TriDecision.ADL
-        assert et.classify_tc(1.0, 1.0, th) is et.TriDecision.UNCERTAIN
-
     def test_scale_invariance(self):
         for scale in (0.5, 2.0, 10.0):
             scaled = et.EdgeThresholds(TH.t_fall_xyz * scale, TH.t_fall_hori * scale,
