@@ -63,11 +63,11 @@ def _kl_rows(log_p, log_q, temperature: float, direction: str):
     distributions, and its gradient with respect to the student logits."""
     p = np.exp(log_p)
     if direction == PAPER_EQ8:
-        kl = np.sum(p * (log_p - log_q), axis=1)
-        return kl, p * ((log_p - log_q) - kl[:, None]) / temperature
+        kl = np.sum(p * (log_p - log_q), axis=-1)
+        return kl, p * ((log_p - log_q) - kl[..., None]) / temperature
     if direction == STANDARD_KD:
         q = np.exp(log_q)
-        return np.sum(q * (log_q - log_p), axis=1), (p - q) / temperature
+        return np.sum(q * (log_q - log_p), axis=-1), (p - q) / temperature
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -78,22 +78,22 @@ def _composite_rows(log_p, log_q, log_r, temperature: float, combine: str):
     a = log_p - log_q
     b = log_q - log_r
     if combine == ADDITIVE:
-        comp = np.sum(p * (a + b), axis=1)
-        return comp, p * ((a + b) - comp[:, None]) / temperature
+        comp = np.sum(p * (a + b), axis=-1)
+        return comp, p * ((a + b) - comp[..., None]) / temperature
     if combine == MULTIPLICATIVE:
-        comp = np.sum(p * a * b, axis=1)
-        eb = np.sum(p * b, axis=1)
-        return comp, p * (a * b + b - comp[:, None] - eb[:, None]) / temperature
+        comp = np.sum(p * a * b, axis=-1)
+        eb = np.sum(p * b, axis=-1)
+        return comp, p * (a * b + b - comp[..., None] - eb[..., None]) / temperature
     raise ValueError(f"unknown combine {combine!r}")
 
 
 def _blend(cfg: KDConfig, div, ddiv, logits, labels):
-    """Batch mean of lam * T^2 * divergence + (1 - lam) * CE(hard), and its
-    gradient with respect to the logits."""
+    """Batch mean of lam * T^2 * divergence + (1 - lam) * CE(hard), per
+    fold of a stack, and its gradient with respect to the logits."""
     ce, dce = ce_rows(softmax_t(logits, 1.0), labels)
     scale = cfg.lam * cfg.temperature * cfg.temperature
-    loss = float(np.mean(scale * div + (1.0 - cfg.lam) * ce))
-    return loss, (scale * ddiv + (1.0 - cfg.lam) * dce) / len(labels)
+    loss = (scale * div + (1.0 - cfg.lam) * ce).sum(axis=-1) / ce.shape[-1]
+    return loss, (scale * ddiv + (1.0 - cfg.lam) * dce) / ce.shape[-1]
 
 
 def kl_soft(t_logits, s_logits, temperature: float,
@@ -107,7 +107,7 @@ def kl_soft(t_logits, s_logits, temperature: float,
 def loss_dual(t_logits, s_logits, label: int, cfg: KDConfig) -> float:
     """lam * T^2 * KL(softened) + (1 - lam) * CE(hard)."""
     spec = DualLoss(np.atleast_2d(t_logits), cfg)
-    return spec.value_and_grad(np.atleast_2d(s_logits), [label], [0])[0]
+    return float(spec.value_and_grad(np.atleast_2d(s_logits), [label], [0])[0])
 
 
 def loss_tri(t_logits, ta_logits, s_logits, label: int, cfg: KDConfig) -> float:
@@ -116,45 +116,52 @@ def loss_tri(t_logits, ta_logits, s_logits, label: int, cfg: KDConfig) -> float:
     log-difference terms is configurable (additive default, multiplicative
     selectable) because the printed form is ambiguous."""
     spec = TriLoss(np.atleast_2d(t_logits), np.atleast_2d(ta_logits), cfg)
-    return spec.value_and_grad(np.atleast_2d(s_logits), [label], [0])[0]
+    return float(spec.value_and_grad(np.atleast_2d(s_logits), [label], [0])[0])
 
 
 class DualLoss:
-    """Batch loss spec for teacher -> student distillation."""
+    """Batch loss spec for teacher -> student distillation. The upstream
+    logits are (n, classes), or (F, n, classes) for a stack of folds; their
+    softened log-probabilities are row-wise, so they are computed once per
+    fit and the step takes its batch's rows."""
 
     def __init__(self, teacher_logits: np.ndarray, cfg: KDConfig):
         self.teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
         self.cfg = cfg
+        self.log_q = _log_softmax(self.teacher_logits, cfg.temperature)
 
     def value_and_grad(self, logits, labels, idx):
         T = self.cfg.temperature
-        kl, dkl = _kl_rows(_log_softmax(logits, T),
-                           _log_softmax(self.teacher_logits[idx], T),
+        kl, dkl = _kl_rows(_log_softmax(logits, T), self.log_q.take(idx, axis=-2),
                            T, self.cfg.direction)
         return _blend(self.cfg, kl, dkl, logits, labels)
 
 
 class TriLoss:
-    """Batch loss spec for the composite teacher/TA/student divergence."""
+    """Batch loss spec for the composite teacher/TA/student divergence; the
+    upstream log-probabilities are computed once, as in DualLoss."""
 
     def __init__(self, teacher_logits: np.ndarray, ta_logits: np.ndarray,
                  cfg: KDConfig):
         self.teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
         self.ta_logits = np.asarray(ta_logits, dtype=np.float64)
         self.cfg = cfg
+        self.log_q = _log_softmax(self.ta_logits, cfg.temperature)
+        self.log_r = _log_softmax(self.teacher_logits, cfg.temperature)
 
     def value_and_grad(self, logits, labels, idx):
         T = self.cfg.temperature
         comp, dcomp = _composite_rows(_log_softmax(logits, T),
-                                      _log_softmax(self.ta_logits[idx], T),
-                                      _log_softmax(self.teacher_logits[idx], T),
+                                      self.log_q.take(idx, axis=-2),
+                                      self.log_r.take(idx, axis=-2),
                                       T, self.cfg.tri_combine)
         return _blend(self.cfg, comp, dcomp, logits, labels)
 
 
 def distill_train(teacher: TieredModel, student_spec, X, y,
                   cfg: KDConfig, train_cfg: TrainConfig) -> TrainResult:
-    """Train a fresh student of the given spec against the frozen teacher."""
+    """Train a fresh student of the given spec against the frozen teacher,
+    a stacked one for a stack of folds' rows."""
     X = np.asarray(X, dtype=np.float64)
     teacher_logits = forward(teacher, X)
     student = TieredModel.init(student_spec, seed=train_cfg.seed)
@@ -175,6 +182,8 @@ def takd_pipeline(teacher_spec, ta_spec, student_spec, X, y,
     It distills the TA from the teacher, and the student from the TA
     (sequential mode) or from the nested three-model divergence with the
     teacher and TA frozen (composite mode).
+    X and y may hold a stack of folds, (F, n, in) and (F, n), which train
+    in lockstep (see `nn.train`); the results are then stacked.
     Returns the (teacher, TA or None, student) TrainResults.
     """
     if kd not in (KD_NONE, KD_DUAL, KD_TRIPLE):

@@ -78,7 +78,9 @@ def fit_scaler(X_train: np.ndarray, mode: str):
     if mode == "zscore":
         mu = X_train.mean(axis=0)
         sd = X_train.std(axis=0)
-        sd = np.where(sd == 0, 1.0, sd)
+        # a constant column's std may be the rounding residue of its mean
+        flat = (sd == 0) | (X_train.max(axis=0) == X_train.min(axis=0))
+        sd = np.where(flat, 1.0, sd)
         return lambda x: (x - mu) / sd
     raise ValueError(f"unknown normalization mode {mode!r}")
 
@@ -146,43 +148,89 @@ class AggregateReport:
         )
 
 
+def stack_size(n_rows: int, teacher: nn.TierSpec) -> int:
+    """How many folds of `n_rows` training rows train in lockstep: as many as
+    keep a stack's rows and its teacher's weights, velocities and gradients
+    within 2**16 float64 values (512 KiB), and at least one."""
+    per_fold = n_rows * teacher.layer_widths[0] + 3 * teacher.n_params
+    return max(1, 2 ** 16 // per_fold)
+
+
+def _stacks(splits, teacher: nn.TierSpec):
+    """The fold indices grouped by training size (folds of one size share
+    the permutation), each group split into balanced stacks of at most
+    `stack_size` folds, in order of each group's first fold."""
+    groups = {}
+    for k, (_, train_rows, _) in enumerate(splits):
+        groups.setdefault(len(train_rows), []).append(k)
+    for n_rows, folds in groups.items():
+        count = -(-len(folds) // stack_size(n_rows, teacher))
+        for i in range(count):
+            yield folds[i * len(folds) // count:(i + 1) * len(folds) // count]
+
+
+def _fold_error(e, subject):
+    return type(e)(f"fold holding out {subject}: {e}")
+
+
 def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
                   variants=None) -> AggregateReport | list[AggregateReport]:
     """Full LOSO experiment: per fold, fit the gate and train the tier stack
     on the training subjects, then route the held-out subject's windows.
     Returns cfg's variant's AggregateReport, or the list of those of
-    `variants`, (kd_variant, layers) pairs that share each fold's teacher."""
+    `variants`, (kd_variant, layers) pairs that share each fold's teacher.
+
+    Folds of equal training size train in lockstep, a stack of them per
+    `distill.takd_pipeline` call; each fold's models are its solo fits."""
     splits = loso_folds(t.subject_id for t in dataset.traces)
     pairs = [(cfg.kd_variant, cfg.layers)] if variants is None else list(variants)
     windows = [extract_window(t, cfg.window) for t in dataset.traces]
     features, labels = feature_matrix(windows, cfg.vertical_axis)
-    runs = [([], {}) for _ in pairs]  # each variant's fold results and loss curves
-    for subject, train_rows, test_rows in splits:
-        test_windows = [windows[i] for i in test_rows]
-        try:
-            thresholds = fit_thresholds([windows[i] for i in train_rows])
+    # each variant's (fold result, loss curve per tier), by fold
+    runs = [[None] * len(splits) for _ in pairs]
+    for stack in _stacks(splits, cfg.teacher):
+        n_rows = len(splits[stack[0]][1])
+        X = np.empty((len(stack), n_rows, features.shape[1]))
+        y = np.empty((len(stack), n_rows), dtype=labels.dtype)
+        gates = []
+        for i, k in enumerate(stack):
+            subject, train_rows, _ = splits[k]
+            try:
+                thresholds = fit_thresholds([windows[r] for r in train_rows])
+            except MissingClass as e:
+                raise _fold_error(e, subject) from e
             scaler = fit_scaler(features[train_rows], cfg.normalization)
-            X_train, y_train = scaler(features[train_rows]), labels[train_rows]
-            featurize = lambda w, s=scaler: s(extract_features(w, cfg.vertical_axis))
-            teacher = None
-            for (kd_variant, layers), (folds, curves) in zip(pairs, runs):
-                # the TA is trained when it is deployed or when it teaches the student
-                trains_ta = kd_variant == KD_TRIPLE or layers == LAYERS_TRIPLE
-                stack = distill.takd_pipeline(
+            X[i], y[i] = scaler(features[train_rows]), labels[train_rows]
+            gates.append((thresholds, scaler))
+        teacher = None
+        for (kd_variant, layers), run in zip(pairs, runs):
+            # the TA is trained when it is deployed or when it teaches the student
+            trains_ta = kd_variant == KD_TRIPLE or layers == LAYERS_TRIPLE
+            try:
+                tiers = distill.takd_pipeline(
                     cfg.teacher, cfg.ta if trains_ta else None, cfg.student,
-                    X_train, y_train, cfg.kd, cfg.train, kd=kd_variant, teacher=teacher)
-                teacher = stack[0]
-                results = {name: res for name, res in
-                           zip(("teacher", "ta", "student"), stack) if res is not None}
+                    X, y, cfg.kd, cfg.train, kd=kd_variant, teacher=teacher)
+            except nn.NonFiniteLoss as e:
+                raise _fold_error(e, splits[stack[e.fold]][0]) from e
+            teacher = tiers[0]
+            for i, k in enumerate(stack):
+                subject, _, test_rows = splits[k]
+                thresholds, scaler = gates[i]
+                results = {name: res.fold(i) for name, res in
+                           zip(("teacher", "ta", "student"), tiers) if res is not None}
                 deployed = [results[name].model for name in DEPLOYED_TIERS[layers]]
                 cascade = build_cascade(
                     deployed, thresholds, tq_max=cfg.tq_max, tq_min=cfg.tq_min,
-                    inference_temperature=cfg.inference_temperature, featurize=featurize)
-                report = run_dataset(cascade, test_windows)
-                folds.append(FoldResult(subject, report.cm, metrics(report.cm), report))
-                for name, res in results.items():
-                    curves.setdefault(name, []).append(res.epoch_losses)
-        except (MissingClass, nn.NonFiniteLoss) as e:
-            raise type(e)(f"fold holding out {subject}: {e}") from e
-    aggs = [AggregateReport.pool(folds, curves) for folds, curves in runs]
+                    inference_temperature=cfg.inference_temperature,
+                    featurize=lambda w, s=scaler: s(extract_features(w, cfg.vertical_axis)))
+                report = run_dataset(cascade, [windows[r] for r in test_rows])
+                run[k] = (FoldResult(subject, report.cm, metrics(report.cm), report),
+                          {name: res.epoch_losses for name, res in results.items()})
+    aggs = []
+    for run in runs:
+        curves = {}
+        for _, fold_curves in run:
+            for name, curve in fold_curves.items():
+                curves.setdefault(name, []).append(curve)
+        aggs.append(AggregateReport.pool([fold for fold, _ in run], curves))
     return aggs[0] if variants is None else aggs

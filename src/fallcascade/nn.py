@@ -36,7 +36,12 @@ class EmptyData(Exception):
 
 
 class NonFiniteLoss(Exception):
-    pass
+    """An epoch's mean loss is not finite; `fold` is the stack index of the
+    first fold whose loss is not (0 for a solo fit)."""
+
+    def __init__(self, message, fold: int = 0):
+        super().__init__(message)
+        self.fold = fold
 
 
 @dataclass(frozen=True)
@@ -65,9 +70,12 @@ def default_tier_spec(tier: str) -> TierSpec:
 
 @dataclass
 class TieredModel:
+    """One model, or a stack of F fold models along a leading axis whose
+    biases keep a unit row axis so that `a @ W + b` broadcasts."""
+
     spec: TierSpec
-    weights: list  # weights[l] has shape (in, out)
-    biases: list   # biases[l] has shape (out,)
+    weights: list  # weights[l] has shape (in, out), stacked (F, in, out)
+    biases: list   # biases[l] has shape (out,), stacked (F, 1, out)
     seed: int = 0
 
     @classmethod
@@ -81,19 +89,27 @@ class TieredModel:
             biases.append(np.zeros(fan_out))
         return cls(spec=spec, weights=weights, biases=biases, seed=seed)
 
-    def copy(self) -> "TieredModel":
-        return TieredModel(self.spec, [w.copy() for w in self.weights],
-                           [b.copy() for b in self.biases], self.seed)
+    def stacked(self, folds: int) -> "TieredModel":
+        """A stack of `folds` copies of this solo model."""
+        return TieredModel(self.spec, [np.repeat(w[None], folds, axis=0) for w in self.weights],
+                           [np.repeat(b[None, None], folds, axis=0) for b in self.biases],
+                           self.seed)
+
+    def fold(self, k: int) -> "TieredModel":
+        """Fold k of a stack, as a solo model (views of the stack)."""
+        return TieredModel(self.spec, [w[k] for w in self.weights],
+                           [b[k, 0] for b in self.biases], self.seed)
 
 
 def forward(model: TieredModel, x) -> np.ndarray:
-    """Logits for a single feature vector (1-D) or a batch (2-D)."""
+    """Logits for a single feature vector (1-D), a batch (2-D) or, through a
+    stacked model, a batch per fold (F, n, in)."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     a = x[None, :] if single else x
-    if a.shape[1] != model.spec.layer_widths[0]:
+    if a.shape[-1] != model.spec.layer_widths[0]:
         raise ShapeMismatch(
-            f"input width {a.shape[1]} != {model.spec.layer_widths[0]}")
+            f"input width {a.shape[-1]} != {model.spec.layer_widths[0]}")
     logits = _forward_cached(model, a)[0]
     return logits[0] if single else logits
 
@@ -123,11 +139,15 @@ def softmax_t(logits, temperature: float = 1.0) -> np.ndarray:
 def ce_rows(probs: np.ndarray, labels) -> tuple:
     """Per-row cross-entropy of the true labels, with the log argument
     clamped at 1e-12, and its gradient with respect to the logits the rows
-    of `probs` are the T=1 softmax of."""
-    rows = np.arange(len(labels))
-    ce = -np.log(np.clip(probs[rows, labels], 1e-12, None))
+    of `probs` are the T=1 softmax of: (n, classes) with n labels, or a
+    stack's (F, n, classes) with (F, n) labels."""
+    labels = np.asarray(labels)
+    rows = np.arange(labels.shape[-1])
+    at = (rows, labels) if labels.ndim == 1 else (
+        np.arange(len(labels))[:, None], rows, labels)
+    ce = -np.log(np.clip(probs[at], 1e-12, None))
     grad = probs.copy()
-    grad[rows, labels] -= 1.0
+    grad[at] -= 1.0
     return ce, grad
 
 
@@ -141,28 +161,29 @@ class CELoss:
 
     def value_and_grad(self, logits: np.ndarray, labels: np.ndarray, idx):
         ce, grad = ce_rows(softmax_t(logits, 1.0), labels)
-        return float(np.mean(ce)), grad / len(labels)
+        return ce.sum(axis=-1) / ce.shape[-1], grad / ce.shape[-1]
 
 
 def grad(model: TieredModel, X, y, loss_spec=None, idx=None):
-    """Backpropagated gradients: (loss, dW list, db list)."""
+    """Backpropagated gradients: (loss, dW list, db list). A stacked model
+    takes (F, n, in) rows and (F, n) labels and gives a loss per fold."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if len(X) == 0:
+    if X.size == 0:
         raise EmptyData("empty batch")
     if loss_spec is None:
         loss_spec = CELoss()
     if idx is None:
-        idx = np.arange(len(X))
+        idx = np.arange(X.shape[-2])
     logits, activations = _forward_cached(model, X)
     loss, delta = loss_spec.value_and_grad(logits, y, idx)
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     for l in range(len(model.weights) - 1, -1, -1):
-        grads_w[l] = activations[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
+        grads_w[l] = activations[l].swapaxes(-1, -2) @ delta
+        grads_b[l] = delta.sum(axis=-2).reshape(model.biases[l].shape)
         if l > 0:
-            delta = (delta @ model.weights[l].T) * (activations[l] > 0)
+            delta = (delta @ model.weights[l].swapaxes(-1, -2)) * (activations[l] > 0)
     return loss, grads_w, grads_b
 
 
@@ -184,25 +205,38 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     model: TieredModel
-    epoch_losses: list = field(default_factory=list)
+    epoch_losses: list = field(default_factory=list)  # (F, epochs) for a stack
+
+    def fold(self, k: int) -> "TrainResult":
+        """Fold k of a stacked fit, as the solo fit it equals."""
+        return TrainResult(self.model.fold(k), self.epoch_losses[k].tolist())
 
 
 def train(model: TieredModel, X, y, cfg: TrainConfig,
           loss_spec=None) -> TrainResult:
     """SGD with momentum; deterministic given cfg.seed. The input model is
     not mutated; the trained copy and per-epoch mean losses are returned.
-    An epoch whose mean loss is not finite raises NonFiniteLoss."""
+
+    X is (n, in) with n labels, or a stack of F folds' (F, n, in) rows with
+    (F, n) labels. The solo input model is broadcast over the folds, which
+    share the permutation and step in lockstep; the result is stacked, and
+    each fold is bit-identical to its solo fit, which is the F = 1 case.
+    The first epoch whose mean loss is not finite in some fold raises
+    NonFiniteLoss, naming the tier and epoch, with the first such fold."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if len(X) == 0:
+    if X.size == 0:
         raise EmptyData("no training data")
     if loss_spec is None:
         loss_spec = CELoss()
-    model = model.copy()
+    solo = X.ndim == 2
+    if solo:
+        X, y = X[None], y[None]
+    model = model.stacked(len(X))
     rng = np.random.default_rng(cfg.seed)
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
-    n = len(X)
+    n = X.shape[1]
     losses = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
@@ -210,19 +244,27 @@ def train(model: TieredModel, X, y, cfg: TrainConfig,
         n_batches = 0
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            loss, gw, gb = grad(model, X[batch], y[batch], loss_spec, idx=batch)
+            # take gives contiguous rows, so that each fold's sums add in
+            # the order of a solo fit's
+            loss, gw, gb = grad(model, X.take(batch, axis=1), y.take(batch, axis=1),
+                                loss_spec, idx=batch)
             epoch_loss += loss
             n_batches += 1
-            for l in range(len(model.weights)):
-                vel_w[l] = cfg.momentum * vel_w[l] - cfg.learning_rate * gw[l]
-                vel_b[l] = cfg.momentum * vel_b[l] - cfg.learning_rate * gb[l]
-                model.weights[l] += vel_w[l]
-                model.biases[l] += vel_b[l]
+            for params, vels, grads in ((model.weights, vel_w, gw),
+                                        (model.biases, vel_b, gb)):
+                for p, v, g in zip(params, vels, grads):
+                    v *= cfg.momentum
+                    g *= cfg.learning_rate
+                    v -= g
+                    p += v
         losses.append(epoch_loss / n_batches)
-        if not np.isfinite(losses[-1]):
-            raise NonFiniteLoss(f"{model.spec.tier} training loss is {losses[-1]} "
-                                f"at epoch {len(losses)}")
-    return TrainResult(model=model, epoch_losses=losses)
+        finite = np.isfinite(losses[-1])
+        if not finite.all():
+            fold = int(np.argmin(finite))
+            raise NonFiniteLoss(f"{model.spec.tier} training loss is "
+                                f"{float(losses[-1][fold])} at epoch {len(losses)}", fold)
+    result = TrainResult(model=model, epoch_losses=np.array(losses).T)
+    return result.fold(0) if solo else result
 
 
 def count_params(model_or_spec) -> int:

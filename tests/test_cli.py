@@ -213,6 +213,17 @@ class TestValidate:
         assert cli.parse_config(cfg) == cli.parse_config(empty)
 
 
+def test_escalate_config_validates(capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "escalate.ini")
+    assert cli.main(["validate", "--config", path]) == 0
+    assert capsys.readouterr().out == "config ok\n"
+    run_cfg = cli.parse_config(path)
+    assert run_cfg.synth.n_subjects == 6 and run_cfg.synth.noise_sd == 0.5
+    assert [t.layer_widths for t in (run_cfg.experiment.student, run_cfg.experiment.ta,
+                                     run_cfg.experiment.teacher)] == [(54, 8, 2), (54, 16, 2),
+                                                                      (54, 32, 2)]
+
+
 class TestSynth:
     def test_writes_expected_trace_count(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

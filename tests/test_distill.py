@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fallcascade import distill, nn
 from gradcheck import max_rel_error
@@ -223,3 +224,103 @@ class TestTakdPipeline:
         with pytest.raises(ValueError):
             distill.takd_pipeline(self.SPECS[0], None, self.SPECS[2], X, y,
                                   distill.KDConfig(), cfg)
+
+
+def same_fit(a: nn.TrainResult, b: nn.TrainResult) -> bool:
+    """Weights, biases and epoch losses equal bit for bit."""
+    return (all(x.tobytes() == y.tobytes() for x, y in
+                zip(a.model.weights + a.model.biases, b.model.weights + b.model.biases))
+            and np.array(a.epoch_losses).tobytes() == np.array(b.epoch_losses).tobytes())
+
+
+@st.composite
+def fold_stacks(draw, width):
+    """F folds of n rows each: (F, n, width) features and (F, n) labels."""
+    folds = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(folds, n, width)), rng.integers(0, 2, size=(folds, n)), rng
+
+
+kd_configs = st.builds(
+    distill.KDConfig, lam=st.floats(0.0, 1.0), temperature=st.floats(0.5, 20.0),
+    direction=st.sampled_from([distill.PAPER_EQ8, distill.STANDARD_KD]),
+    triple_mode=st.sampled_from([distill.SEQUENTIAL, distill.COMPOSITE_EQ10]),
+    tri_combine=st.sampled_from([distill.ADDITIVE, distill.MULTIPLICATIVE]))
+train_configs = st.builds(
+    nn.TrainConfig, epochs=st.integers(1, 3), batch_size=st.integers(1, 48),
+    learning_rate=st.sampled_from([0.0, 0.01, 0.1]), seed=st.integers(0, 99))
+
+
+class TestLockstep:
+    """A stack of folds trained in one call equals each fold's solo fit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), width=st.integers(1, 8),
+           hidden=st.lists(st.integers(1, 12), max_size=2),
+           loss=st.sampled_from(["ce", "dual", "composite"]),
+           kd=kd_configs, cfg=train_configs)
+    def test_train_stack_equals_solo_fits(self, data, width, hidden, loss, kd, cfg):
+        X, y, rng = data.draw(fold_stacks(width))
+        teacher = rng.normal(scale=3.0, size=X.shape[:2] + (2,))
+        ta = rng.normal(scale=3.0, size=X.shape[:2] + (2,))
+
+        def loss_spec(k=slice(None)):
+            if loss == "dual":
+                return distill.DualLoss(teacher[k], kd)
+            if loss == "composite":
+                return distill.TriLoss(teacher[k], ta[k], kd)
+            return None
+
+        model = nn.TieredModel.init(nn.TierSpec(nn.STUDENT, (width, *hidden, 2)), seed=cfg.seed)
+        stacked = nn.train(model, X, y, cfg, loss_spec())
+        assert stacked.model.weights[0].shape == (len(X), width, (*hidden, 2)[0])
+        for k in range(len(X)):
+            assert same_fit(stacked.fold(k), nn.train(model, X[k], y[k], cfg, loss_spec(k)))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), width=st.integers(1, 6), student=st.integers(1, 4),
+           grow=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           kd_variant=st.sampled_from([distill.KD_NONE, distill.KD_DUAL, distill.KD_TRIPLE]),
+           kd=kd_configs, cfg=train_configs)
+    def test_pipeline_stack_equals_solo_pipelines(self, data, width, student, grow,
+                                                  kd_variant, kd, cfg):
+        X, y, _ = data.draw(fold_stacks(width))
+        hidden = (student, student + grow[0], student + grow[0] + grow[1])
+        specs = [nn.TierSpec(tier, (width, h, 2)) for tier, h in
+                 zip((nn.STUDENT, nn.TA, nn.TEACHER), hidden)]
+        stacked = distill.takd_pipeline(specs[2], specs[1], specs[0], X, y, kd, cfg,
+                                        kd=kd_variant)
+        for k in range(len(X)):
+            solo = distill.takd_pipeline(specs[2], specs[1], specs[0], X[k], y[k], kd, cfg,
+                                         kd=kd_variant)
+            for a, b in zip(stacked, solo):
+                assert same_fit(a.fold(k), b)
+
+    def test_first_non_finite_epoch_then_first_fold_is_named(self):
+        class Poisoned(nn.CELoss):
+            """CE whose loss turns NaN for some folds from a given step on."""
+
+            def __init__(self, poison):
+                self.poison, self.step = poison, 0  # {fold: first poisoned step}
+
+            def value_and_grad(self, logits, labels, idx):
+                loss, grad = super().value_and_grad(logits, labels, idx)
+                self.step += 1
+                for fold, step in self.poison.items():
+                    if self.step >= step:
+                        loss[fold] = np.nan
+                return loss, grad
+
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(4, 20, 3)), rng.integers(0, 2, size=(4, 20))
+        model = nn.TieredModel.init(nn.TierSpec(nn.TA, (3, 4, 2)))
+        cfg = nn.TrainConfig(epochs=4, batch_size=10)  # 2 steps per epoch
+        # fold 1 goes NaN in epoch 3, folds 3 and 2 in epoch 2: fold 2 is named
+        with pytest.raises(nn.NonFiniteLoss, match="TA training loss is nan at epoch 2") as e:
+            nn.train(model, X, y, cfg, Poisoned({1: 5, 3: 3, 2: 4}))
+        assert e.value.fold == 2
+        with pytest.raises(nn.NonFiniteLoss) as e:
+            nn.train(model, X[0], y[0], cfg, Poisoned({0: 1}))
+        assert e.value.fold == 0

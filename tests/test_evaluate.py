@@ -105,6 +105,14 @@ class TestFeatureScaler:
         with pytest.raises(ValueError):
             ev.fit_scaler(np.zeros((2, 2)), "robust")
 
+    @pytest.mark.parametrize("mode", ["minmax", "zscore"])
+    def test_inexact_constant_column_is_not_blown_up(self, mode):
+        # three 0.1s: the float mean misses 0.1, so std is a rounding residue
+        X = np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 3.0]])
+        scaler = ev.fit_scaler(X, mode)
+        assert np.all(np.abs(scaler(X)[:, 0]) < 1e-15)
+        assert scaler(np.array([[0.2, 2.0]]))[0, 0] == pytest.approx(0.1)
+
 
 def fast_config(**kw):
     defaults = dict(
@@ -290,9 +298,11 @@ class TestSharedPass:
             calls["feature_tables"] += 1
             return feature_matrix(*args, **kwargs)
 
-        def count_fit(model, *args, **kwargs):
-            calls["teacher_fits"] += model.spec.tier == nn.TEACHER
-            return train(model, *args, **kwargs)
+        def count_fit(model, X, *args, **kwargs):
+            # a stack of folds is one call with one fit per fold
+            folds = len(X) if np.ndim(X) == 3 else 1
+            calls["teacher_fits"] += (model.spec.tier == nn.TEACHER) * folds
+            return train(model, X, *args, **kwargs)
 
         monkeypatch.setattr(ev, "extract_window", count_window)
         monkeypatch.setattr(ev, "feature_matrix", count_table)
@@ -300,3 +310,67 @@ class TestSharedPass:
         ev.loso_evaluate(data, self.config(distill.SEQUENTIAL), variants=self.VARIANTS)
         assert calls == {"windows": len(data), "feature_tables": 1,
                          "teacher_fits": len(data.subjects)}
+
+
+class TestLockstepFolds:
+    """Folds of equal training size train as one stack; every fold's result
+    is the one its solo fits give."""
+
+    VARIANTS = TestSharedPass.VARIANTS
+
+    @pytest.fixture(scope="class")
+    def unequal(self):
+        # 4 subjects holding 10, 10, 10 and 8 windows: training sizes 28 and 30
+        data = synth_generate(dataclasses.replace(ESCALATING_SPEC, n_subjects=4))
+        last = [i for i, t in enumerate(data.traces) if t.subject_id == data.subjects[-1]]
+        return Dataset("unequal", [t for i, t in enumerate(data.traces) if i not in last[:2]])
+
+    def test_stack_size_rule(self):
+        # the benchmark's `escalate` folds stack 3 + 3; the default teacher
+        # over the default set's folds trains each fold alone
+        assert ev.stack_size(200, nn.TierSpec(nn.TEACHER, (54, 32, 2))) == 4
+        assert ev.stack_size(40, nn.default_tier_spec(nn.TEACHER)) == 1
+        splits = [(f"S{k}", list(range(200)), []) for k in range(6)]
+        assert list(ev._stacks(splits, nn.TierSpec(nn.TEACHER, (54, 32, 2)))) == [
+            [0, 1, 2], [3, 4, 5]]
+
+    @pytest.mark.parametrize("most", [None, 2])
+    def test_unequal_subjects_equal_solo_fits(self, unequal, monkeypatch, most):
+        cfg = TestSharedPass.config(distill.COMPOSITE_EQ10)
+        splits = ev.loso_folds(t.subject_id for t in unequal.traces)
+        assert [len(rows) for _, rows, _ in splits] == [28, 28, 28, 30]
+        if most is not None:  # a group larger than a stack
+            rule = ev.stack_size
+            monkeypatch.setattr(ev, "stack_size", lambda *a: min(most, rule(*a)))
+        stacks = list(ev._stacks(splits, cfg.teacher))
+        assert stacks == ([[0, 1, 2], [3]] if most is None else [[0], [1, 2], [3]])
+        stacked = ev.loso_evaluate(unequal, cfg, variants=self.VARIANTS)
+        monkeypatch.setattr(ev, "stack_size", lambda *a: 1)
+        solo = ev.loso_evaluate(unequal, cfg, variants=self.VARIANTS)
+        for agg, ref in zip(stacked, solo):
+            assert [f.subject for f in agg.folds] == list(unequal.subjects)
+            assert [f.report for f in agg.folds] == [f.report for f in ref.folds]
+            assert agg.pooled_metrics == ref.pooled_metrics
+            assert list(agg.loss_curves) == list(ref.loss_curves)
+            for name, curve in agg.loss_curves.items():
+                assert np.array(curve).tobytes() == np.array(ref.loss_curves[name]).tobytes()
+
+    def test_non_finite_later_fold_of_a_stack_is_named(self, small_dataset, monkeypatch):
+        # a NaN feature in a row of the first subject reaches every fold but
+        # that subject's own: the stack diverges in its second and third folds
+        # at the same epoch, and the first of them in LOSO order is named
+        first, second = small_dataset.subjects[:2]
+        row = next(i for i, t in enumerate(small_dataset.traces) if t.subject_id == first)
+        feature_matrix = ev.feature_matrix
+
+        def poisoned(*args, **kwargs):
+            X, y = feature_matrix(*args, **kwargs)
+            X[row, 0] = np.nan
+            return X, y
+
+        monkeypatch.setattr(ev, "feature_matrix", poisoned)
+        splits = ev.loso_folds(t.subject_id for t in small_dataset.traces)
+        assert list(ev._stacks(splits, fast_config().teacher)) == [[0, 1, 2]]
+        with pytest.raises(nn.NonFiniteLoss,
+                           match=f"holding out {second}: Teacher training loss is nan at epoch 1"):
+            ev.loso_evaluate(small_dataset, fast_config())
