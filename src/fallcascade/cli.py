@@ -49,30 +49,6 @@ class RunConfig:
     out_dir: str
 
 
-class _ConfigFile(configparser.ConfigParser):
-    """A config file that records the keys `_get` reads from it, so that a
-    key nothing reads is reported instead of ignored. [DEFAULT] is a section
-    like any other, so its keys are not copied into every section."""
-
-    def __init__(self):
-        super().__init__(default_section="")
-        self.read_keys = set()
-
-
-def _get(cfg, section, key, default, cast=str):
-    cfg.read_keys.add((section, key))
-    try:
-        raw = cfg.get(section, key, fallback=None)
-        if raw is None:
-            return default
-        value = cast(raw)
-    except ValueError as e:
-        raise ConfigError(f"{section}.{key}: {e}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}: must be finite, got {raw!r}")
-    return value
-
-
 def _widths(raw: str):
     return tuple(int(w) for w in raw.split(","))
 
@@ -85,28 +61,68 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+# The config keys: section -> key -> the type its value is read as. A key
+# the file leaves out takes the default of the dataclass field it sets.
+KEYS = {
+    "dataset": {"source": str, "manifest": str, "n_subjects": int,
+                "falls_per_subject": int, "adls_per_subject": int,
+                "fall_peak_min": float, "fall_peak_max": float,
+                "adl_peak_min": float, "adl_peak_max": float,
+                "trace_duration_s": float, "noise_sd": float,
+                "sample_rate_hz": int, "seed": int},
+    "window": {"ws_f_s": float, "ws_b_s": float, "vertical_axis": str},
+    "normalize": {"mode": str, "compare": _bool},
+    "tiers": dict.fromkeys(evaluate.TIER_FIELDS, _widths),
+    "train": {"epochs": int, "batch_size": int, "learning_rate": float,
+              "momentum": float, "seed": int},
+    "kd": {"lambda": float, "kd_temperature": float, "kd_direction": str,
+           "triple_mode": str, "tri_combine": str},
+    "cascade": {"tq_max": float, "tq_min": float, "inference_temperature": float},
+    "run": {"variants": str, "out": str},
+    "latency": {"topology": str, "horizon_s": float},
+}
+
+# the [kd] keys named otherwise than the KDConfig fields they set
+KD_FIELDS = {"lambda": "lam", "kd_temperature": "temperature",
+             "kd_direction": "direction"}
+
+
+def _read(path) -> dict:
+    """The keys the file sets, cast by KEYS, as {section: {key: value}} over
+    every section of KEYS. An unknown key is reported before any bad value."""
+    # [DEFAULT] is a section like any other, not copied into every section
+    cfg = configparser.ConfigParser(default_section="")
+    cfg.read(path)
+    for section in cfg.sections():
+        for key in cfg.options(section):
+            if key not in KEYS.get(section, ()):
+                raise ConfigError(f"{section}.{key}: unknown key")
+    values = {section: {} for section in KEYS}
+    for section in cfg.sections():
+        for key, raw in cfg.items(section):
+            try:
+                value = KEYS[section][key](raw)
+            except ValueError as e:
+                raise ConfigError(f"{section}.{key}: {e}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{section}.{key}: must be finite, got {raw!r}")
+            values[section][key] = value
+    return values
+
+
 def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    cfg = _ConfigFile()
-    cfg.read(path)
+    cfg = _read(path)
 
-    # every key is read whatever the source, so that none is reported unknown
-    source = _get(cfg, "dataset", "source", "synth")
-    manifest = _get(cfg, "dataset", "manifest", None)
-    synth = ds.SynthSpec(
-        n_subjects=_get(cfg, "dataset", "n_subjects", 6, int),
-        falls_per_subject=_get(cfg, "dataset", "falls_per_subject", 4, int),
-        adls_per_subject=_get(cfg, "dataset", "adls_per_subject", 4, int),
-        fall_peak_range=(_get(cfg, "dataset", "fall_peak_min", 3.0, float),
-                         _get(cfg, "dataset", "fall_peak_max", 6.0, float)),
-        adl_peak_range=(_get(cfg, "dataset", "adl_peak_min", 0.8, float),
-                        _get(cfg, "dataset", "adl_peak_max", 1.8, float)),
-        trace_duration_s=_get(cfg, "dataset", "trace_duration_s", 3.0, float),
-        noise_sd=_get(cfg, "dataset", "noise_sd", 0.05, float),
-        sample_rate_hz=_get(cfg, "dataset", "sample_rate_hz", 50, int),
-        seed=_get(cfg, "dataset", "seed", 0, int),
-    )
+    dataset = cfg["dataset"]
+    source = dataset.pop("source", "synth")
+    manifest = dataset.pop("manifest", None)
+    for kind in ("fall", "adl"):
+        lo, hi = getattr(ds.SynthSpec, f"{kind}_peak_range")
+        dataset[f"{kind}_peak_range"] = (dataset.pop(f"{kind}_peak_min", lo),
+                                         dataset.pop(f"{kind}_peak_max", hi))
+    synth = ds.SynthSpec(**dataset)
     if source == "manifest":
         synth = None
         if manifest is None:
@@ -127,68 +143,52 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
     if seed_override is not None and synth is not None:
         synth = dataclasses.replace(synth, seed=seed_override)
 
+    vertical_axis = cfg["window"].pop("vertical_axis", ExperimentConfig.vertical_axis)
     try:
-        window = WindowSpec(ws_f_s=_get(cfg, "window", "ws_f_s", 1.0, float),
-                            ws_b_s=_get(cfg, "window", "ws_b_s", 0.8, float))
+        window = WindowSpec(**cfg["window"])
     except ValueError as e:
         raise ConfigError(f"window: {e}")
-    vertical_axis = _get(cfg, "window", "vertical_axis", "x")
     if vertical_axis not in PLANE_AXES:
         raise ConfigError(f"window.vertical_axis: must be x, y or z, got {vertical_axis!r}")
 
-    normalization = _get(cfg, "normalize", "mode", "minmax")
-    if normalization not in ("minmax", "zscore"):
-        raise ConfigError(f"normalize.mode: must be minmax or zscore, got {normalization!r}")
-    compare_norm = _get(cfg, "normalize", "compare", False, _bool)
+    normalization = cfg["normalize"].get("mode", ExperimentConfig.normalization)
+    if normalization not in evaluate.NORMALIZATIONS:
+        raise ConfigError(f"normalize.mode: must be {' or '.join(evaluate.NORMALIZATIONS)}, "
+                          f"got {normalization!r}")
+    compare_norm = cfg["normalize"].get("compare", False)
 
-    try:
-        student = TierSpec(nn.STUDENT, _get(cfg, "tiers", "student",
-                                            nn.DEFAULT_TIER_WIDTHS[nn.STUDENT], _widths))
-        ta = TierSpec(nn.TA, _get(cfg, "tiers", "ta",
-                                  nn.DEFAULT_TIER_WIDTHS[nn.TA], _widths))
-        teacher = TierSpec(nn.TEACHER, _get(cfg, "tiers", "teacher",
-                                            nn.DEFAULT_TIER_WIDTHS[nn.TEACHER], _widths))
-    except ValueError as e:
-        raise ConfigError(f"tiers: {e}")
-    for key, spec in (("student", student), ("ta", ta), ("teacher", teacher)):
-        if spec.layer_widths[0] != N_FEATURES:
+    tiers = {}
+    for key, widths in cfg["tiers"].items():
+        try:
+            tiers[key] = TierSpec(evaluate.TIER_FIELDS[key], widths)
+        except ValueError as e:
+            raise ConfigError(f"tiers: {e}")
+        if widths[0] != N_FEATURES:
             raise ConfigError(f"tiers.{key}: input width must be {N_FEATURES}, "
-                              f"one per feature, got {spec.layer_widths[0]}")
+                              f"one per feature, got {widths[0]}")
 
-    train_seed = _get(cfg, "train", "seed", 0, int)
+    if seed_override is not None:
+        cfg["train"]["seed"] = seed_override
     try:
-        train = TrainConfig(
-            epochs=_get(cfg, "train", "epochs", 200, int),
-            batch_size=_get(cfg, "train", "batch_size", 64, int),
-            learning_rate=_get(cfg, "train", "learning_rate", 0.001, float),
-            momentum=_get(cfg, "train", "momentum", 0.9, float),
-            seed=train_seed if seed_override is None else seed_override,
-        )
+        train = TrainConfig(**cfg["train"])
     except ValueError as e:
         raise ConfigError(f"train: {e}")
 
     try:
-        kd = KDConfig(
-            lam=_get(cfg, "kd", "lambda", 0.5, float),
-            temperature=_get(cfg, "kd", "kd_temperature", 20.0, float),
-            direction=_get(cfg, "kd", "kd_direction", "paper_eq8"),
-            triple_mode=_get(cfg, "kd", "triple_mode", "sequential"),
-            tri_combine=_get(cfg, "kd", "tri_combine", "additive"),
-        )
+        kd = KDConfig(**{KD_FIELDS.get(key, key): v for key, v in cfg["kd"].items()})
     except (ValueError, nn.NonPositiveTemperature) as e:
         raise ConfigError(f"kd: {e}")
 
-    tq_max = _get(cfg, "cascade", "tq_max", 0.8, float)
-    tq_min = _get(cfg, "cascade", "tq_min", 0.2, float)
+    band = cfg["cascade"]
     try:
-        cascade.check_band(tq_max, tq_min)
+        cascade.check_band(band.get("tq_max", ExperimentConfig.tq_max),
+                           band.get("tq_min", ExperimentConfig.tq_min))
     except cascade.InvalidThresholds as e:
         raise ConfigError(f"cascade.tq_max/tq_min: {e}")
-    inference_temperature = _get(cfg, "cascade", "inference_temperature", 1.0, float)
-    if inference_temperature <= 0:
+    if band.get("inference_temperature", ExperimentConfig.inference_temperature) <= 0:
         raise ConfigError("cascade.inference_temperature: must be > 0")
 
-    raw_variants = _get(cfg, "run", "variants", "nokd:dual,dualkd:dual")
+    raw_variants = cfg["run"].get("variants", "nokd:dual,dualkd:dual")
     variants = []
     for token in [t.strip() for t in raw_variants.split(",") if t.strip()]:
         try:
@@ -202,7 +202,7 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
         raise ConfigError("run.variants: at least one variant is required")
 
     topology = None
-    topology_path = _get(cfg, "latency", "topology", None)
+    topology_path = cfg["latency"].get("topology")
     if topology_path is not None:
         if not os.path.exists(topology_path):
             raise ConfigError(f"latency.topology: file not found: {topology_path}")
@@ -216,26 +216,14 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
                 raise ConfigError(
                     f"latency.topology: {len(topology.layers)} layers, but variant "
                     f"{_variant_token(kd_variant, layers)} has {n_stations} stations")
-    horizon_s = _get(cfg, "latency", "horizon_s", 1.0, float)
+    horizon_s = cfg["latency"].get("horizon_s", 1.0)
     if horizon_s <= 0:
         raise ConfigError("latency.horizon_s: must be > 0")
 
-    config_out = _get(cfg, "run", "out", None)
-    out_dir = out_override or config_out or os.environ.get("FALLCASCADE_OUT", "out")
-    unknown = [f"{section}.{key}" for section in cfg.sections()
-               for key in cfg.options(section) if (section, key) not in cfg.read_keys]
-    if unknown:
-        raise ConfigError(f"{unknown[0]}: unknown key")
-
+    out_dir = out_override or cfg["run"].get("out") or os.environ.get("FALLCASCADE_OUT", "out")
     experiment = ExperimentConfig(
-        window=window, normalization=normalization,
-        student=student, ta=ta, teacher=teacher,
-        train=train, kd=kd,
-        kd_variant=evaluate.KD_DUAL, layers=evaluate.LAYERS_DUAL,
-        tq_max=tq_max, tq_min=tq_min,
-        inference_temperature=inference_temperature,
-        vertical_axis=vertical_axis,
-    )
+        window=window, normalization=normalization, train=train, kd=kd,
+        vertical_axis=vertical_axis, **tiers, **band)
     return RunConfig(synth=synth, manifest=manifest, experiment=experiment,
                      variants=variants, compare_normalization=compare_norm,
                      topology=topology, horizon_s=horizon_s,
@@ -355,9 +343,7 @@ def cmd_validate(args) -> int:
 def cmd_synth(args) -> int:
     run_cfg = parse_config(args.config, seed_override=args.seed, out_override=args.out)
     if run_cfg.synth is None:
-        print("config error: dataset.source must be synth for the synth command",
-              file=sys.stderr)
-        return 1
+        raise ConfigError("dataset.source: must be synth for the synth command")
     data = ds.synth_generate(run_cfg.synth)
     os.makedirs(run_cfg.out_dir, exist_ok=True)
     manifest = ds.write_dataset(data, run_cfg.out_dir)
@@ -372,7 +358,7 @@ def cmd_run(args) -> int:
     run_cfg = parse_config(args.config, seed_override=args.seed, out_override=args.out)
     data = _load_dataset(run_cfg)
     os.makedirs(run_cfg.out_dir, exist_ok=True)
-    modes = (["minmax", "zscore"] if run_cfg.compare_normalization
+    modes = (evaluate.NORMALIZATIONS if run_cfg.compare_normalization
              else [run_cfg.experiment.normalization])
     comparison_rows = []
     for mode in modes:

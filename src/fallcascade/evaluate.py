@@ -9,18 +9,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distill, nn
-from .cascade import CascadeReport, ConfusionMatrix, build_cascade, run_dataset
+from .cascade import CascadeReport, ConfusionMatrix, build_cascade, check_band, run_dataset
 from .dataset import Dataset, loso_folds
 from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KDConfig
 from .edge_threshold import MissingClass, fit_thresholds
 from .nn import TrainConfig, default_tier_spec
-from .preprocess import WindowSpec, extract_features, extract_window, feature_matrix
+from .preprocess import (PLANE_AXES, WindowSpec, extract_features, extract_window,
+                         feature_matrix)
 
 F1_STANDARD = "standard"
 F1_PAPER = "paper"
 
 LAYERS_DUAL = "dual"
 LAYERS_TRIPLE = "triple"
+
+NORMALIZATIONS = ("minmax", "zscore")
+
+# the tier each ExperimentConfig tier field holds
+TIER_FIELDS = {"student": nn.STUDENT, "ta": nn.TA, "teacher": nn.TEACHER}
 
 # the classifier tiers each layer layout deploys above the gate, bottom-up
 DEPLOYED_TIERS = {LAYERS_DUAL: ("student", "teacher"),
@@ -82,7 +88,7 @@ def fit_scaler(X_train: np.ndarray, mode: str):
         flat = (sd == 0) | (X_train.max(axis=0) == X_train.min(axis=0))
         sd = np.where(flat, 1.0, sd)
         return lambda x: (x - mu) / sd
-    raise ValueError(f"unknown normalization mode {mode!r}")
+    raise ValueError(f"unknown normalization mode {mode!r}, expected one of {NORMALIZATIONS}")
 
 
 @dataclass(frozen=True)
@@ -106,10 +112,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown kd_variant {self.kd_variant!r}")
         if self.layers not in (LAYERS_DUAL, LAYERS_TRIPLE):
             raise ValueError(f"unknown layers {self.layers!r}")
-        for name in ("student", "ta", "teacher"):
+        if self.normalization not in NORMALIZATIONS:
+            raise ValueError(f"unknown normalization {self.normalization!r}")
+        if self.vertical_axis not in PLANE_AXES:
+            raise ValueError(f"vertical_axis must be x/y/z, got {self.vertical_axis!r}")
+        check_band(self.tq_max, self.tq_min)
+        if self.inference_temperature <= 0:
+            raise ValueError("inference_temperature must be > 0")
+        for name, tier in TIER_FIELDS.items():
             if getattr(self, name) is None:
-                object.__setattr__(self, name, default_tier_spec(
-                    {"student": nn.STUDENT, "ta": nn.TA, "teacher": nn.TEACHER}[name]))
+                object.__setattr__(self, name, default_tier_spec(tier))
 
 
 @dataclass

@@ -87,6 +87,12 @@ def with_key(text, section, key, value):
     return text + f"\n[{section}]\n{key} = {value}\n"
 
 
+def readme_config_sample():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        return re.findall(r"```ini\n(.*?)```", f.read(), re.S)[0]
+
+
 def strip_timestamp(path):
     with open(path) as f:
         lines = f.readlines()
@@ -199,6 +205,16 @@ class TestValidate:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == "config ok\n"
 
+    @pytest.mark.parametrize("text, error", [
+        ("[train]\nepochs = x\nbogus = 1\n", "train.bogus: unknown key"),
+        ("[cascade]\ntq_max = y\n[train]\nepochs = x\n",
+         "cascade.tq_max: could not convert string to float: 'y'"),
+    ], ids=["unknown_key", "two_bad_values"])
+    def test_unknown_key_first_then_bad_values_in_file_order(self, tmp_path, capsys,
+                                                              text, error):
+        assert cli.main(["validate", "--config", write_config(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == f"config error: {error}\n"
+
     def test_readme_config_sample_validates(self, tmp_path, capsys, monkeypatch):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme) as f:
@@ -211,6 +227,27 @@ class TestValidate:
         monkeypatch.delenv("FALLCASCADE_OUT", raising=False)
         empty = write_config(tmp_path, "", name="empty.ini")
         assert cli.parse_config(cfg) == cli.parse_config(empty)
+
+
+def test_readme_config_sample_names_every_key():
+    named, section = set(), None
+    for line in readme_config_sample().splitlines():
+        if header := re.fullmatch(r"\[(\w+)\]", line):
+            section = header[1]
+        elif key := re.match(r"(?:# )?(\w+) = ", line):
+            named.add((section, key[1]))
+    assert named == {(section, key) for section, keys in cli.KEYS.items() for key in keys}
+
+
+def test_empty_config_takes_the_dataclass_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv("FALLCASCADE_OUT", raising=False)
+    run_cfg = cli.parse_config(write_config(tmp_path, ""))
+    assert run_cfg.synth == ds.SynthSpec() and run_cfg.manifest is None
+    assert run_cfg.experiment == ev.ExperimentConfig()
+    assert run_cfg.variants == [(ev.KD_NONE, ev.LAYERS_DUAL), (ev.KD_DUAL, ev.LAYERS_DUAL)]
+    assert run_cfg.compare_normalization is False
+    assert run_cfg.topology is None and run_cfg.horizon_s == 1.0
+    assert run_cfg.out_dir == "out"
 
 
 def test_escalate_config_validates(capsys):
@@ -250,6 +287,15 @@ class TestSynth:
         rc = cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc != 0
         assert capsys.readouterr().err != ""
+
+    def test_manifest_source_is_a_config_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("")
+        cfg = write_config(tmp_path, TINY_CONFIG.replace(
+            "source = synth", f"source = manifest\nmanifest = {manifest}"))
+        assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: dataset.source: must be synth for the synth command\n")
 
 
 class TestRun:

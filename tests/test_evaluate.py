@@ -6,6 +6,7 @@ import pytest
 from fallcascade import distill
 from fallcascade import evaluate as ev
 from fallcascade import nn
+from fallcascade.cascade import InvalidThresholds
 from fallcascade.dataset import FALL, Dataset, SynthSpec, synth_generate
 from fallcascade.edge_threshold import MissingClass
 from fallcascade.preprocess import WindowSpec
@@ -112,6 +113,19 @@ class TestFeatureScaler:
         scaler = ev.fit_scaler(X, mode)
         assert np.all(np.abs(scaler(X)[:, 0]) < 1e-15)
         assert scaler(np.array([[0.2, 2.0]]))[0, 0] == pytest.approx(0.1)
+
+
+class TestExperimentConfig:
+    @pytest.mark.parametrize("kw, error", [
+        (dict(tq_max=0.2, tq_min=0.8), InvalidThresholds),
+        (dict(tq_max=0.3, tq_min=0.3), InvalidThresholds),
+        (dict(inference_temperature=0.0), ValueError),
+        (dict(normalization="zcore"), ValueError),
+        (dict(vertical_axis="w"), ValueError),
+    ], ids=["inverted_band", "empty_band", "temperature", "normalization", "axis"])
+    def test_bad_value_fails_when_built(self, kw, error):
+        with pytest.raises(error):
+            ev.ExperimentConfig(**kw)
 
 
 def fast_config(**kw):
