@@ -9,7 +9,7 @@ import numpy as np
 
 from .dataset import ADL, FALL
 from .edge_threshold import EdgeThresholds, TriDecision, classify_tc, window_peaks
-from .nn import TieredModel, count_params, forward, softmax_t
+from .nn import TieredModel, check_temperature, count_params, forward, softmax_t
 from .preprocess import Window, extract_features
 
 FALL_CLASS = 1  # logit / probability index of the Fall class
@@ -19,7 +19,7 @@ STATION_COLUMNS = ("processed", "decided_fall", "decided_adl", "escalated",
                    "processed_samples")
 
 
-class InvalidThresholds(Exception):
+class InvalidThresholds(ValueError):
     pass
 
 
@@ -70,8 +70,7 @@ class Cascade:
         if any(s.model is None for s in self.stations[1:]):
             raise ValueError("every station after the gate needs a model")
         check_band(self.tq_max, self.tq_min)
-        if self.inference_temperature <= 0:
-            raise ValueError("inference_temperature must be > 0")
+        check_temperature(self.inference_temperature)
         sizes = [count_params(s.model) for s in self.stations[1:]]
         if any(a > b for a, b in zip(sizes, sizes[1:])):
             warnings.warn("classifier stations are not capacity-ordered ascending",
@@ -205,11 +204,10 @@ def run_dataset(cascade: Cascade, windows) -> CascadeReport:
 
 def build_cascade(models, thresholds: EdgeThresholds, tq_max: float = 0.8,
                   tq_min: float = 0.2, inference_temperature: float = 1.0,
-                  featurize=None, names=None) -> Cascade:
-    """Gate plus the given models in order; the last model is the top station."""
-    if names is None:
-        names = [f"mec{i + 1}" for i in range(len(models) - 1)] + ["cc"]
-    stations = [Station("ed_gate")] + [Station(names[i], m) for i, m in enumerate(models)]
+                  featurize=None) -> Cascade:
+    """The gate, then the models in order as mec1, mec2, ... and cc on top."""
+    names = [f"mec{i + 1}" for i in range(len(models) - 1)] + ["cc"]
+    stations = [Station("ed_gate")] + [Station(n, m) for n, m in zip(names, models)]
     return Cascade(stations=stations, thresholds=thresholds, tq_max=tq_max,
                    tq_min=tq_min, inference_temperature=inference_temperature,
                    featurize=featurize)

@@ -20,7 +20,7 @@ from .distill import KDConfig
 from .edge_threshold import MissingClass
 from .evaluate import ExperimentConfig, loso_evaluate
 from .nn import TierSpec, TrainConfig
-from .preprocess import N_FEATURES, PLANE_AXES, WindowSpec
+from .preprocess import N_FEATURES, WindowSpec, check_axis
 
 SCHEMA_VERSION = "1"
 
@@ -87,12 +87,28 @@ KD_FIELDS = {"lambda": "lam", "kd_temperature": "temperature",
              "kd_direction": "direction"}
 
 
+def _named(key, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError raised as a ConfigError that
+    names the config key."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from e
+
+
 def _read(path) -> dict:
     """The keys the file sets, cast by KEYS, as {section: {key: value}} over
     every section of KEYS. An unknown key is reported before any bad value."""
     # [DEFAULT] is a section like any other, not copied into every section
     cfg = configparser.ConfigParser(default_section="")
-    cfg.read(path)
+    try:
+        with open(path) as f:
+            cfg.read_file(f)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeError, configparser.Error) as e:
+        # configparser's messages span several lines; the error is one line
+        raise ConfigError(f"cannot read config file {path}: {' '.join(str(e).split())}")
     for section in cfg.sections():
         for key in cfg.options(section):
             if key not in KEYS.get(section, ()):
@@ -100,10 +116,7 @@ def _read(path) -> dict:
     values = {section: {} for section in KEYS}
     for section in cfg.sections():
         for key, raw in cfg.items(section):
-            try:
-                value = KEYS[section][key](raw)
-            except ValueError as e:
-                raise ConfigError(f"{section}.{key}: {e}")
+            value = _named(f"{section}.{key}", KEYS[section][key], raw)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{section}.{key}: must be finite, got {raw!r}")
             values[section][key] = value
@@ -111,105 +124,78 @@ def _read(path) -> dict:
 
 
 def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     cfg = _read(path)
 
     dataset = cfg["dataset"]
     source = dataset.pop("source", "synth")
     manifest = dataset.pop("manifest", None)
-    for kind in ("fall", "adl"):
-        lo, hi = getattr(ds.SynthSpec, f"{kind}_peak_range")
-        dataset[f"{kind}_peak_range"] = (dataset.pop(f"{kind}_peak_min", lo),
-                                         dataset.pop(f"{kind}_peak_max", hi))
-    synth = ds.SynthSpec(**dataset)
+    synth = None
     if source == "manifest":
-        synth = None
         if manifest is None:
             raise ConfigError("dataset.manifest: required when source=manifest")
-        if not os.path.exists(manifest):
+        if not os.path.isfile(manifest):
             raise ConfigError(f"dataset.manifest: file not found: {manifest}")
     elif source == "synth":
         manifest = None
-        try:
-            synth.validate()
-        except ds.InvalidSpec as e:
-            raise ConfigError(f"dataset: {e}")
+        for kind in ("fall", "adl"):
+            lo, hi = getattr(ds.SynthSpec, f"{kind}_peak_range")
+            dataset[f"{kind}_peak_range"] = (dataset.pop(f"{kind}_peak_min", lo),
+                                             dataset.pop(f"{kind}_peak_max", hi))
+        if seed_override is not None:
+            dataset["seed"] = seed_override
+        synth = _named("dataset", ds.SynthSpec, **dataset)
         if synth.n_subjects < 2:
             raise ConfigError(f"dataset.n_subjects: LOSO needs at least 2 subjects, "
                               f"got {synth.n_subjects}")
     else:
         raise ConfigError(f"dataset.source: must be synth or manifest, got {source!r}")
-    if seed_override is not None and synth is not None:
-        synth = dataclasses.replace(synth, seed=seed_override)
 
     vertical_axis = cfg["window"].pop("vertical_axis", ExperimentConfig.vertical_axis)
-    try:
-        window = WindowSpec(**cfg["window"])
-    except ValueError as e:
-        raise ConfigError(f"window: {e}")
-    if vertical_axis not in PLANE_AXES:
-        raise ConfigError(f"window.vertical_axis: must be x, y or z, got {vertical_axis!r}")
+    window = _named("window", WindowSpec, **cfg["window"])
+    _named("window.vertical_axis", check_axis, vertical_axis)
 
     normalization = cfg["normalize"].get("mode", ExperimentConfig.normalization)
-    if normalization not in evaluate.NORMALIZATIONS:
-        raise ConfigError(f"normalize.mode: must be {' or '.join(evaluate.NORMALIZATIONS)}, "
-                          f"got {normalization!r}")
+    _named("normalize.mode", evaluate.check_normalization, normalization)
     compare_norm = cfg["normalize"].get("compare", False)
 
     tiers = {}
     for key, widths in cfg["tiers"].items():
-        try:
-            tiers[key] = TierSpec(evaluate.TIER_FIELDS[key], widths)
-        except ValueError as e:
-            raise ConfigError(f"tiers: {e}")
+        tiers[key] = _named(f"tiers.{key}", TierSpec, evaluate.TIER_FIELDS[key], widths)
         if widths[0] != N_FEATURES:
             raise ConfigError(f"tiers.{key}: input width must be {N_FEATURES}, "
                               f"one per feature, got {widths[0]}")
 
     if seed_override is not None:
         cfg["train"]["seed"] = seed_override
-    try:
-        train = TrainConfig(**cfg["train"])
-    except ValueError as e:
-        raise ConfigError(f"train: {e}")
-
-    try:
-        kd = KDConfig(**{KD_FIELDS.get(key, key): v for key, v in cfg["kd"].items()})
-    except (ValueError, nn.NonPositiveTemperature) as e:
-        raise ConfigError(f"kd: {e}")
+    train = _named("train", TrainConfig, **cfg["train"])
+    kd = _named("kd", KDConfig,
+                **{KD_FIELDS.get(key, key): v for key, v in cfg["kd"].items()})
 
     band = cfg["cascade"]
-    try:
-        cascade.check_band(band.get("tq_max", ExperimentConfig.tq_max),
-                           band.get("tq_min", ExperimentConfig.tq_min))
-    except cascade.InvalidThresholds as e:
-        raise ConfigError(f"cascade.tq_max/tq_min: {e}")
-    if band.get("inference_temperature", ExperimentConfig.inference_temperature) <= 0:
-        raise ConfigError("cascade.inference_temperature: must be > 0")
+    _named("cascade.tq_max/tq_min", cascade.check_band,
+           band.get("tq_max", ExperimentConfig.tq_max),
+           band.get("tq_min", ExperimentConfig.tq_min))
+    _named("cascade.inference_temperature", nn.check_temperature,
+           band.get("inference_temperature", ExperimentConfig.inference_temperature))
 
     raw_variants = cfg["run"].get("variants", "nokd:dual,dualkd:dual")
     variants = []
     for token in [t.strip() for t in raw_variants.split(",") if t.strip()]:
-        try:
-            kd_name, layer_name = token.split(":")
-            variants.append((VARIANT_KD[kd_name], VARIANT_LAYERS[layer_name]))
-        except (ValueError, KeyError):
+        kd_name, _, layer_name = token.partition(":")
+        if kd_name not in VARIANT_KD or layer_name not in VARIANT_LAYERS:
             raise ConfigError(
                 f"run.variants: bad token {token!r}; expected kd:layers with "
                 f"kd in {sorted(VARIANT_KD)} and layers in {sorted(VARIANT_LAYERS)}")
+        variants.append((VARIANT_KD[kd_name], VARIANT_LAYERS[layer_name]))
     if not variants:
         raise ConfigError("run.variants: at least one variant is required")
 
     topology = None
     topology_path = cfg["latency"].get("topology")
     if topology_path is not None:
-        if not os.path.exists(topology_path):
+        if not os.path.isfile(topology_path):
             raise ConfigError(f"latency.topology: file not found: {topology_path}")
-        try:
-            topology = perfmodel.load_topology(topology_path)
-        except ValueError as e:
-            raise ConfigError(f"latency.topology: {e}")
+        topology = _named("latency.topology", perfmodel.load_topology, topology_path)
         for kd_variant, layers in variants:
             n_stations = 1 + len(evaluate.DEPLOYED_TIERS[layers])
             if len(topology.layers) != n_stations:
@@ -440,7 +426,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (SchemaMismatch, MissingClass, nn.NonFiniteLoss, ds.TooFewSubjects) as e:
+    except (SchemaMismatch, MissingClass, nn.NonFiniteLoss, ds.DatasetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -34,7 +34,7 @@ class EmptyTrace(DatasetError):
     pass
 
 
-class InvalidSpec(DatasetError):
+class InvalidSpec(DatasetError, ValueError):
     pass
 
 
@@ -118,7 +118,7 @@ class SynthSpec:
     sample_rate_hz: int = 50
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if min(self.n_subjects, self.falls_per_subject, self.adls_per_subject) < 1:
             raise InvalidSpec("subject and per-subject trial counts must be >= 1")
         for name, (lo, hi) in (("fall_peak_range", self.fall_peak_range),
@@ -216,7 +216,10 @@ def load_manifest(manifest_path, name: str = "dataset") -> Dataset:
     traces = []
     for entry in entries:
         path = entry if os.path.isabs(entry) else os.path.join(base, entry)
-        traces.append(load_trace(path))
+        try:
+            traces.append(load_trace(path))
+        except (OSError, UnicodeError, DatasetError) as e:
+            raise DatasetError(f"manifest entry {entry}: {e}") from e
     return Dataset(name=name, traces=tuple(traces))
 
 
@@ -279,7 +282,6 @@ def synth_generate(spec: SynthSpec) -> Dataset:
     """Deterministic synthetic dataset: falls carry an injected impact spike,
     ADLs are low-frequency activity around 1 g. Every trace's max spatial
     norm equals its drawn peak, so range separation is exact."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n = max(2, int(round(spec.trace_duration_s * spec.sample_rate_hz)))
     traces = []

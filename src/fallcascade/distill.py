@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (NonPositiveTemperature, TieredModel, TrainConfig, TrainResult,
-                 ce_rows, forward, softmax_t, train)
+from .nn import (TieredModel, TrainConfig, TrainResult, ce_rows, check_temperature,
+                 forward, softmax_t, train)
 
 PAPER_EQ8 = "paper_eq8"     # student-leading KL, as printed
 STANDARD_KD = "standard"    # teacher-leading KL, conventional KD
@@ -40,8 +40,7 @@ class KDConfig:
     def __post_init__(self):
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError("lam must be in [0, 1]")
-        if self.temperature <= 0:
-            raise NonPositiveTemperature("temperature must be > 0")
+        check_temperature(self.temperature)
         if self.direction not in (PAPER_EQ8, STANDARD_KD):
             raise ValueError(f"unknown direction {self.direction!r}")
         if self.triple_mode not in (SEQUENTIAL, COMPOSITE_EQ10):
@@ -51,8 +50,7 @@ class KDConfig:
 
 
 def _log_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
-    if temperature <= 0:
-        raise NonPositiveTemperature("temperature must be > 0")
+    check_temperature(temperature)
     u = np.asarray(logits, dtype=np.float64) / temperature
     u = u - u.max(axis=-1, keepdims=True)
     return u - np.log(np.exp(u).sum(axis=-1, keepdims=True))

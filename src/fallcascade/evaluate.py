@@ -13,8 +13,8 @@ from .cascade import CascadeReport, ConfusionMatrix, build_cascade, check_band, 
 from .dataset import Dataset, loso_folds
 from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KDConfig
 from .edge_threshold import MissingClass, fit_thresholds
-from .nn import TrainConfig, default_tier_spec
-from .preprocess import (PLANE_AXES, WindowSpec, extract_features, extract_window,
+from .nn import TrainConfig, check_temperature, default_tier_spec
+from .preprocess import (WindowSpec, check_axis, extract_features, extract_window,
                          feature_matrix)
 
 F1_STANDARD = "standard"
@@ -74,21 +74,27 @@ def percent_change(new: float | None, base: float | None) -> float | None:
     return 100.0 * (new - base) / base
 
 
+def check_normalization(mode: str) -> None:
+    """Raise ValueError unless mode is one of NORMALIZATIONS."""
+    if mode not in NORMALIZATIONS:
+        raise ValueError(f"normalization must be {' or '.join(NORMALIZATIONS)}, "
+                         f"got {mode!r}")
+
+
 def fit_scaler(X_train: np.ndarray, mode: str):
     """Per-feature scaler fit on training data; returns a pure callable."""
+    check_normalization(mode)
     if mode == "minmax":
         lo = X_train.min(axis=0)
         span = X_train.max(axis=0) - lo
         span = np.where(span == 0, 1.0, span)
         return lambda x: (x - lo) / span
-    if mode == "zscore":
-        mu = X_train.mean(axis=0)
-        sd = X_train.std(axis=0)
-        # a constant column's std may be the rounding residue of its mean
-        flat = (sd == 0) | (X_train.max(axis=0) == X_train.min(axis=0))
-        sd = np.where(flat, 1.0, sd)
-        return lambda x: (x - mu) / sd
-    raise ValueError(f"unknown normalization mode {mode!r}, expected one of {NORMALIZATIONS}")
+    mu = X_train.mean(axis=0)
+    sd = X_train.std(axis=0)
+    # a constant column's std may be the rounding residue of its mean
+    flat = (sd == 0) | (X_train.max(axis=0) == X_train.min(axis=0))
+    sd = np.where(flat, 1.0, sd)
+    return lambda x: (x - mu) / sd
 
 
 @dataclass(frozen=True)
@@ -112,13 +118,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown kd_variant {self.kd_variant!r}")
         if self.layers not in (LAYERS_DUAL, LAYERS_TRIPLE):
             raise ValueError(f"unknown layers {self.layers!r}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-        if self.vertical_axis not in PLANE_AXES:
-            raise ValueError(f"vertical_axis must be x/y/z, got {self.vertical_axis!r}")
+        check_normalization(self.normalization)
+        check_axis(self.vertical_axis)
         check_band(self.tq_max, self.tq_min)
-        if self.inference_temperature <= 0:
-            raise ValueError("inference_temperature must be > 0")
+        check_temperature(self.inference_temperature)
         for name, tier in TIER_FIELDS.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default_tier_spec(tier))

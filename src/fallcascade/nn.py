@@ -27,7 +27,7 @@ class ShapeMismatch(Exception):
     pass
 
 
-class NonPositiveTemperature(Exception):
+class NonPositiveTemperature(ValueError):
     pass
 
 
@@ -126,10 +126,15 @@ def _forward_cached(model: TieredModel, X: np.ndarray):
     return activations[-1], activations
 
 
-def softmax_t(logits, temperature: float = 1.0) -> np.ndarray:
-    """Temperature-softened softmax; rows sum to 1."""
+def check_temperature(temperature: float) -> None:
+    """Raise NonPositiveTemperature unless temperature > 0."""
     if temperature <= 0:
         raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
+
+
+def softmax_t(logits, temperature: float = 1.0) -> np.ndarray:
+    """Temperature-softened softmax; rows sum to 1."""
+    check_temperature(temperature)
     z = np.asarray(logits, dtype=np.float64) / temperature
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)

@@ -107,10 +107,15 @@ def extract_window(trace: Trace, spec: WindowSpec) -> Window:
     return Window(out, wb, trace.label, trace.subject_id, trace.trial_id, rate)
 
 
+def check_axis(vertical_axis: str) -> None:
+    """Raise ValueError unless vertical_axis names a PLANE_AXES axis."""
+    if vertical_axis not in PLANE_AXES:
+        raise ValueError(f"vertical_axis must be x, y or z, got {vertical_axis!r}")
+
+
 def channel_matrix(samples: np.ndarray, vertical_axis: str = "x") -> np.ndarray:
     """Stack the six analysis channels as columns."""
-    if vertical_axis not in PLANE_AXES:
-        raise ValueError(f"vertical_axis must be x/y/z, got {vertical_axis!r}")
+    check_axis(vertical_axis)
     samples = np.asarray(samples, dtype=np.float64)
     verti, hori = PLANE_AXES[vertical_axis]
     return np.column_stack([samples, norm_xyz(samples),

@@ -5,10 +5,12 @@ import types
 import numpy as np
 import pytest
 
-from fallcascade import cli, perfmodel
+from fallcascade import cascade, cli, distill, nn, perfmodel
 from fallcascade import dataset as ds
 from fallcascade import evaluate as ev
+from fallcascade import preprocess as pp
 from fallcascade.cascade import CascadeReport, ConfusionMatrix
+from fallcascade.edge_threshold import EdgeThresholds
 
 
 TINY_CONFIG = """\
@@ -93,6 +95,12 @@ def readme_config_sample():
         return re.findall(r"```ini\n(.*?)```", f.read(), re.S)[0]
 
 
+def validate_error(tmp_path, capsys, text):
+    """The stderr of a `validate` that must fail on the config text."""
+    assert cli.main(["validate", "--config", write_config(tmp_path, text)]) == 1
+    return capsys.readouterr().err
+
+
 def strip_timestamp(path):
     with open(path) as f:
         lines = f.readlines()
@@ -154,6 +162,33 @@ class TestValidate:
         rc = cli.main(["validate", "--config", cfg])
         assert rc != 0
         assert f"tiers.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("widths", ["54,0,2", "54", "54,8,3"])
+    def test_bad_tier_names_the_key(self, tmp_path, capsys, widths):
+        err = validate_error(tmp_path, capsys,
+                             TINY_CONFIG.replace("student = 54,8,2", f"student = {widths}"))
+        assert err.startswith("config error: tiers.student: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [b"n_subjects = 3\n[dataset]\nseed = 1\n",
+                                         b"[train]\nepochs = 3\nepochs = 4\n",
+                                         b"[train\nepochs = 3\n",
+                                         b"[train]\nepochs = \xff\n"],
+                             ids=["no_section_header", "key_set_twice", "unclosed_section",
+                                  "not_utf8"])
+    def test_malformed_file_is_a_config_error_line(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(content)
+        assert cli.main(["validate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {cfg}: ")
+        assert err.count("\n") == 1
+
+    def test_directory_is_a_config_error_line(self, tmp_path, capsys):
+        # a directory exists but cannot be read as a file
+        assert cli.main(["validate", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {tmp_path}: ")
+        assert err.count("\n") == 1
 
     def test_bad_variant_token(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_CONFIG.replace(
@@ -227,6 +262,49 @@ class TestValidate:
         monkeypatch.delenv("FALLCASCADE_OUT", raising=False)
         empty = write_config(tmp_path, "", name="empty.ini")
         assert cli.parse_config(cfg) == cli.parse_config(empty)
+
+
+TH = EdgeThresholds(t_fall_xyz=3.0, t_fall_hori=2.0, t_adl_xyz=1.5, t_adl_hori=1.0)
+
+
+def assert_one_check(tmp_path, capsys, sites, value, message, section, key, named=None):
+    """Every library call site raises the rule's one ValueError, with its one
+    message, on the bad value; validate's error names `named`, the key by
+    default."""
+    for site in sites:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            site(value)
+    err = validate_error(tmp_path, capsys, with_key(TINY_CONFIG, section, key, value))
+    assert err.startswith(f"config error: {named or f'{section}.{key}'}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("section, key, named", [
+    ("cascade", "inference_temperature", None), ("kd", "kd_temperature", "kd")])
+def test_temperature_rule_has_one_check(tmp_path, capsys, value, section, key, named):
+    model = nn.TieredModel.init(nn.TierSpec(nn.STUDENT, (54, 2)))
+    sites = [lambda t: nn.softmax_t([1.0, 0.0], t),
+             lambda t: distill._log_softmax(np.zeros((1, 2)), t),
+             lambda t: distill.KDConfig(temperature=t),
+             lambda t: ev.ExperimentConfig(inference_temperature=t),
+             lambda t: cascade.build_cascade([model], TH, inference_temperature=t)]
+    assert_one_check(tmp_path, capsys, sites, value, f"temperature must be > 0, got {value}",
+                     section, key, named)
+
+
+def test_axis_rule_has_one_check(tmp_path, capsys):
+    sites = [lambda a: pp.channel_matrix(np.zeros((4, 3)), a),
+             lambda a: ev.ExperimentConfig(vertical_axis=a)]
+    assert_one_check(tmp_path, capsys, sites, "w", "vertical_axis must be x, y or z, got 'w'",
+                     "window", "vertical_axis")
+
+
+def test_normalization_rule_has_one_check(tmp_path, capsys):
+    sites = [lambda m: ev.fit_scaler(np.zeros((2, 2)), m),
+             lambda m: ev.ExperimentConfig(normalization=m)]
+    assert_one_check(tmp_path, capsys, sites, "zcore",
+                     "normalization must be minmax or zscore, got 'zcore'", "normalize", "mode")
 
 
 def test_readme_config_sample_names_every_key():
@@ -385,6 +463,25 @@ class TestRun:
             "source = synth", f"source = manifest\nmanifest = {manifest}"))
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: LOSO needs at least 2 subjects, got 1\n"
+
+    @pytest.mark.parametrize("bad", ["no_rate", "missing", "not_utf8"])
+    def test_bad_trace_file_is_an_error_line(self, tmp_path, capsys, bad):
+        data = ds.synth_generate(ds.SynthSpec(n_subjects=2, falls_per_subject=1,
+                                              adls_per_subject=1, seed=7))
+        manifest = ds.write_dataset(data, str(tmp_path / "data"))
+        entry = "S01_F01.txt"
+        path = tmp_path / "data" / entry
+        if bad == "missing":
+            path.unlink()
+        elif bad == "no_rate":
+            path.write_text(path.read_text().replace("rate_hz=50\n", ""))
+        else:
+            path.write_bytes(path.read_bytes().replace(b"label=", b"label=\xff"))
+        cfg = write_config(tmp_path, TINY_CONFIG.replace(
+            "source = synth", f"source = manifest\nmanifest = {manifest}"))
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest entry {entry}: ") and err.count("\n") == 1
 
 
 class TestCompare:

@@ -90,6 +90,14 @@ class TestSynthGenerate:
         with pytest.raises(ds.InvalidSpec):
             ds.synth_generate(ds.SynthSpec(fall_peak_range=(2.0, 2.0)))
 
+    @pytest.mark.parametrize("kw", [dict(n_subjects=0), dict(adl_peak_range=(1.0, 0.5)),
+                                    dict(sample_rate_hz=0), dict(noise_sd=-0.1)],
+                             ids=["n_subjects", "adl_peak_range", "sample_rate_hz", "noise_sd"])
+    def test_invalid_spec_fails_when_built(self, kw):
+        with pytest.raises(ValueError) as e:
+            ds.SynthSpec(**kw)
+        assert isinstance(e.value, ds.InvalidSpec)
+
 
 def _subject_ids(dataset):
     return [t.subject_id for t in dataset.traces]

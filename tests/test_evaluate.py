@@ -120,9 +120,11 @@ class TestExperimentConfig:
         (dict(tq_max=0.2, tq_min=0.8), InvalidThresholds),
         (dict(tq_max=0.3, tq_min=0.3), InvalidThresholds),
         (dict(inference_temperature=0.0), ValueError),
+        (dict(inference_temperature=-1.0), nn.NonPositiveTemperature),
         (dict(normalization="zcore"), ValueError),
         (dict(vertical_axis="w"), ValueError),
-    ], ids=["inverted_band", "empty_band", "temperature", "normalization", "axis"])
+    ], ids=["inverted_band", "empty_band", "temperature", "negative_temperature",
+            "normalization", "axis"])
     def test_bad_value_fails_when_built(self, kw, error):
         with pytest.raises(error):
             ev.ExperimentConfig(**kw)
