@@ -197,14 +197,10 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
             raise ConfigError(f"latency.topology: file not found: {topology_path}")
         topology = _named("latency.topology", perfmodel.load_topology, topology_path)
         for kd_variant, layers in variants:
-            n_stations = 1 + len(evaluate.DEPLOYED_TIERS[layers])
-            if len(topology.layers) != n_stations:
-                raise ConfigError(
-                    f"latency.topology: {len(topology.layers)} layers, but variant "
-                    f"{_variant_token(kd_variant, layers)} has {n_stations} stations")
+            _named(f"latency.topology: variant {_variant_token(kd_variant, layers)}",
+                   perfmodel.check_topology, topology, 1 + len(evaluate.DEPLOYED_TIERS[layers]))
     horizon_s = cfg["latency"].get("horizon_s", 1.0)
-    if horizon_s <= 0:
-        raise ConfigError("latency.horizon_s: must be > 0")
+    _named("latency.horizon_s", perfmodel.check_horizon, horizon_s)
 
     out_dir = out_override or cfg["run"].get("out") or os.environ.get("FALLCASCADE_OUT", "out")
     experiment = ExperimentConfig(
@@ -212,14 +208,7 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
         vertical_axis=vertical_axis, **tiers, **band)
     return RunConfig(synth=synth, manifest=manifest, experiment=experiment,
                      variants=variants, compare_normalization=compare_norm,
-                     topology=topology, horizon_s=horizon_s,
-                     out_dir=out_dir)
-
-
-def _load_dataset(run_cfg: RunConfig) -> ds.Dataset:
-    if run_cfg.manifest is not None:
-        return ds.load_manifest(run_cfg.manifest)
-    return ds.synth_generate(run_cfg.synth)
+                     topology=topology, horizon_s=horizon_s, out_dir=out_dir)
 
 
 def _f(v) -> str:
@@ -342,7 +331,8 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     run_cfg = parse_config(args.config, seed_override=args.seed, out_override=args.out)
-    data = _load_dataset(run_cfg)
+    data = (ds.synth_generate(run_cfg.synth) if run_cfg.manifest is None
+            else ds.load_manifest(run_cfg.manifest))
     os.makedirs(run_cfg.out_dir, exist_ok=True)
     modes = (evaluate.NORMALIZATIONS if run_cfg.compare_normalization
              else [run_cfg.experiment.normalization])

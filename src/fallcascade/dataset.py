@@ -211,8 +211,11 @@ def write_dataset(dataset: Dataset, out_dir) -> str:
 
 def load_manifest(manifest_path, name: str = "dataset") -> Dataset:
     base = os.path.dirname(os.path.abspath(manifest_path))
-    with open(manifest_path) as f:
-        entries = [line.strip() for line in f if line.strip()]
+    try:
+        with open(manifest_path) as f:
+            entries = [line.strip() for line in f if line.strip()]
+    except (OSError, UnicodeError) as e:
+        raise DatasetError(f"manifest {manifest_path}: {e}") from e
     traces = []
     for entry in entries:
         path = entry if os.path.isabs(entry) else os.path.join(base, entry)

@@ -168,11 +168,10 @@ def distill_train(teacher: TieredModel, student_spec, X, y,
 
 def takd_pipeline(teacher_spec, ta_spec, student_spec, X, y,
                   cfg: KDConfig, train_cfg: TrainConfig,
-                  kd: str = KD_TRIPLE, teacher=None):
+                  kd: str = KD_TRIPLE, fits=None):
     """Staged pipeline: the teacher (CE), then the TA if `ta_spec` is given,
     then the student: the trainer of every variant's tier stack. Each tier
-    gets its own seed, train_cfg.seed plus 0, 1 and 2. A `teacher` this
-    pipeline returned for the same inputs, whatever their `kd`, is reused.
+    gets its own seed, train_cfg.seed plus 0, 1 and 2.
 
     `kd` says what the lower tiers learn from: KD_NONE trains them on the
     hard labels alone; KD_DUAL distills each from the teacher; KD_TRIPLE
@@ -180,6 +179,9 @@ def takd_pipeline(teacher_spec, ta_spec, student_spec, X, y,
     It distills the TA from the teacher, and the student from the TA
     (sequential mode) or from the nested three-model divergence with the
     teacher and TA frozen (composite mode).
+    `fits`, a dict shared by calls over the same X, y, cfg and train_cfg,
+    holds each fit by (tier spec, seed offset, *keys of the fits it learns
+    from); a fit it holds is returned, not retrained.
     X and y may hold a stack of folds, (F, n, in) and (F, n), which train
     in lockstep (see `nn.train`); the results are then stacked.
     Returns the (teacher, TA or None, student) TrainResults.
@@ -193,27 +195,24 @@ def takd_pipeline(teacher_spec, ta_spec, student_spec, X, y,
         if not order[0] > order[1] > order[2]:
             raise ValueError(f"specs must be capacity-ordered teacher > TA > student, got {order}")
     X = np.asarray(X, dtype=np.float64)
-    ta_cfg = dataclasses.replace(train_cfg, seed=train_cfg.seed + 1)
-    student_cfg = dataclasses.replace(train_cfg, seed=train_cfg.seed + 2)
+    fits = {} if fits is None else fits
 
-    def fit(spec, tier_cfg, upstream):
-        if upstream is None:
-            return train(TieredModel.init(spec, seed=tier_cfg.seed), X, y, tier_cfg)
-        return distill_train(upstream, spec, X, y, cfg, tier_cfg)
+    def fit(spec, offset, *upstream):
+        # one upstream fit teaches by dual KD, two by the composite loss
+        key = (spec, offset, *upstream)
+        if key not in fits:
+            tier_cfg = dataclasses.replace(train_cfg, seed=train_cfg.seed + offset)
+            models = [fits[k].model for k in upstream]
+            if len(models) == 1:
+                fits[key] = distill_train(models[0], spec, X, y, cfg, tier_cfg)
+            else:
+                loss = TriLoss(*(forward(m, X) for m in models), cfg) if models else None
+                fits[key] = train(TieredModel.init(spec, seed=tier_cfg.seed), X, y, tier_cfg, loss)
+        return key
 
-    teacher_res = teacher if teacher is not None else fit(teacher_spec, train_cfg, None)
-    teacher = teacher_res.model
-    ta_res = None
-    if ta_spec is not None:
-        ta_res = fit(ta_spec, ta_cfg, None if kd == KD_NONE else teacher)
-    if kd == KD_NONE:
-        student_res = fit(student_spec, student_cfg, None)
-    elif kd == KD_DUAL:
-        student_res = fit(student_spec, student_cfg, teacher)
-    elif cfg.triple_mode == SEQUENTIAL:
-        student_res = fit(student_spec, student_cfg, ta_res.model)
-    else:
-        loss = TriLoss(forward(teacher, X), forward(ta_res.model, X), cfg)
-        student = TieredModel.init(student_spec, seed=student_cfg.seed)
-        student_res = train(student, X, y, student_cfg, loss)
-    return teacher_res, ta_res, student_res
+    teacher = fit(teacher_spec, 0)
+    ta = None if ta_spec is None else fit(ta_spec, 1, *(() if kd == KD_NONE else (teacher,)))
+    student = fit(student_spec, 2, *{
+        KD_NONE: (), KD_DUAL: (teacher,),
+        KD_TRIPLE: (ta,) if cfg.triple_mode == SEQUENTIAL else (teacher, ta)}[kd])
+    return tuple(None if key is None else fits[key] for key in (teacher, ta, student))

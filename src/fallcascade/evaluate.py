@@ -193,7 +193,7 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
     """Full LOSO experiment: per fold, fit the gate and train the tier stack
     on the training subjects, then route the held-out subject's windows.
     Returns cfg's variant's AggregateReport, or the list of those of
-    `variants`, (kd_variant, layers) pairs that share each fold's teacher.
+    `variants`, (kd_variant, layers) pairs that share each distinct fit.
 
     Folds of equal training size train in lockstep, a stack of them per
     `distill.takd_pipeline` call; each fold's models are its solo fits."""
@@ -217,17 +217,16 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
             scaler = fit_scaler(features[train_rows], cfg.normalization)
             X[i], y[i] = scaler(features[train_rows]), labels[train_rows]
             gates.append((thresholds, scaler))
-        teacher = None
+        fits = {}
         for (kd_variant, layers), run in zip(pairs, runs):
             # the TA is trained when it is deployed or when it teaches the student
             trains_ta = kd_variant == KD_TRIPLE or layers == LAYERS_TRIPLE
             try:
                 tiers = distill.takd_pipeline(
                     cfg.teacher, cfg.ta if trains_ta else None, cfg.student,
-                    X, y, cfg.kd, cfg.train, kd=kd_variant, teacher=teacher)
+                    X, y, cfg.kd, cfg.train, kd=kd_variant, fits=fits)
             except nn.NonFiniteLoss as e:
                 raise _fold_error(e, splits[stack[e.fold]][0]) from e
-            teacher = tiers[0]
             for i, k in enumerate(stack):
                 subject, _, test_rows = splits[k]
                 thresholds, scaler = gates[i]

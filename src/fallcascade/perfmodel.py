@@ -16,7 +16,7 @@ class InvalidLayer(Exception):
     pass
 
 
-class TopologyMismatch(Exception):
+class TopologyMismatch(ValueError):
     pass
 
 
@@ -57,6 +57,19 @@ class Topology:
                 if node.parent not in above:
                     raise ValueError(
                         f"node {node.name!r} on layer {n} has no parent in layer {n + 1}")
+
+
+def check_topology(topology: Topology, n_stations: int) -> None:
+    """Raise TopologyMismatch unless the topology has one layer per station."""
+    if len(topology.layers) != n_stations:
+        raise TopologyMismatch(f"topology has {len(topology.layers)} layers, "
+                               f"cascade has {n_stations} stations")
+
+
+def check_horizon(horizon_s: float) -> None:
+    """Raise ValueError unless the routing horizon is > 0 seconds."""
+    if horizon_s <= 0:
+        raise ValueError(f"horizon_s must be > 0, got {horizon_s}")
 
 
 def node_latency(p: NodeParams) -> float:
@@ -104,12 +117,8 @@ def cascade_latency(report: CascadeReport, topology: Topology,
     lam = processed volume / horizon and beta = processed volume, split
     evenly across the layer's nodes; the hop latency is the layer sum.
     """
-    if len(topology.layers) != len(report.station_names):
-        raise TopologyMismatch(
-            f"topology has {len(topology.layers)} layers, "
-            f"cascade has {len(report.station_names)} stations")
-    if horizon_s <= 0:
-        raise ValueError("horizon_s must be positive")
+    check_topology(topology, len(report.station_names))
+    check_horizon(horizon_s)
     volumes = report.processed_samples
     hop_names, hop_ms = [], []
     for n in range(1, len(topology.layers)):

@@ -307,6 +307,29 @@ def test_normalization_rule_has_one_check(tmp_path, capsys):
                      "normalization must be minmax or zscore, got 'zcore'", "normalize", "mode")
 
 
+# a routing report of a dual-layer cascade: the gate and two classifier stations
+DUAL_REPORT = CascadeReport(station_names=["ed_gate", "mec1", "cc"], processed=[8, 5, 2],
+                            decided_fall=[2, 2, 1], decided_adl=[1, 1, 1],
+                            escalated=[5, 2, 0], total=8, window_len=50)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_horizon_rule_has_one_check(tmp_path, capsys, value):
+    sites = [lambda h: perfmodel.cascade_latency(DUAL_REPORT, perfmodel.uniform_topology(3), h)]
+    assert_one_check(tmp_path, capsys, sites, value, f"horizon_s must be > 0, got {value}",
+                     "latency", "horizon_s")
+
+
+def test_topology_rule_has_one_check(tmp_path, capsys):
+    message = "topology has 4 layers, cascade has 3 stations"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        perfmodel.cascade_latency(DUAL_REPORT, perfmodel.uniform_topology(4))
+    topo = tmp_path / "topo.txt"
+    perfmodel.write_topology(perfmodel.uniform_topology(4), topo)
+    err = validate_error(tmp_path, capsys, with_key(TINY_CONFIG, "latency", "topology", topo))
+    assert err == f"config error: latency.topology: variant nokd_dual: {message}\n"
+
+
 def test_readme_config_sample_names_every_key():
     named, section = set(), None
     for line in readme_config_sample().splitlines():
@@ -337,6 +360,26 @@ def test_escalate_config_validates(capsys):
     assert [t.layer_widths for t in (run_cfg.experiment.student, run_cfg.experiment.ta,
                                      run_cfg.experiment.teacher)] == [(54, 8, 2), (54, 16, 2),
                                                                       (54, 32, 2)]
+
+
+def test_readme_escalate_deltas_match_a_run(tmp_path, capsys):
+    # README quotes `compare` on the escalate config's nokd_dual and
+    # dualkd_dual reports at seed 0
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        quoted = re.search(r"\(at seed 0: accuracy unchanged, `mec1_to_cc` (\+[\d.]+)%\)",
+                           " ".join(f.read().split()))
+    assert quoted is not None
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "escalate.ini")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--seed", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["compare", str(out / "report_nokd_dual.txt"),
+                     str(out / "report_dualkd_dual.txt")]) == 0
+    deltas = dict(line.split("=") for line in capsys.readouterr().out.splitlines()[1:])
+    assert deltas["acc_imp"] == "+0.0000%"
+    hop = float(deltas["latency_reduction mec1_to_cc"].rstrip("%"))
+    assert f"{hop:+.1f}" == quoted[1]
 
 
 class TestSynth:
@@ -463,6 +506,16 @@ class TestRun:
             "source = synth", f"source = manifest\nmanifest = {manifest}"))
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: LOSO needs at least 2 subjects, got 1\n"
+
+    def test_unreadable_manifest_is_an_error_line(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_bytes(b"S01_F01.txt\n\xff\n")
+        cfg = write_config(tmp_path, TINY_CONFIG.replace(
+            "source = synth", f"source = manifest\nmanifest = {manifest}"))
+        assert cli.main(["validate", "--config", cfg]) == 0
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {manifest}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("bad", ["no_rate", "missing", "not_utf8"])
     def test_bad_trace_file_is_an_error_line(self, tmp_path, capsys, bad):

@@ -225,6 +225,38 @@ class TestTakdPipeline:
             distill.takd_pipeline(self.SPECS[0], None, self.SPECS[2], X, y,
                                   distill.KDConfig(), cfg)
 
+    def test_equal_tiers_without_kd_are_separate_fits_with_their_seeds(self, separable_xy):
+        X, y = separable_xy
+        cfg = nn.TrainConfig(epochs=3, seed=19)
+        spec = self.SPECS[2]  # the TA takes the student's spec
+        _, ta, student = distill.takd_pipeline(self.SPECS[0], spec, spec, X, y,
+                                               distill.KDConfig(), cfg, kd=distill.KD_NONE)
+        for offset, res in ((1, ta), (2, student)):
+            tier_cfg = nn.TrainConfig(epochs=3, seed=19 + offset)
+            assert same_fit(res, nn.train(nn.TieredModel.init(spec, seed=19 + offset),
+                                          X, y, tier_cfg))
+        assert not same_fit(ta, student)
+
+    @pytest.mark.parametrize("kd, mode", [(distill.KD_NONE, distill.SEQUENTIAL),
+                                          (distill.KD_DUAL, distill.SEQUENTIAL),
+                                          (distill.KD_TRIPLE, distill.SEQUENTIAL),
+                                          (distill.KD_TRIPLE, distill.COMPOSITE_EQ10)])
+    def test_held_fits_are_returned_not_retrained(self, separable_xy, monkeypatch, kd, mode):
+        X, y = separable_xy
+        cfg, kd_cfg = nn.TrainConfig(epochs=2, seed=20), distill.KDConfig(triple_mode=mode)
+        fits = {}
+        first = distill.takd_pipeline(*self.SPECS, X, y, kd_cfg, cfg, kd=kd, fits=fits)
+        held = dict(fits)
+        assert len(held) == 3
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a held fit was trained again")
+
+        monkeypatch.setattr(distill, "train", no_fit)
+        second = distill.takd_pipeline(*self.SPECS, X, y, kd_cfg, cfg, kd=kd, fits=fits)
+        assert all(a is b for a, b in zip(first, second))
+        assert fits == held
+
 
 def same_fit(a: nn.TrainResult, b: nn.TrainResult) -> bool:
     """Weights, biases and epoch losses equal bit for bit."""

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -303,7 +304,9 @@ class TestSharedPass:
         assert agg == listed
 
     def test_windows_features_and_teacher_once(self, data, monkeypatch):
-        calls = {"windows": 0, "feature_tables": 0, "teacher_fits": 0}
+        # and every other distinct fit once: the six variants deploy 11 tiers
+        # per fold, and 6 of them are distinct fits
+        calls, fits = Counter(), Counter()
         extract_window, feature_matrix, train = ev.extract_window, ev.feature_matrix, distill.train
 
         def count_window(*args, **kwargs):
@@ -316,16 +319,22 @@ class TestSharedPass:
 
         def count_fit(model, X, *args, **kwargs):
             # a stack of folds is one call with one fit per fold
-            folds = len(X) if np.ndim(X) == 3 else 1
-            calls["teacher_fits"] += (model.spec.tier == nn.TEACHER) * folds
+            fits[model.spec.tier] += len(X) if np.ndim(X) == 3 else 1
             return train(model, X, *args, **kwargs)
 
         monkeypatch.setattr(ev, "extract_window", count_window)
         monkeypatch.setattr(ev, "feature_matrix", count_table)
         monkeypatch.setattr(distill, "train", count_fit)
-        ev.loso_evaluate(data, self.config(distill.SEQUENTIAL), variants=self.VARIANTS)
-        assert calls == {"windows": len(data), "feature_tables": 1,
-                         "teacher_fits": len(data.subjects)}
+        folds = len(data.subjects)
+        for mode in (distill.SEQUENTIAL, distill.COMPOSITE_EQ10):
+            calls.clear()
+            fits.clear()
+            ev.loso_evaluate(data, self.config(mode), variants=self.VARIANTS)
+            assert calls == {"windows": len(data), "feature_tables": 1}
+            # the teacher; the TA on the labels and from the teacher; the
+            # student on the labels, from the teacher and from the TA (or from
+            # teacher and TA, in composite mode)
+            assert fits == {nn.TEACHER: folds, nn.TA: 2 * folds, nn.STUDENT: 3 * folds}
 
 
 class TestLockstepFolds:
