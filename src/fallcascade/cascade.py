@@ -3,7 +3,7 @@ stations that either decide or forward uncertain windows upward."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class ConfusionMatrix:
 class RoutedDecision:
     final: str  # FALL or ADL
     decided_at: int
-    per_station_prob: list = field(default_factory=list)
 
 
 @dataclass
@@ -156,20 +155,18 @@ def run_sample(cascade: Cascade, window: Window) -> RoutedDecision:
     v, w = window_peaks(window)
     gate = classify_tc(v, w, cascade.thresholds)
     if gate is not TriDecision.UNCERTAIN:
-        return RoutedDecision(gate.value, 0, [])
+        return RoutedDecision(gate.value, 0)
     x = cascade.featurize(window)
-    probs = []
     top = len(cascade.stations) - 1
     for i, station in enumerate(cascade.stations[1:], start=1):
         logits = forward(station.model, x)
         p_fall = float(softmax_t(logits, cascade.inference_temperature)[FALL_CLASS])
-        probs.append(p_fall)
         if i == top:
             final = FALL if int(np.argmax(logits)) == FALL_CLASS else ADL
-            return RoutedDecision(final, i, probs)
+            return RoutedDecision(final, i)
         verdict = judge_tq(p_fall, cascade.tq_max, cascade.tq_min)
         if verdict is not TriDecision.UNCERTAIN:
-            return RoutedDecision(verdict.value, i, probs)
+            return RoutedDecision(verdict.value, i)
 
 
 def run_dataset(cascade: Cascade, windows) -> CascadeReport:

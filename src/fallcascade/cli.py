@@ -144,15 +144,13 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
         if seed_override is not None:
             dataset["seed"] = seed_override
         synth = _named("dataset", ds.SynthSpec, **dataset)
-        if synth.n_subjects < 2:
-            raise ConfigError(f"dataset.n_subjects: LOSO needs at least 2 subjects, "
-                              f"got {synth.n_subjects}")
+        _named("dataset.n_subjects", ds.check_subjects, synth.n_subjects)
     else:
         raise ConfigError(f"dataset.source: must be synth or manifest, got {source!r}")
 
-    vertical_axis = cfg["window"].pop("vertical_axis", ExperimentConfig.vertical_axis)
+    _named("window.vertical_axis", check_axis,
+           cfg["window"].get("vertical_axis", WindowSpec.vertical_axis))
     window = _named("window", WindowSpec, **cfg["window"])
-    _named("window.vertical_axis", check_axis, vertical_axis)
 
     normalization = cfg["normalize"].get("mode", ExperimentConfig.normalization)
     _named("normalize.mode", evaluate.check_normalization, normalization)
@@ -203,9 +201,8 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
     _named("latency.horizon_s", perfmodel.check_horizon, horizon_s)
 
     out_dir = out_override or cfg["run"].get("out") or os.environ.get("FALLCASCADE_OUT", "out")
-    experiment = ExperimentConfig(
-        window=window, normalization=normalization, train=train, kd=kd,
-        vertical_axis=vertical_axis, **tiers, **band)
+    experiment = ExperimentConfig(window=window, normalization=normalization,
+                                  train=train, kd=kd, **tiers, **band)
     return RunConfig(synth=synth, manifest=manifest, experiment=experiment,
                      variants=variants, compare_normalization=compare_norm,
                      topology=topology, horizon_s=horizon_s, out_dir=out_dir)

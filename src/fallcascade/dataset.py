@@ -303,13 +303,18 @@ def synth_generate(spec: SynthSpec) -> Dataset:
     return Dataset(name=f"synth-seed{spec.seed}", traces=tuple(traces))
 
 
+def check_subjects(n_subjects: int) -> None:
+    """Raise TooFewSubjects unless there are the 2 subjects a LOSO split needs."""
+    if n_subjects < 2:
+        raise TooFewSubjects(f"LOSO needs at least 2 subjects, got {n_subjects}")
+
+
 def loso_folds(subject_ids) -> list:
     """Leave-one-subject-out folds over rows tagged with their subject ids:
     (subject, train_rows, test_rows) per subject, in sorted-subject order."""
     subject_ids = list(subject_ids)
     subjects = sorted(set(subject_ids))
-    if len(subjects) < 2:
-        raise TooFewSubjects(f"LOSO needs at least 2 subjects, got {len(subjects)}")
+    check_subjects(len(subjects))
     return [(subject, [i for i, s in enumerate(subject_ids) if s != subject],
              [i for i, s in enumerate(subject_ids) if s == subject])
             for subject in subjects]

@@ -31,9 +31,9 @@ class EdgeThresholds:
 
 
 def window_peaks(window: Window):
-    """(max norm_xyz, max norm_hori) of the window."""
+    """(max norm_xyz, max norm_hori about its vertical axis) of the window."""
     return (float(norm_xyz(window.samples).max()),
-            float(norm_hori(window.samples).max()))
+            float(norm_hori(window.samples, window.vertical_axis).max()))
 
 
 def fit_thresholds(train_windows) -> EdgeThresholds:

@@ -14,8 +14,7 @@ from .dataset import Dataset, loso_folds
 from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KDConfig
 from .edge_threshold import MissingClass, fit_thresholds
 from .nn import TrainConfig, check_temperature, default_tier_spec
-from .preprocess import (WindowSpec, check_axis, extract_features, extract_window,
-                         feature_matrix)
+from .preprocess import WindowSpec, extract_features, extract_window, feature_matrix
 
 F1_STANDARD = "standard"
 F1_PAPER = "paper"
@@ -111,7 +110,6 @@ class ExperimentConfig:
     tq_max: float = 0.8
     tq_min: float = 0.2
     inference_temperature: float = 1.0
-    vertical_axis: str = "x"
 
     def __post_init__(self):
         if self.kd_variant not in (KD_NONE, KD_DUAL, KD_TRIPLE):
@@ -119,7 +117,6 @@ class ExperimentConfig:
         if self.layers not in (LAYERS_DUAL, LAYERS_TRIPLE):
             raise ValueError(f"unknown layers {self.layers!r}")
         check_normalization(self.normalization)
-        check_axis(self.vertical_axis)
         check_band(self.tq_max, self.tq_min)
         check_temperature(self.inference_temperature)
         for name, tier in TIER_FIELDS.items():
@@ -200,7 +197,7 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
     splits = loso_folds(t.subject_id for t in dataset.traces)
     pairs = [(cfg.kd_variant, cfg.layers)] if variants is None else list(variants)
     windows = [extract_window(t, cfg.window) for t in dataset.traces]
-    features, labels = feature_matrix(windows, cfg.vertical_axis)
+    features, labels = feature_matrix(windows)
     # each variant's (fold result, loss curve per tier), by fold
     runs = [[None] * len(splits) for _ in pairs]
     for stack in _stacks(splits, cfg.teacher):
@@ -236,7 +233,7 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
                 cascade = build_cascade(
                     deployed, thresholds, tq_max=cfg.tq_max, tq_min=cfg.tq_min,
                     inference_temperature=cfg.inference_temperature,
-                    featurize=lambda w, s=scaler: s(extract_features(w, cfg.vertical_axis)))
+                    featurize=lambda w, s=scaler: s(extract_features(w)))
                 report = run_dataset(cascade, [windows[r] for r in test_rows])
                 run[k] = (FoldResult(subject, report.cm, metrics(report.cm), report),
                           {name: res.epoch_losses for name, res in results.items()})

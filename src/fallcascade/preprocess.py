@@ -2,7 +2,7 @@
 
 Channels are the three raw axes plus three derived norms:
 ax, ay, az, a_norm = |(ax,ay,az)|, a_verti = |(ax,ay)|, a_hori = |(ay,az)|.
-The device x axis is taken as vertical by default (configurable).
+The device x axis is taken as vertical by default (WindowSpec.vertical_axis).
 """
 from __future__ import annotations
 
@@ -28,14 +28,17 @@ FEATURE_NAMES = tuple(
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Sub-window durations after (ws_f_s) and before (ws_b_s) the impact."""
+    """Sub-window durations after (ws_f_s) and before (ws_b_s) the impact,
+    and the vertical axis that every window it cuts carries."""
 
     ws_f_s: float = 1.0
     ws_b_s: float = 0.8
+    vertical_axis: str = "x"
 
     def __post_init__(self):
         if self.ws_f_s <= 0 or self.ws_b_s <= 0:
             raise ValueError("sub-window durations must be positive")
+        check_axis(self.vertical_axis)
 
     def length(self, rate_hz: int) -> int:
         return int(round(self.ws_b_s * rate_hz)) + 1 + int(round(self.ws_f_s * rate_hz))
@@ -51,11 +54,13 @@ class Window:
     subject_id: str
     trial_id: str
     sample_rate_hz: int
+    vertical_axis: str = "x"  # picks the planes the gate and the features read
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+        check_axis(self.vertical_axis)
 
 
 # (vertical-plane, horizontal-plane) axis pairs for each vertical axis
@@ -77,10 +82,10 @@ def _plane_norm(s, axes):
     return np.sqrt(a * a + b * b)
 
 
-def norm_hori(s):
-    """Horizontal-plane norm sqrt(ay^2 + az^2) of each sample in a (..., 3)
-    array; one sample gives a scalar."""
-    return _plane_norm(np.asarray(s, dtype=np.float64), (1, 2))
+def norm_hori(s, vertical_axis: str = "x"):
+    """Horizontal-plane norm, over PLANE_AXES[vertical_axis] (sqrt(ay^2 + az^2)
+    under x), of each sample in a (..., 3) array; one sample gives a scalar."""
+    return _plane_norm(np.asarray(s, dtype=np.float64), PLANE_AXES[vertical_axis][1])
 
 
 def find_impact(trace_or_samples) -> int:
@@ -95,16 +100,15 @@ def extract_window(trace: Trace, spec: WindowSpec) -> Window:
     positions that fall outside the trace."""
     rate = trace.sample_rate_hz
     wb = int(round(spec.ws_b_s * rate))
-    wf = int(round(spec.ws_f_s * rate))
-    impact = find_impact(trace)
-    length = wb + 1 + wf
+    length = spec.length(rate)
     out = np.zeros((length, 3))
-    lo = impact - wb
-    hi = impact + wf + 1
+    lo = find_impact(trace) - wb
+    hi = lo + length
     src_lo = max(lo, 0)
     src_hi = min(hi, len(trace.samples))
     out[src_lo - lo: src_hi - lo] = trace.samples[src_lo:src_hi]
-    return Window(out, wb, trace.label, trace.subject_id, trace.trial_id, rate)
+    return Window(out, wb, trace.label, trace.subject_id, trace.trial_id, rate,
+                  spec.vertical_axis)
 
 
 def check_axis(vertical_axis: str) -> None:
@@ -122,7 +126,7 @@ def channel_matrix(samples: np.ndarray, vertical_axis: str = "x") -> np.ndarray:
                             _plane_norm(samples, verti), _plane_norm(samples, hori)])
 
 
-def extract_features(window: Window, vertical_axis: str = "x") -> np.ndarray:
+def extract_features(window: Window) -> np.ndarray:
     """54 time-domain statistics over the raw (unnormalized) window.
 
     Ordering: 8 stats x 6 channels (mean, SD, variance, max, min, range,
@@ -130,7 +134,7 @@ def extract_features(window: Window, vertical_axis: str = "x") -> np.ndarray:
     pairs (x,y), (x,z), (y,z) and the norm pairs (norm,verti), (norm,hori),
     (verti,hori). Zero-variance channels yield 0 for the shape statistics.
     """
-    ch = channel_matrix(window.samples, vertical_axis)
+    ch = channel_matrix(window.samples, window.vertical_axis)
     f = np.empty(N_FEATURES)
     f[0:6] = ch.mean(axis=0)
     f[6:12] = ch.std(axis=0)
@@ -160,8 +164,8 @@ def extract_features(window: Window, vertical_axis: str = "x") -> np.ndarray:
     return f
 
 
-def feature_matrix(windows, vertical_axis: str = "x"):
+def feature_matrix(windows):
     """(X, y) with X shape (n, 54) and y in {0 = ADL, 1 = Fall}."""
-    X = np.stack([extract_features(w, vertical_axis) for w in windows])
+    X = np.stack([extract_features(w) for w in windows])
     y = np.array([1 if w.label == "FALL" else 0 for w in windows], dtype=np.int64)
     return X, y

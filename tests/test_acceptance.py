@@ -133,6 +133,21 @@ def test_criterion_5_threshold_gate_soundness():
                 assert verdict.value == window.label
 
 
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_criterion_5_threshold_gate_soundness_every_axis(axis):
+    for seed in range(5):
+        data = synth_generate(SynthSpec(
+            n_subjects=4, falls_per_subject=6, adls_per_subject=6,
+            fall_peak_range=(1.8, 4.5), adl_peak_range=(0.8, 2.5),
+            trace_duration_s=2.0, seed=seed))
+        windows = [extract_window(t, WindowSpec(0.6, 0.5, axis)) for t in data.traces]
+        thresholds = fit_thresholds(windows)
+        for window in windows:
+            verdict = classify_tc(*window_peaks(window), thresholds)
+            if verdict is not TriDecision.UNCERTAIN:
+                assert verdict.value == window.label
+
+
 # criterion 6 experiment scale: kept small enough to stay well under the
 # ten-minute budget while leaving a genuine teacher/student capacity gap
 KD_SEEDS = 10

@@ -59,7 +59,6 @@ class TestRunSample:
         decision = cs.run_sample(casc, window)
         assert decision.final == FALL
         assert decision.decided_at == 0
-        assert decision.per_station_prob == []
 
     def test_all_uncertain_top_decides_by_argmax(self):
         # lower station emits p_fall = 0.5 (uncertain); top argmax picks ADL
@@ -68,7 +67,6 @@ class TestRunSample:
         decision = cs.run_sample(casc, window)
         assert decision.decided_at == 2
         assert decision.final == ADL
-        assert len(decision.per_station_prob) == 2
 
     def test_empty_band_decides_at_first_classifier(self):
         eps = 1e-9

@@ -295,7 +295,8 @@ def test_temperature_rule_has_one_check(tmp_path, capsys, value, section, key, n
 
 def test_axis_rule_has_one_check(tmp_path, capsys):
     sites = [lambda a: pp.channel_matrix(np.zeros((4, 3)), a),
-             lambda a: ev.ExperimentConfig(vertical_axis=a)]
+             lambda a: pp.WindowSpec(vertical_axis=a),
+             lambda a: pp.Window(np.zeros((4, 3)), 0, "ADL", "S1", "T1", 50, a)]
     assert_one_check(tmp_path, capsys, sites, "w", "vertical_axis must be x, y or z, got 'w'",
                      "window", "vertical_axis")
 

@@ -3,7 +3,8 @@ import pytest
 
 from fallcascade import edge_threshold as et
 from fallcascade.dataset import FALL
-from fallcascade.preprocess import Window
+from fallcascade.preprocess import (FEATURE_NAMES, Window, WindowSpec, extract_features,
+                                    extract_window)
 
 # overlapping training classes put the absolute-fall bound above the
 # absolute-ADL bound, leaving (1.5, 3.0) as the uncertain band
@@ -47,6 +48,16 @@ class TestFitThresholds:
         assert th.t_fall_hori == max(w for (_, w), l in peaks if l != FALL)
         assert th.t_adl_xyz == min(v for (v, _), l in peaks if l == FALL)
         assert th.t_adl_hori == min(w for (_, w), l in peaks if l == FALL)
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_gate_peaks_are_the_feature_maxima(small_dataset, axis):
+    # the gate and the classifiers read the same planes of the window
+    columns = [FEATURE_NAMES.index("max_a_norm"), FEATURE_NAMES.index("max_a_hori")]
+    for trace in small_dataset.traces:
+        window = extract_window(trace, WindowSpec(0.6, 0.5, axis))
+        assert window.vertical_axis == axis
+        assert list(et.window_peaks(window)) == extract_features(window)[columns].tolist()
 
 
 class TestClassifyTc:

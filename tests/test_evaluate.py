@@ -123,9 +123,8 @@ class TestExperimentConfig:
         (dict(inference_temperature=0.0), ValueError),
         (dict(inference_temperature=-1.0), nn.NonPositiveTemperature),
         (dict(normalization="zcore"), ValueError),
-        (dict(vertical_axis="w"), ValueError),
     ], ids=["inverted_band", "empty_band", "temperature", "negative_temperature",
-            "normalization", "axis"])
+            "normalization"])
     def test_bad_value_fails_when_built(self, kw, error):
         with pytest.raises(error):
             ev.ExperimentConfig(**kw)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +52,14 @@ class TestFindImpact:
             norms = [pp.norm_xyz(s) for s in samples]
             oracle = int(np.argmax(norms))
             assert pp.find_impact(samples) == oracle
+
+
+class TestWindowSpec:
+    @pytest.mark.parametrize("kw", [dict(vertical_axis="w"), dict(ws_f_s=0.0)],
+                             ids=["axis", "duration"])
+    def test_bad_value_fails_when_built(self, kw):
+        with pytest.raises(ValueError):
+            pp.WindowSpec(**kw)
 
 
 class TestExtractWindow:
@@ -120,9 +130,9 @@ class TestNormalization:
         assert abs(out.std() - 1.0) < 1e-9
 
 
-def _oracle_features(window, vertical_axis="x"):
+def _oracle_features(window):
     """Independent re-implementation from textbook formulas (scipy moments)."""
-    ch = pp.channel_matrix(window.samples, vertical_axis)
+    ch = pp.channel_matrix(window.samples, window.vertical_axis)
     out = []
     out.extend(np.mean(ch, axis=0))
     out.extend(np.std(ch, axis=0))
@@ -174,7 +184,7 @@ class TestFeatures:
         # rounding residue, which must not pass for spread
         samples = np.zeros((50, 3))
         samples[:, 1] = 0.1
-        f = pp.extract_features(pp.Window(samples, 0, "ADL", "S1", "T1", 50), axis)
+        f = pp.extract_features(pp.Window(samples, 0, "ADL", "S1", "T1", 50, axis))
         assert np.all(f[36:48] == 0.0)  # kurtosis and skewness of every channel
         assert np.all(f[48:54] == 0.0)  # every correlation has a constant channel
 
@@ -199,9 +209,9 @@ class TestFeatures:
     def test_vertical_axis_configurable(self, axis):
         rng = np.random.default_rng(9)
         samples = rng.normal(size=(32, 3))
-        window = pp.Window(samples, 0, "FALL", "S1", "T1", 50)
-        f = pp.extract_features(window, vertical_axis=axis)
-        np.testing.assert_allclose(f, _oracle_features(window, axis), rtol=1e-9)
+        window = pp.Window(samples, 0, "FALL", "S1", "T1", 50, axis)
+        f = pp.extract_features(window)
+        np.testing.assert_allclose(f, _oracle_features(window), rtol=1e-9)
 
 
 class TestChannelMatrix:
@@ -255,8 +265,9 @@ class TestFeatureProperties:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(window=feature_windows())
     def test_matches_scipy_oracle(self, axis, window):
-        f = pp.extract_features(window, axis)
-        np.testing.assert_allclose(f, _oracle_features(window, axis),
+        window = dataclasses.replace(window, vertical_axis=axis)
+        f = pp.extract_features(window)
+        np.testing.assert_allclose(f, _oracle_features(window),
                                    rtol=1e-9, atol=1e-12)
         constant = np.ptp(pp.channel_matrix(window.samples, axis), axis=0) == 0
         assert np.all(f[36:42][constant] == 0.0)  # kurtosis
