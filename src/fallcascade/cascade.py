@@ -2,6 +2,8 @@
 stations that either decide or forward uncertain windows upward."""
 from __future__ import annotations
 
+import itertools
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -107,22 +109,36 @@ class RoutedDecision:
 
 @dataclass
 class CascadeReport:
+    """Where the routed windows exited and with what outcome. Only the
+    decided counts are stored; the volumes follow from them, since each
+    station above the gate receives the windows the one below did not decide."""
+
     station_names: list
-    processed: list       # windows entering each station
     decided_fall: list
     decided_adl: list
-    escalated: list
-    total: int
     window_len: int
     cm: ConfusionMatrix = ConfusionMatrix()
 
     @property
-    def processed_samples(self) -> list:
-        return [c * self.window_len for c in self.processed]
-
-    @property
     def decided(self) -> list:
         return [f + a for f, a in zip(self.decided_fall, self.decided_adl)]
+
+    @property
+    def total(self) -> int:
+        return sum(self.decided)
+
+    @property
+    def processed(self) -> list:
+        """Windows entering each station."""
+        return list(itertools.accumulate(self.decided[:-1], operator.sub, initial=self.total))
+
+    @property
+    def escalated(self) -> list:
+        return [p - d for p, d in zip(self.processed, self.decided)]
+
+    @property
+    def processed_samples(self) -> list:
+        return [c * self.window_len for c in self.processed]
 
     def station_rows(self) -> list:
         """(name, *counts) of each station, bottom-up, with the counts in
@@ -138,16 +154,10 @@ class CascadeReport:
         def add(a, b):
             return [x + y for x, y in zip(a, b)]
 
-        return CascadeReport(
-            station_names=list(self.station_names),
-            processed=add(self.processed, other.processed),
-            decided_fall=add(self.decided_fall, other.decided_fall),
-            decided_adl=add(self.decided_adl, other.decided_adl),
-            escalated=add(self.escalated, other.escalated),
-            total=self.total + other.total,
-            window_len=self.window_len,
-            cm=self.cm + other.cm,
-        )
+        return CascadeReport(list(self.station_names),
+                             add(self.decided_fall, other.decided_fall),
+                             add(self.decided_adl, other.decided_adl),
+                             self.window_len, self.cm + other.cm)
 
 
 def run_sample(cascade: Cascade, window: Window) -> RoutedDecision:
@@ -160,18 +170,17 @@ def run_sample(cascade: Cascade, window: Window) -> RoutedDecision:
     top = len(cascade.stations) - 1
     for i, station in enumerate(cascade.stations[1:], start=1):
         logits = forward(station.model, x)
-        p_fall = float(softmax_t(logits, cascade.inference_temperature)[FALL_CLASS])
         if i == top:
             final = FALL if int(np.argmax(logits)) == FALL_CLASS else ADL
             return RoutedDecision(final, i)
+        p_fall = float(softmax_t(logits, cascade.inference_temperature)[FALL_CLASS])
         verdict = judge_tq(p_fall, cascade.tq_max, cascade.tq_min)
         if verdict is not TriDecision.UNCERTAIN:
             return RoutedDecision(verdict.value, i)
 
 
 def run_dataset(cascade: Cascade, windows) -> CascadeReport:
-    """Route each window and count where it exits and with what outcome; each
-    station above the gate receives the windows the one below did not decide."""
+    """Route each window and count where it exits and with what outcome."""
     windows = list(windows)
     if not windows:
         raise ValueError("no windows to route")
@@ -183,20 +192,8 @@ def run_dataset(cascade: Cascade, windows) -> CascadeReport:
         decided[decision.final][decision.decided_at] += 1
         outcomes[2 * (decision.final == FALL) + (window.label == FALL)] += 1
     tn, fn, fp, tp = outcomes
-    exits = [f + a for f, a in zip(decided[FALL], decided[ADL])]
-    processed = [len(windows)]
-    for e in exits[:-1]:
-        processed.append(processed[-1] - e)
-    return CascadeReport(
-        station_names=[s.name for s in cascade.stations],
-        processed=processed,
-        decided_fall=decided[FALL],
-        decided_adl=decided[ADL],
-        escalated=[p - e for p, e in zip(processed, exits)],
-        total=len(windows),
-        window_len=len(windows[0].samples),
-        cm=ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn),
-    )
+    return CascadeReport([s.name for s in cascade.stations], decided[FALL], decided[ADL],
+                         len(windows[0].samples), ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn))
 
 
 def build_cascade(models, thresholds: EdgeThresholds, tq_max: float = 0.8,

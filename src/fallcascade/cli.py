@@ -24,10 +24,6 @@ from .preprocess import N_FEATURES, WindowSpec, check_axis
 
 SCHEMA_VERSION = "1"
 
-VARIANT_KD = {"nokd": evaluate.KD_NONE, "dualkd": evaluate.KD_DUAL,
-              "triplekd": evaluate.KD_TRIPLE}
-VARIANT_LAYERS = {"dual": evaluate.LAYERS_DUAL, "triple": evaluate.LAYERS_TRIPLE}
-
 
 class ConfigError(Exception):
     pass
@@ -180,11 +176,11 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
     variants = []
     for token in [t.strip() for t in raw_variants.split(",") if t.strip()]:
         kd_name, _, layer_name = token.partition(":")
-        if kd_name not in VARIANT_KD or layer_name not in VARIANT_LAYERS:
+        if kd_name not in evaluate.KD_VARIANTS or layer_name not in evaluate.DEPLOYED_TIERS:
             raise ConfigError(
-                f"run.variants: bad token {token!r}; expected kd:layers with "
-                f"kd in {sorted(VARIANT_KD)} and layers in {sorted(VARIANT_LAYERS)}")
-        variants.append((VARIANT_KD[kd_name], VARIANT_LAYERS[layer_name]))
+                f"run.variants: bad token {token!r}; expected kd:layers with kd in "
+                f"{sorted(evaluate.KD_VARIANTS)} and layers in {sorted(evaluate.DEPLOYED_TIERS)}")
+        variants.append((kd_name, layer_name))
     if not variants:
         raise ConfigError("run.variants: at least one variant is required")
 
@@ -222,9 +218,7 @@ def _percent(delta) -> str:
 
 
 def _variant_token(kd_variant, layers) -> str:
-    inv_kd = {v: k for k, v in VARIANT_KD.items()}
-    inv_layers = {v: k for k, v in VARIANT_LAYERS.items()}
-    return f"{inv_kd[kd_variant]}_{inv_layers[layers]}"
+    return f"{kd_variant}_{layers}"
 
 
 def write_report(path, variant_token, dataset_name, normalization,
@@ -234,7 +228,7 @@ def write_report(path, variant_token, dataset_name, normalization,
     lines.append(f"variant={variant_token}")
     lines.append(f"dataset={dataset_name}")
     lines.append(f"normalization={normalization}")
-    cm = agg.pooled_cm
+    cm = agg.pooled_report.cm
     lines.append("[pooled_confusion]")
     lines.append(f"tp={cm.tp}")
     lines.append(f"tn={cm.tn}")
@@ -248,11 +242,12 @@ def write_report(path, variant_token, dataset_name, normalization,
         lines.append(f"{name}={_f(getattr(agg.mean_metrics, name))}")
     for fold in agg.folds:
         lines.append(f"[fold {fold.subject}]")
-        lines.append(f"tp={fold.cm.tp}")
-        lines.append(f"tn={fold.cm.tn}")
-        lines.append(f"fp={fold.cm.fp}")
-        lines.append(f"fn={fold.cm.fn}")
-        lines.append(f"acc={_f(fold.metrics.acc)}")
+        cm = fold.report.cm
+        lines.append(f"tp={cm.tp}")
+        lines.append(f"tn={cm.tn}")
+        lines.append(f"fp={cm.fp}")
+        lines.append(f"fn={cm.fn}")
+        lines.append(f"acc={_f(evaluate.metrics(cm).acc)}")
     lines.append("[layers]")
     for name, *counts in agg.pooled_report.station_rows():
         lines.append(" ".join([name] + [f"{column}={n}" for column, n

@@ -23,10 +23,11 @@ COMPOSITE_EQ10 = "composite_eq10"
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
 
-# what the tiers below the teacher learn from
-KD_NONE = "none"
-KD_DUAL = "dual"
-KD_TRIPLE = "triple"
+# what the tiers below the teacher learn from, each named by its variant token
+KD_NONE = "nokd"
+KD_DUAL = "dualkd"
+KD_TRIPLE = "triplekd"
+KD_VARIANTS = (KD_NONE, KD_DUAL, KD_TRIPLE)
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def takd_pipeline(teacher_spec, ta_spec, student_spec, X, y,
     in lockstep (see `nn.train`); the results are then stacked.
     Returns the (teacher, TA or None, student) TrainResults.
     """
-    if kd not in (KD_NONE, KD_DUAL, KD_TRIPLE):
+    if kd not in KD_VARIANTS:
         raise ValueError(f"unknown kd {kd!r}")
     if kd == KD_TRIPLE:
         if ta_spec is None:

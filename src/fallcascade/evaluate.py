@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import distill, nn
 from .cascade import CascadeReport, ConfusionMatrix, build_cascade, check_band, run_dataset
 from .dataset import Dataset, loso_folds
-from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KDConfig
+from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KD_VARIANTS, KDConfig
 from .edge_threshold import MissingClass, fit_thresholds
 from .nn import TrainConfig, check_temperature, default_tier_spec
 from .preprocess import WindowSpec, extract_features, extract_window, feature_matrix
@@ -44,7 +44,6 @@ class Metrics:
     pre: float | None
     rec: float | None
     f1: float | None
-    f1_mode: str = F1_STANDARD
 
 
 def metrics(cm: ConfusionMatrix, f1_mode: str = F1_STANDARD) -> Metrics:
@@ -62,7 +61,7 @@ def metrics(cm: ConfusionMatrix, f1_mode: str = F1_STANDARD) -> Metrics:
     else:
         ratio = pre * rec / (pre + rec)
         f1 = 2.0 * ratio if f1_mode == F1_STANDARD else ratio
-    return Metrics(acc=acc, pre=pre, rec=rec, f1=f1, f1_mode=f1_mode)
+    return Metrics(acc=acc, pre=pre, rec=rec, f1=f1)
 
 
 def percent_change(new: float | None, base: float | None) -> float | None:
@@ -112,9 +111,9 @@ class ExperimentConfig:
     inference_temperature: float = 1.0
 
     def __post_init__(self):
-        if self.kd_variant not in (KD_NONE, KD_DUAL, KD_TRIPLE):
+        if self.kd_variant not in KD_VARIANTS:
             raise ValueError(f"unknown kd_variant {self.kd_variant!r}")
-        if self.layers not in (LAYERS_DUAL, LAYERS_TRIPLE):
+        if self.layers not in DEPLOYED_TIERS:
             raise ValueError(f"unknown layers {self.layers!r}")
         check_normalization(self.normalization)
         check_band(self.tq_max, self.tq_min)
@@ -127,34 +126,35 @@ class ExperimentConfig:
 @dataclass
 class FoldResult:
     subject: str
-    cm: ConfusionMatrix
-    metrics: Metrics
     report: CascadeReport
+    loss_curves: dict  # tier name -> its loss per epoch
 
 
 @dataclass
 class AggregateReport:
     folds: list
-    pooled_cm: ConfusionMatrix
     pooled_metrics: Metrics
     mean_metrics: Metrics
     pooled_report: CascadeReport
-    loss_curves: dict = field(default_factory=dict)
+    loss_curves: dict  # tier name -> its loss per epoch, averaged over the folds
 
     @classmethod
-    def pool(cls, folds, curves) -> "AggregateReport":
-        pooled_cm = functools.reduce(operator.add, (fold.cm for fold in folds))
+    def pool(cls, folds) -> "AggregateReport":
+        pooled = functools.reduce(operator.add, (fold.report for fold in folds))
+        per_fold = [metrics(fold.report.cm) for fold in folds]
         mean = {}
         for name in ("acc", "pre", "rec", "f1"):
-            vals = [getattr(f.metrics, name) for f in folds
-                    if getattr(f.metrics, name) is not None]
+            vals = [getattr(m, name) for m in per_fold if getattr(m, name) is not None]
             mean[name] = float(np.mean(vals)) if vals else None
+        curves = {}
+        for fold in folds:
+            for name, curve in fold.loss_curves.items():
+                curves.setdefault(name, []).append(curve)
         return cls(
             folds=folds,
-            pooled_cm=pooled_cm,
-            pooled_metrics=metrics(pooled_cm),
+            pooled_metrics=metrics(pooled.cm),
             mean_metrics=Metrics(**mean),
-            pooled_report=functools.reduce(operator.add, (fold.report for fold in folds)),
+            pooled_report=pooled,
             loss_curves={name: np.mean(np.array(c), axis=0).tolist()
                          for name, c in curves.items()},
         )
@@ -198,7 +198,7 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
     pairs = [(cfg.kd_variant, cfg.layers)] if variants is None else list(variants)
     windows = [extract_window(t, cfg.window) for t in dataset.traces]
     features, labels = feature_matrix(windows)
-    # each variant's (fold result, loss curve per tier), by fold
+    # each variant's fold results, by fold
     runs = [[None] * len(splits) for _ in pairs]
     for stack in _stacks(splits, cfg.teacher):
         n_rows = len(splits[stack[0]][1])
@@ -235,13 +235,7 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
                     inference_temperature=cfg.inference_temperature,
                     featurize=lambda w, s=scaler: s(extract_features(w)))
                 report = run_dataset(cascade, [windows[r] for r in test_rows])
-                run[k] = (FoldResult(subject, report.cm, metrics(report.cm), report),
-                          {name: res.epoch_losses for name, res in results.items()})
-    aggs = []
-    for run in runs:
-        curves = {}
-        for _, fold_curves in run:
-            for name, curve in fold_curves.items():
-                curves.setdefault(name, []).append(curve)
-        aggs.append(AggregateReport.pool([fold for fold, _ in run], curves))
+                run[k] = FoldResult(subject, report,
+                                    {name: res.epoch_losses for name, res in results.items()})
+    aggs = [AggregateReport.pool(run) for run in runs]
     return aggs[0] if variants is None else aggs

@@ -51,9 +51,6 @@ class Window:
     samples: np.ndarray  # (length, 3)
     impact_index: int
     label: str
-    subject_id: str
-    trial_id: str
-    sample_rate_hz: int
     vertical_axis: str = "x"  # picks the planes the gate and the features read
 
     def __post_init__(self):
@@ -107,8 +104,7 @@ def extract_window(trace: Trace, spec: WindowSpec) -> Window:
     src_lo = max(lo, 0)
     src_hi = min(hi, len(trace.samples))
     out[src_lo - lo: src_hi - lo] = trace.samples[src_lo:src_hi]
-    return Window(out, wb, trace.label, trace.subject_id, trace.trial_id, rate,
-                  spec.vertical_axis)
+    return Window(out, wb, trace.label, spec.vertical_axis)
 
 
 def check_axis(vertical_axis: str) -> None:

@@ -14,7 +14,7 @@ import pytest
 from fallcascade import cascade as cs
 from fallcascade import cli, distill, evaluate as ev, nn, perfmodel as pm
 from fallcascade.dataset import ADL, FALL, SynthSpec, synth_generate
-from fallcascade.edge_threshold import (TriDecision, classify_tc,
+from fallcascade.edge_threshold import (EdgeThresholds, TriDecision, classify_tc,
                                         fit_thresholds, window_peaks)
 from fallcascade.preprocess import Window, WindowSpec, extract_window
 from gradcheck import max_rel_error
@@ -91,7 +91,7 @@ def _synthetic_windows(n, seed):
             peak, label = rng.uniform(1.2, 2.8), FALL if kind == 2 else ADL
         direction = rng.normal(size=3)
         samples[10] = peak * direction / np.linalg.norm(direction)
-        windows.append(Window(samples, 10, label, f"S{i % 5}", f"T{i}", 50))
+        windows.append(Window(samples, 10, label))
     return windows
 
 
@@ -133,8 +133,13 @@ def test_criterion_5_threshold_gate_soundness():
                 assert verdict.value == window.label
 
 
+# the horizontal plane's (ax, ay, az) columns about each vertical axis
+HORIZONTAL_PLANE = {"x": (1, 2), "y": (0, 2), "z": (0, 1)}
+
+
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
 def test_criterion_5_threshold_gate_soundness_every_axis(axis):
+    a, b = HORIZONTAL_PLANE[axis]
     for seed in range(5):
         data = synth_generate(SynthSpec(
             n_subjects=4, falls_per_subject=6, adls_per_subject=6,
@@ -142,6 +147,15 @@ def test_criterion_5_threshold_gate_soundness_every_axis(axis):
             trace_duration_s=2.0, seed=seed))
         windows = [extract_window(t, WindowSpec(0.6, 0.5, axis)) for t in data.traces]
         thresholds = fit_thresholds(windows)
+        # oracle: the ADL maxima and fall minima of the (spatial, horizontal)
+        # peaks, computed here from the samples
+        peaks = {FALL: [], ADL: []}
+        for window in windows:
+            s = window.samples
+            peaks[window.label].append((np.sqrt((s * s).sum(axis=1)).max(),
+                                        np.sqrt(s[:, a] ** 2 + s[:, b] ** 2).max()))
+        assert thresholds == EdgeThresholds(*np.max(peaks[ADL], axis=0),
+                                            *np.min(peaks[FALL], axis=0))
         for window in windows:
             verdict = classify_tc(*window_peaks(window), thresholds)
             if verdict is not TriDecision.UNCERTAIN:
@@ -246,11 +260,10 @@ def test_criterion_8_normalization_comparison(tmp_path):
 
 
 def _volume_report(top):
+    # 100 windows enter the gate, 50 enter mec1 and `top` enter cc
     return cs.CascadeReport(
         station_names=["ed_gate", "mec1", "cc"],
-        processed=[100, 50, top],
-        decided_fall=[0, 0, 0], decided_adl=[0, 0, 0],
-        escalated=[50, top, 0], total=100, window_len=100)
+        decided_fall=[50, 50 - top, top], decided_adl=[0, 0, 0], window_len=100)
 
 
 def test_criterion_9_latency_volume_ratio():

@@ -15,7 +15,7 @@ def make_window(peak_vec, label):
     samples = np.zeros((10, 3))
     samples[0] = [0.1, 0.1, 0.1]
     samples[5] = peak_vec
-    return Window(samples, 5, label, "S1", "T1", 50)
+    return Window(samples, 5, label)
 
 
 TH = EdgeThresholds(t_fall_xyz=3.0, t_fall_hori=2.0, t_adl_xyz=1.5, t_adl_hori=1.0)
@@ -136,9 +136,8 @@ class TestRunDataset:
         assert pooled == cs.run_dataset(casc, wins)
 
     def test_report_without_confusion_counts_holds_an_empty_matrix(self):
-        report = cs.CascadeReport(station_names=["g", "cc"], processed=[4, 1],
-                                  decided_fall=[2, 0], decided_adl=[1, 1],
-                                  escalated=[1, 0], total=4, window_len=10)
+        report = cs.CascadeReport(station_names=["g", "cc"], decided_fall=[2, 0],
+                                  decided_adl=[1, 1], window_len=10)
         assert report.cm == cs.ConfusionMatrix()
         assert (report + report).cm == cs.ConfusionMatrix()
 

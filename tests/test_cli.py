@@ -296,7 +296,7 @@ def test_temperature_rule_has_one_check(tmp_path, capsys, value, section, key, n
 def test_axis_rule_has_one_check(tmp_path, capsys):
     sites = [lambda a: pp.channel_matrix(np.zeros((4, 3)), a),
              lambda a: pp.WindowSpec(vertical_axis=a),
-             lambda a: pp.Window(np.zeros((4, 3)), 0, "ADL", "S1", "T1", 50, a)]
+             lambda a: pp.Window(np.zeros((4, 3)), 0, "ADL", a)]
     assert_one_check(tmp_path, capsys, sites, "w", "vertical_axis must be x, y or z, got 'w'",
                      "window", "vertical_axis")
 
@@ -309,9 +309,8 @@ def test_normalization_rule_has_one_check(tmp_path, capsys):
 
 
 # a routing report of a dual-layer cascade: the gate and two classifier stations
-DUAL_REPORT = CascadeReport(station_names=["ed_gate", "mec1", "cc"], processed=[8, 5, 2],
-                            decided_fall=[2, 2, 1], decided_adl=[1, 1, 1],
-                            escalated=[5, 2, 0], total=8, window_len=50)
+DUAL_REPORT = CascadeReport(station_names=["ed_gate", "mec1", "cc"], decided_fall=[2, 2, 1],
+                            decided_adl=[1, 1, 1], window_len=50)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0])
@@ -565,11 +564,9 @@ class TestCompare:
     def _write(path, metrics, hop_ms, hop_names=("ed_gate_to_mec1", "mec1_to_cc")):
         """A report with the given pooled metrics and hop latencies."""
         report = CascadeReport(station_names=["ed_gate", "mec1", "cc"],
-                               processed=[8, 5, 2], decided_fall=[2, 2, 1],
-                               decided_adl=[1, 1, 1], escalated=[5, 2, 0],
-                               total=8, window_len=50)
-        agg = types.SimpleNamespace(pooled_cm=ConfusionMatrix(3, 2, 2, 1),
-                                    pooled_metrics=metrics, mean_metrics=metrics,
+                               decided_fall=[2, 2, 1], decided_adl=[1, 1, 1],
+                               window_len=50, cm=ConfusionMatrix(3, 2, 2, 1))
+        agg = types.SimpleNamespace(pooled_metrics=metrics, mean_metrics=metrics,
                                     folds=[], pooled_report=report)
         latency = perfmodel.LatencyReport(list(hop_names), hop_ms)
         cli.write_report(str(path), "x", "d", "minmax", agg, latency)

@@ -240,7 +240,9 @@ class TestTakdPipeline:
     @pytest.mark.parametrize("kd, mode", [(distill.KD_NONE, distill.SEQUENTIAL),
                                           (distill.KD_DUAL, distill.SEQUENTIAL),
                                           (distill.KD_TRIPLE, distill.SEQUENTIAL),
-                                          (distill.KD_TRIPLE, distill.COMPOSITE_EQ10)])
+                                          (distill.KD_TRIPLE, distill.COMPOSITE_EQ10)],
+                             ids=["none-sequential", "dual-sequential", "triple-sequential",
+                                  "triple-composite_eq10"])
     def test_held_fits_are_returned_not_retrained(self, separable_xy, monkeypatch, kd, mode):
         X, y = separable_xy
         cfg, kd_cfg = nn.TrainConfig(epochs=2, seed=20), distill.KDConfig(triple_mode=mode)

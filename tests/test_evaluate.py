@@ -151,20 +151,20 @@ class TestLosoEvaluate:
         agg = ev.loso_evaluate(small_dataset, fast_config())
         total = ev.ConfusionMatrix()
         for fold in agg.folds:
-            total = total + fold.cm
-        assert agg.pooled_cm == total
-        assert agg.pooled_cm.total == len(small_dataset)
+            total = total + fold.report.cm
+        assert agg.pooled_report.cm == total
+        assert agg.pooled_report.cm.total == len(small_dataset)
 
     def test_pooled_acc_is_weighted_fold_mean(self, small_dataset):
         agg = ev.loso_evaluate(small_dataset, fast_config())
-        weighted = sum(f.metrics.acc * f.cm.total for f in agg.folds)
-        assert agg.pooled_metrics.acc == pytest.approx(weighted / agg.pooled_cm.total)
+        weighted = sum(ev.metrics(f.report.cm).acc * f.report.cm.total for f in agg.folds)
+        assert agg.pooled_metrics.acc == pytest.approx(weighted / agg.pooled_report.cm.total)
 
     def test_deterministic_across_reruns(self, small_dataset):
         cfg = fast_config()
         a = ev.loso_evaluate(small_dataset, cfg)
         b = ev.loso_evaluate(small_dataset, cfg)
-        assert a.pooled_cm == b.pooled_cm
+        assert a.pooled_report.cm == b.pooled_report.cm
         assert a.pooled_report.processed == b.pooled_report.processed
         assert a.loss_curves == b.loss_curves
 
@@ -172,7 +172,7 @@ class TestLosoEvaluate:
         (ev.KD_NONE, ev.LAYERS_DUAL),
         (ev.KD_DUAL, ev.LAYERS_TRIPLE),
         (ev.KD_TRIPLE, ev.LAYERS_TRIPLE),
-    ])
+    ], ids=["none-dual", "dual-triple", "triple-triple"])
     def test_variants_run(self, small_dataset, kd_variant, layers):
         agg = ev.loso_evaluate(small_dataset,
                                fast_config(kd_variant=kd_variant, layers=layers))
@@ -248,8 +248,8 @@ class TestVariantMatrix:
         n_stations = 4 if layers == ev.LAYERS_TRIPLE else 3
         assert len(agg.pooled_report.station_names) == n_stations
         cm, processed = VARIANT_PINS[key]
-        assert (agg.pooled_cm.tp, agg.pooled_cm.tn,
-                agg.pooled_cm.fp, agg.pooled_cm.fn) == cm
+        pooled = agg.pooled_report.cm
+        assert (pooled.tp, pooled.tn, pooled.fp, pooled.fn) == cm
         assert agg.pooled_report.processed == processed
 
     def test_pipeline_defaults_enforce_capacity_order(self, separable_xy):
@@ -286,7 +286,7 @@ class TestSharedPass:
         for (kd_variant, layers), agg in zip(self.VARIANTS, shared):
             solo = ev.loso_evaluate(
                 data, dataclasses.replace(cfg, kd_variant=kd_variant, layers=layers))
-            assert [f.cm for f in agg.folds] == [f.cm for f in solo.folds]
+            assert [f.report.cm for f in agg.folds] == [f.report.cm for f in solo.folds]
             assert [f.report for f in agg.folds] == [f.report for f in solo.folds]
             assert agg.pooled_report == solo.pooled_report
             assert agg.pooled_metrics == solo.pooled_metrics

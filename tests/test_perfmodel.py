@@ -76,14 +76,12 @@ class TestFlops:
 
 
 def make_report(processed, window_len=100):
+    """A report whose stations receive the `processed` window counts."""
     n = len(processed)
     return CascadeReport(
         station_names=[f"st{i}" for i in range(n)],
-        processed=list(processed),
-        decided_fall=[0] * n,
+        decided_fall=[p - q for p, q in zip(processed, list(processed[1:]) + [0])],
         decided_adl=[0] * n,
-        escalated=list(processed[1:]) + [0],
-        total=processed[0],
         window_len=window_len,
     )
 

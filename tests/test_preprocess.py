@@ -169,7 +169,7 @@ class TestFeatures:
 
     def test_constant_window(self):
         samples = np.tile([1.0, 0.0, 0.0], (20, 1))
-        window = pp.Window(samples, 10, "ADL", "S1", "T1", 50)
+        window = pp.Window(samples, 10, "ADL")
         f = pp.extract_features(window)
         assert f[0] == 1.0       # mean ax
         assert f[6] == 0.0       # sd ax
@@ -184,7 +184,7 @@ class TestFeatures:
         # rounding residue, which must not pass for spread
         samples = np.zeros((50, 3))
         samples[:, 1] = 0.1
-        f = pp.extract_features(pp.Window(samples, 0, "ADL", "S1", "T1", 50, axis))
+        f = pp.extract_features(pp.Window(samples, 0, "ADL", axis))
         assert np.all(f[36:48] == 0.0)  # kurtosis and skewness of every channel
         assert np.all(f[48:54] == 0.0)  # every correlation has a constant channel
 
@@ -192,7 +192,7 @@ class TestFeatures:
         rng = np.random.default_rng(4)
         col = rng.normal(size=30)
         samples = np.column_stack([col, col, rng.normal(size=30)])
-        window = pp.Window(samples, 0, "ADL", "S1", "T1", 50)
+        window = pp.Window(samples, 0, "ADL")
         f = pp.extract_features(window)
         assert f[48] == pytest.approx(1.0)  # corr(ax, ay)
 
@@ -200,7 +200,7 @@ class TestFeatures:
     def test_matches_independent_oracle(self, seed):
         rng = np.random.default_rng(seed)
         samples = rng.normal(scale=2.0, size=(64, 3))
-        window = pp.Window(samples, 0, "FALL", "S1", "T1", 50)
+        window = pp.Window(samples, 0, "FALL")
         f = pp.extract_features(window)
         oracle = _oracle_features(window)
         np.testing.assert_allclose(f, oracle, rtol=1e-9, atol=1e-12)
@@ -209,7 +209,7 @@ class TestFeatures:
     def test_vertical_axis_configurable(self, axis):
         rng = np.random.default_rng(9)
         samples = rng.normal(size=(32, 3))
-        window = pp.Window(samples, 0, "FALL", "S1", "T1", 50, axis)
+        window = pp.Window(samples, 0, "FALL", axis)
         f = pp.extract_features(window)
         np.testing.assert_allclose(f, _oracle_features(window), rtol=1e-9)
 
@@ -257,7 +257,7 @@ def feature_windows(draw):
         samples[:pad] = 0.0
     else:
         samples[length - pad:] = 0.0
-    return pp.Window(samples, 0, "FALL", "S1", "T1", 50)
+    return pp.Window(samples, 0, "FALL")
 
 
 class TestFeatureProperties:
