@@ -9,12 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ADL, FALL
-from .edge_threshold import EdgeThresholds, TriDecision, classify_tc, window_peaks
+from .edge_threshold import EdgeThresholds, classify_tc, window_peaks
 from .nn import TieredModel, check_temperature, count_params, forward, softmax_t
-from .preprocess import Window, extract_features
+from .preprocess import ADL, CLASSES, FALL, Window, extract_features
 
-FALL_CLASS = 1  # logit / probability index of the Fall class
+FALL_CLASS = CLASSES.index(FALL)  # logit / probability index of the Fall class
 
 # the per-station counts of a CascadeReport, in report and CSV column order
 STATION_COLUMNS = ("processed", "decided_fall", "decided_adl", "escalated",
@@ -31,15 +30,15 @@ def check_band(tq_max: float, tq_min: float) -> None:
         raise InvalidThresholds(f"need 0 <= tq_min < tq_max <= 1, got ({tq_max}, {tq_min})")
 
 
-def judge_tq(p_fall: float, tq_max: float, tq_min: float) -> TriDecision:
+def judge_tq(p_fall: float, tq_max: float, tq_min: float) -> str | None:
     """Confidence banding of the fall probability against a band that
-    check_band accepts: above tq_max is Fall, below tq_min is ADL, anything
-    in between escalates."""
+    check_band accepts: above tq_max is FALL, below tq_min is ADL, anything
+    in between is None and escalates."""
     if p_fall > tq_max:
-        return TriDecision.FALL
+        return FALL
     if p_fall < tq_min:
-        return TriDecision.ADL
-    return TriDecision.UNCERTAIN
+        return ADL
+    return None
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class Cascade:
     tq_max: float = 0.8
     tq_min: float = 0.2
     inference_temperature: float = 1.0
-    featurize: object = None  # callable Window -> model input; default raw features
+    featurize: object = extract_features  # callable Window -> model input
 
     def __post_init__(self):
         if len(self.stations) < 2:
@@ -77,8 +76,6 @@ class Cascade:
         if any(a > b for a, b in zip(sizes, sizes[1:])):
             warnings.warn("classifier stations are not capacity-ordered ascending",
                           stacklevel=2)
-        if self.featurize is None:
-            self.featurize = extract_features
 
 
 @dataclass(frozen=True)
@@ -164,19 +161,18 @@ def run_sample(cascade: Cascade, window: Window) -> RoutedDecision:
     """Route one window through the cascade until a station decides."""
     v, w = window_peaks(window)
     gate = classify_tc(v, w, cascade.thresholds)
-    if gate is not TriDecision.UNCERTAIN:
-        return RoutedDecision(gate.value, 0)
+    if gate is not None:
+        return RoutedDecision(gate, 0)
     x = cascade.featurize(window)
     top = len(cascade.stations) - 1
     for i, station in enumerate(cascade.stations[1:], start=1):
         logits = forward(station.model, x)
         if i == top:
-            final = FALL if int(np.argmax(logits)) == FALL_CLASS else ADL
-            return RoutedDecision(final, i)
+            return RoutedDecision(CLASSES[int(np.argmax(logits))], i)
         p_fall = float(softmax_t(logits, cascade.inference_temperature)[FALL_CLASS])
         verdict = judge_tq(p_fall, cascade.tq_max, cascade.tq_min)
-        if verdict is not TriDecision.UNCERTAIN:
-            return RoutedDecision(verdict.value, i)
+        if verdict is not None:
+            return RoutedDecision(verdict, i)
 
 
 def run_dataset(cascade: Cascade, windows) -> CascadeReport:
@@ -186,22 +182,19 @@ def run_dataset(cascade: Cascade, windows) -> CascadeReport:
         raise ValueError("no windows to route")
     n_stations = len(cascade.stations)
     decided = {FALL: [0] * n_stations, ADL: [0] * n_stations}
-    outcomes = [0] * 4  # tn, fn, fp, tp at 2 * (predicted fall) + (actual fall)
+    outcomes = [0] * 4  # tn, fn, fp, tp at 2 * (predicted class) + (actual class)
     for window in windows:
         decision = run_sample(cascade, window)
         decided[decision.final][decision.decided_at] += 1
-        outcomes[2 * (decision.final == FALL) + (window.label == FALL)] += 1
+        outcomes[2 * CLASSES.index(decision.final) + CLASSES.index(window.label)] += 1
     tn, fn, fp, tp = outcomes
     return CascadeReport([s.name for s in cascade.stations], decided[FALL], decided[ADL],
                          len(windows[0].samples), ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn))
 
 
-def build_cascade(models, thresholds: EdgeThresholds, tq_max: float = 0.8,
-                  tq_min: float = 0.2, inference_temperature: float = 1.0,
-                  featurize=None) -> Cascade:
-    """The gate, then the models in order as mec1, mec2, ... and cc on top."""
+def build_cascade(models, thresholds: EdgeThresholds, **settings) -> Cascade:
+    """The gate, then the models in order as mec1, mec2, ... and cc on top;
+    `settings` are Cascade's band, temperature and featurize fields."""
     names = [f"mec{i + 1}" for i in range(len(models) - 1)] + ["cc"]
     stations = [Station("ed_gate")] + [Station(n, m) for n, m in zip(names, models)]
-    return Cascade(stations=stations, thresholds=thresholds, tq_max=tq_max,
-                   tq_min=tq_min, inference_temperature=inference_temperature,
-                   featurize=featurize)
+    return Cascade(stations, thresholds, **settings)

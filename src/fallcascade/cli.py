@@ -16,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__, cascade, dataset as ds, evaluate, nn, perfmodel
-from .distill import KDConfig
+from .distill import KD_TRIPLE, KDConfig, check_capacity
 from .edge_threshold import MissingClass
 from .evaluate import ExperimentConfig, loso_evaluate
 from .nn import TierSpec, TrainConfig
@@ -199,6 +199,8 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
     out_dir = out_override or cfg["run"].get("out") or os.environ.get("FALLCASCADE_OUT", "out")
     experiment = ExperimentConfig(window=window, normalization=normalization,
                                   train=train, kd=kd, **tiers, **band)
+    if any(kd_variant == KD_TRIPLE for kd_variant, _ in variants):
+        _named("tiers", check_capacity, experiment.teacher, experiment.ta, experiment.student)
     return RunConfig(synth=synth, manifest=manifest, experiment=experiment,
                      variants=variants, compare_normalization=compare_norm,
                      topology=topology, horizon_s=horizon_s, out_dir=out_dir)
@@ -254,7 +256,7 @@ def write_report(path, variant_token, dataset_name, normalization,
                                         in zip(cascade.STATION_COLUMNS, counts)]))
     if latency is not None:
         lines.append("[latency]")
-        for name, ms in zip(latency.hop_names, latency.hop_ms):
+        for name, ms in latency.items():
             lines.append(f"{name}={repr(ms)}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

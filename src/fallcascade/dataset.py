@@ -11,11 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import norm_xyz
-
-FALL = "FALL"
-ADL = "ADL"
-LABELS = (FALL, ADL)
+from .preprocess import ADL, FALL, LABELS, norm_xyz
 
 
 class DatasetError(Exception):

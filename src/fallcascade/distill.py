@@ -167,6 +167,14 @@ def distill_train(teacher: TieredModel, student_spec, X, y,
     return train(student, X, y, train_cfg, DualLoss(teacher_logits, cfg))
 
 
+def check_capacity(teacher, ta, student) -> None:
+    """Raise ValueError unless the tier specs are strictly capacity-ordered
+    teacher > TA > student, as triple KD needs."""
+    order = (teacher.n_params, ta.n_params, student.n_params)
+    if not order[0] > order[1] > order[2]:
+        raise ValueError(f"specs must be capacity-ordered teacher > TA > student, got {order}")
+
+
 def takd_pipeline(teacher_spec, ta_spec, student_spec, X, y,
                   cfg: KDConfig, train_cfg: TrainConfig,
                   kd: str = KD_TRIPLE, fits=None):
@@ -192,9 +200,7 @@ def takd_pipeline(teacher_spec, ta_spec, student_spec, X, y,
     if kd == KD_TRIPLE:
         if ta_spec is None:
             raise ValueError("triple KD needs a TA spec")
-        order = (teacher_spec.n_params, ta_spec.n_params, student_spec.n_params)
-        if not order[0] > order[1] > order[2]:
-            raise ValueError(f"specs must be capacity-ordered teacher > TA > student, got {order}")
+        check_capacity(teacher_spec, ta_spec, student_spec)
     X = np.asarray(X, dtype=np.float64)
     fits = {} if fits is None else fits
 

@@ -2,21 +2,13 @@
 on the per-window maxima of the spatial and horizontal acceleration norms."""
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
-from .dataset import FALL
-from .preprocess import Window, norm_hori, norm_xyz
+from .preprocess import ADL, FALL, Window, norm_hori, norm_xyz
 
 
 class MissingClass(Exception):
     pass
-
-
-class TriDecision(enum.Enum):
-    FALL = "FALL"
-    ADL = "ADL"
-    UNCERTAIN = "UNCERTAIN"
 
 
 @dataclass(frozen=True)
@@ -37,17 +29,12 @@ def window_peaks(window: Window):
 
 
 def fit_thresholds(train_windows) -> EdgeThresholds:
-    fall_v, fall_w, adl_v, adl_w = [], [], [], []
+    peaks = {FALL: [], ADL: []}  # label -> the (v, w) peaks of its windows
     for win in train_windows:
-        v, w = window_peaks(win)
-        if win.label == FALL:
-            fall_v.append(v)
-            fall_w.append(w)
-        else:
-            adl_v.append(v)
-            adl_w.append(w)
-    if not fall_v or not adl_v:
+        peaks[win.label].append(window_peaks(win))
+    if not peaks[FALL] or not peaks[ADL]:
         raise MissingClass("training windows must contain both falls and ADLs")
+    (fall_v, fall_w), (adl_v, adl_w) = zip(*peaks[FALL]), zip(*peaks[ADL])
     return EdgeThresholds(
         t_fall_xyz=max(adl_v),
         t_fall_hori=max(adl_w),
@@ -56,19 +43,20 @@ def fit_thresholds(train_windows) -> EdgeThresholds:
     )
 
 
-def classify_tc(v: float, w: float, th: EdgeThresholds) -> TriDecision:
-    """Three-way band classification of the peak pair (v, w).
+def classify_tc(v: float, w: float, th: EdgeThresholds) -> str | None:
+    """Three-way band classification of the peak pair (v, w): FALL, ADL, or
+    None to escalate.
 
     Fall requires both peaks above the absolute-fall bounds, ADL both
     below the absolute-ADL bounds. A pair satisfying both branches at once —
     possible when the training classes are separable, so the fall bounds
-    sit below the ADL bounds — is ambiguous and stays Uncertain, as does
-    boundary equality.
+    sit below the ADL bounds — is ambiguous and escalates, as does boundary
+    equality.
     """
     is_fall = v > th.t_fall_xyz and w > th.t_fall_hori
     is_adl = v < th.t_adl_xyz and w < th.t_adl_hori
     if is_fall and not is_adl:
-        return TriDecision.FALL
+        return FALL
     if is_adl and not is_fall:
-        return TriDecision.ADL
-    return TriDecision.UNCERTAIN
+        return ADL
+    return None

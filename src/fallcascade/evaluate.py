@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distill, nn
-from .cascade import CascadeReport, ConfusionMatrix, build_cascade, check_band, run_dataset
+from .cascade import (Cascade, CascadeReport, ConfusionMatrix, build_cascade, check_band,
+                      run_dataset)
 from .dataset import Dataset, loso_folds
 from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KD_VARIANTS, KDConfig
 from .edge_threshold import MissingClass, fit_thresholds
@@ -99,16 +100,16 @@ def fit_scaler(X_train: np.ndarray, mode: str):
 class ExperimentConfig:
     window: WindowSpec = WindowSpec()
     normalization: str = "minmax"
-    student: object = None
-    ta: object = None
-    teacher: object = None
+    student: nn.TierSpec = default_tier_spec(nn.STUDENT)
+    ta: nn.TierSpec = default_tier_spec(nn.TA)
+    teacher: nn.TierSpec = default_tier_spec(nn.TEACHER)
     train: TrainConfig = TrainConfig()
     kd: KDConfig = KDConfig()
     kd_variant: str = KD_DUAL
     layers: str = LAYERS_DUAL
-    tq_max: float = 0.8
-    tq_min: float = 0.2
-    inference_temperature: float = 1.0
+    tq_max: float = Cascade.tq_max
+    tq_min: float = Cascade.tq_min
+    inference_temperature: float = Cascade.inference_temperature
 
     def __post_init__(self):
         if self.kd_variant not in KD_VARIANTS:
@@ -118,9 +119,6 @@ class ExperimentConfig:
         check_normalization(self.normalization)
         check_band(self.tq_max, self.tq_min)
         check_temperature(self.inference_temperature)
-        for name, tier in TIER_FIELDS.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, default_tier_spec(tier))
 
 
 @dataclass

@@ -102,35 +102,24 @@ def model_flops(model_or_spec) -> int:
     return sum(flops_fc(i, o) for i, o in zip(widths, widths[1:]))
 
 
-@dataclass
-class LatencyReport:
-    hop_names: list
-    hop_ms: list
-
-
 def cascade_latency(report: CascadeReport, topology: Topology,
-                    horizon_s: float = 1.0) -> LatencyReport:
-    """Map per-layer routed volumes onto the latency model.
+                    horizon_s: float = 1.0) -> dict:
+    """Map per-layer routed volumes onto the latency model: {hop: ms}.
 
     Topology layers align one-to-one with cascade stations (bottom = edge
-    gate). For each station above the gate, the layer's nodes get
-    lam = processed volume / horizon and beta = processed volume, split
-    evenly across the layer's nodes; the hop latency is the layer sum.
+    gate). For each station above the gate, the layer's nodes each get
+    lam = their share of the processed volume / horizon and beta = that
+    share; the hop latency is the layer's layer_latency.
     """
     check_topology(topology, len(report.station_names))
     check_horizon(horizon_s)
-    volumes = report.processed_samples
-    hop_names, hop_ms = [], []
-    for n in range(1, len(topology.layers)):
-        nodes = topology.layers[n]
-        share = volumes[n] / len(nodes)
-        total = 0.0
-        for node in nodes:
-            p = replace(node.params, lam=share / horizon_s, beta=share)
-            total += node_latency(p)
-        hop_names.append(f"{report.station_names[n - 1]}_to_{report.station_names[n]}")
-        hop_ms.append(total * 1000.0)
-    return LatencyReport(hop_names=hop_names, hop_ms=hop_ms)
+    names = report.station_names
+    loaded = Topology([
+        [replace(node, params=replace(node.params, lam=v / len(layer) / horizon_s,
+                                      beta=v / len(layer))) for node in layer]
+        for layer, v in zip(topology.layers, report.processed_samples)])
+    return {f"{names[n - 1]}_to_{names[n]}": layer_latency(loaded, n + 1) * 1000.0
+            for n in range(1, len(names))}
 
 
 def percent_reduction(before: float | None, after: float | None) -> float | None:

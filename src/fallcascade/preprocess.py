@@ -16,6 +16,12 @@ if TYPE_CHECKING:
 
 N_FEATURES = 54
 
+FALL = "FALL"
+ADL = "ADL"
+LABELS = (FALL, ADL)
+# a label's class id is its index here: its logit index and its `y` value
+CLASSES = (ADL, FALL)
+
 FEATURE_NAMES = tuple(
     f"{stat}_{ch}"
     for stat in ("mean", "std", "var", "max", "min", "range", "kurtosis", "skewness")
@@ -40,8 +46,12 @@ class WindowSpec:
             raise ValueError("sub-window durations must be positive")
         check_axis(self.vertical_axis)
 
+    def before(self, rate_hz: int) -> int:
+        """Samples before the impact, which is the window's index of it."""
+        return int(round(self.ws_b_s * rate_hz))
+
     def length(self, rate_hz: int) -> int:
-        return int(round(self.ws_b_s * rate_hz)) + 1 + int(round(self.ws_f_s * rate_hz))
+        return self.before(rate_hz) + 1 + int(round(self.ws_f_s * rate_hz))
 
 
 @dataclass(frozen=True)
@@ -50,7 +60,7 @@ class Window:
 
     samples: np.ndarray  # (length, 3)
     impact_index: int
-    label: str
+    label: str  # FALL or ADL
     vertical_axis: str = "x"  # picks the planes the gate and the features read
 
     def __post_init__(self):
@@ -96,7 +106,7 @@ def extract_window(trace: Trace, spec: WindowSpec) -> Window:
     """Cut the fixed-size window around the impact point, zero-padding
     positions that fall outside the trace."""
     rate = trace.sample_rate_hz
-    wb = int(round(spec.ws_b_s * rate))
+    wb = spec.before(rate)
     length = spec.length(rate)
     out = np.zeros((length, 3))
     lo = find_impact(trace) - wb
@@ -161,7 +171,8 @@ def extract_features(window: Window) -> np.ndarray:
 
 
 def feature_matrix(windows):
-    """(X, y) with X shape (n, 54) and y in {0 = ADL, 1 = Fall}."""
+    """(X, y) with X shape (n, 54) and y each window's class id, its label's
+    index in CLASSES."""
     X = np.stack([extract_features(w) for w in windows])
-    y = np.array([1 if w.label == "FALL" else 0 for w in windows], dtype=np.int64)
+    y = np.array([CLASSES.index(w.label) for w in windows], dtype=np.int64)
     return X, y

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fallcascade import cascade as cs
+from fallcascade import edge_threshold as et
 from fallcascade import evaluate, nn
+from fallcascade import preprocess as pp
 from fallcascade.dataset import ADL, FALL
-from fallcascade.edge_threshold import EdgeThresholds, TriDecision
+from fallcascade.edge_threshold import EdgeThresholds
 from fallcascade.preprocess import Window
 
 
@@ -38,13 +40,13 @@ def two_station_cascade(lower_logit, upper_logit, tq_max=0.8, tq_min=0.2,
 
 class TestJudgeTq:
     def test_above_max_is_fall(self):
-        assert cs.judge_tq(0.9, 0.8, 0.2) is TriDecision.FALL
+        assert cs.judge_tq(0.9, 0.8, 0.2) == FALL
 
     def test_below_min_is_adl(self):
-        assert cs.judge_tq(0.1, 0.8, 0.2) is TriDecision.ADL
+        assert cs.judge_tq(0.1, 0.8, 0.2) == ADL
 
     def test_inside_band_is_uncertain(self):
-        assert cs.judge_tq(0.5, 0.8, 0.2) is TriDecision.UNCERTAIN
+        assert cs.judge_tq(0.5, 0.8, 0.2) is None
 
     def test_invalid_thresholds(self):
         # the band is checked once, when its cascade is built
@@ -146,6 +148,17 @@ class TestRunDataset:
         three = cs.build_cascade([const_model(0.0)] * 3, TH)
         with pytest.raises(ValueError):
             cs.run_dataset(two_station_cascade(0.0, 1.0), wins) + cs.run_dataset(three, wins)
+
+
+@pytest.mark.parametrize("reader", ["feature_matrix", "fit_thresholds", "run_dataset"])
+def test_a_label_outside_the_vocabulary_raises(reader):
+    # "fall" is neither FALL nor ADL: no reader may count it as an ADL
+    windows = [make_window([4.0, 3.0, 3.0], FALL), make_window([0.5, 0.3, 0.3], ADL),
+               make_window([4.0, 3.0, 3.0], "fall")]
+    read = {"feature_matrix": pp.feature_matrix, "fit_thresholds": et.fit_thresholds,
+            "run_dataset": lambda ws: cs.run_dataset(two_station_cascade(0.0, 0.0), ws)}
+    with pytest.raises((KeyError, ValueError)):
+        read[reader](windows)
 
 
 class TestCascadeValidation:

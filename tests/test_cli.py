@@ -75,6 +75,9 @@ learning_rate = 0.02
 variants = nokd:dual
 """
 
+# a TA smaller than the student: (teacher, TA, student) params (1826, 230, 458)
+MISORDERED_TIERS = TINY_CONFIG.replace("ta = 54,16,2", "ta = 54,4,2")
+
 
 def write_config(tmp_path, text=TINY_CONFIG, name="cfg.ini"):
     path = tmp_path / name
@@ -189,6 +192,19 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot read config file {tmp_path}: ")
         assert err.count("\n") == 1
+
+    def test_tiers_triple_kd_cannot_train_name_the_section(self, tmp_path, capsys):
+        err = validate_error(tmp_path, capsys, MISORDERED_TIERS.replace(
+            "variants = nokd:dual", "variants = nokd:dual,triplekd:triple"))
+        assert err == ("config error: tiers: specs must be capacity-ordered "
+                       "teacher > TA > student, got (1826, 230, 458)\n")
+
+    def test_tier_order_binds_only_triple_kd(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MISORDERED_TIERS.replace(
+            "variants = nokd:dual",
+            "variants = nokd:dual,dualkd:dual,nokd:triple,dualkd:triple"))
+        assert cli.main(["validate", "--config", cfg]) == 0
+        assert capsys.readouterr().out == "config ok\n"
 
     def test_bad_variant_token(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_CONFIG.replace(
@@ -445,6 +461,39 @@ class TestRun:
                 with open(pa) as fa, open(pb) as fb:
                     assert fa.read() == fb.read()
 
+    def test_synth_traces_read_through_a_manifest_run_as_synthesised(self, tmp_path, capsys):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "escalate.ini")
+        with open(path) as f:
+            text = f.read()
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--config", path, "--out", str(data)]) == 0
+        manifest = write_config(tmp_path, text.replace(
+            "source = synth", f"source = manifest\nmanifest = {data / 'manifest.txt'}"))
+        out_s, out_m = tmp_path / "synth", tmp_path / "manifest"
+        assert cli.main(["run", "--config", path, "--out", str(out_s)]) == 0
+        assert cli.main(["run", "--config", manifest, "--out", str(out_m)]) == 0
+        names = sorted(os.listdir(out_s))
+        assert names == sorted(os.listdir(out_m)) and len(names) == 12
+
+        def content(path):
+            with open(path) as f:
+                lines = f.readlines()
+            if path.name.startswith("report_"):
+                assert lines[0].startswith("# generated ") and lines[3].startswith("dataset=")
+                del lines[3], lines[0]
+            return lines
+
+        for name in names:
+            assert content(out_s / name) == content(out_m / name), name
+
+    def test_tiers_triple_kd_cannot_train_stop_the_run_at_the_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MISORDERED_TIERS.replace(
+            "variants = nokd:dual", "variants = triplekd:triple"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: tiers: specs must be ")
+        assert not out.exists()
+
     def test_idle_classifier_stations_warn_on_stderr(self, tmp_path, capsys):
         # the default peak ranges: the gate decides every window
         cfg = write_config(tmp_path)
@@ -568,7 +617,7 @@ class TestCompare:
                                window_len=50, cm=ConfusionMatrix(3, 2, 2, 1))
         agg = types.SimpleNamespace(pooled_metrics=metrics, mean_metrics=metrics,
                                     folds=[], pooled_report=report)
-        latency = perfmodel.LatencyReport(list(hop_names), hop_ms)
+        latency = dict(zip(hop_names, hop_ms))
         cli.write_report(str(path), "x", "d", "minmax", agg, latency)
         return latency
 
@@ -584,8 +633,8 @@ class TestCompare:
         assert lines == (
             [f"{m}_imp={ev.percent_change(getattr(new_m, m), getattr(base_m, m)):+.4f}%"
              for m in ("acc", "pre", "rec", "f1")]
-            + [f"latency_reduction {hop}={perfmodel.percent_reduction(a, b):+.4f}%"
-               for hop, a, b in zip(base.hop_names, base.hop_ms, new.hop_ms)])
+            + [f"latency_reduction {hop}="
+               f"{perfmodel.percent_reduction(base[hop], new[hop]):+.4f}%" for hop in base])
         assert len(set(lines)) == len(lines)
 
     def test_zero_baselines_print_na(self, tmp_path, capsys):
@@ -598,7 +647,8 @@ class TestCompare:
         lines = capsys.readouterr().out.splitlines()[1:]
         assert [ev.percent_change(getattr(new_m, m), getattr(base_m, m))
                 for m in ("acc", "pre", "rec", "f1")] == [None] * 4
-        assert perfmodel.percent_reduction(base.hop_ms[0], new.hop_ms[0]) is None
+        hop = "ed_gate_to_mec1"
+        assert perfmodel.percent_reduction(base[hop], new[hop]) is None
         assert lines == ["acc_imp=NA", "pre_imp=NA", "rec_imp=NA", "f1_imp=NA",
                          "latency_reduction ed_gate_to_mec1=NA",
                          f"latency_reduction mec1_to_cc="

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fallcascade import edge_threshold as et
-from fallcascade.dataset import FALL
+from fallcascade.dataset import ADL, FALL
 from fallcascade.preprocess import (FEATURE_NAMES, Window, WindowSpec, extract_features,
                                     extract_window)
 
@@ -62,25 +62,25 @@ def test_gate_peaks_are_the_feature_maxima(small_dataset, axis):
 
 class TestClassifyTc:
     def test_both_exceed_is_fall(self):
-        assert et.classify_tc(4.0, 4.0, TH) is et.TriDecision.FALL
+        assert et.classify_tc(4.0, 4.0, TH) == FALL
 
     def test_both_below_is_adl(self):
-        assert et.classify_tc(1.0, 1.0, TH) is et.TriDecision.ADL
+        assert et.classify_tc(1.0, 1.0, TH) == ADL
 
     def test_between_bands_is_uncertain(self):
-        assert et.classify_tc(2.0, 2.0, TH) is et.TriDecision.UNCERTAIN
+        assert et.classify_tc(2.0, 2.0, TH) is None
 
     def test_boundary_equality_is_uncertain(self):
-        assert et.classify_tc(1.5, 1.5, TH) is et.TriDecision.UNCERTAIN
-        assert et.classify_tc(3.0, 3.0, TH) is et.TriDecision.UNCERTAIN
+        assert et.classify_tc(1.5, 1.5, TH) is None
+        assert et.classify_tc(3.0, 3.0, TH) is None
 
     def test_both_branches_holding_is_uncertain(self):
         # separable training data puts the fall bounds below the ADL
         # bounds; a pair that satisfies both branches at once is ambiguous
         sep = et.EdgeThresholds(1.5, 1.5, 3.0, 3.0)
-        assert et.classify_tc(2.0, 2.0, sep) is et.TriDecision.UNCERTAIN
-        assert et.classify_tc(4.0, 4.0, sep) is et.TriDecision.FALL
-        assert et.classify_tc(1.0, 1.0, sep) is et.TriDecision.ADL
+        assert et.classify_tc(2.0, 2.0, sep) is None
+        assert et.classify_tc(4.0, 4.0, sep) == FALL
+        assert et.classify_tc(1.0, 1.0, sep) == ADL
 
     def test_scale_invariance(self):
         for scale in (0.5, 2.0, 10.0):
@@ -98,9 +98,9 @@ class TestTrainingConsistency:
             v, w = et.window_peaks(win)
             decision = et.classify_tc(v, w, th)
             if win.label == FALL:
-                assert decision is not et.TriDecision.ADL
+                assert decision != ADL
             else:
-                assert decision is not et.TriDecision.FALL
+                assert decision != FALL
 
     def test_monotonicity_of_fall_region(self):
         # raising t_fall_* can only shrink the Fall region
@@ -108,5 +108,5 @@ class TestTrainingConsistency:
         raised = et.EdgeThresholds(TH.t_fall_xyz + 0.5, TH.t_fall_hori + 0.5,
                                    TH.t_adl_xyz, TH.t_adl_hori)
         for v, w in rng.uniform(0, 6, size=(200, 2)):
-            if et.classify_tc(v, w, raised) is et.TriDecision.FALL:
-                assert et.classify_tc(v, w, TH) is et.TriDecision.FALL
+            if et.classify_tc(v, w, raised) == FALL:
+                assert et.classify_tc(v, w, TH) == FALL

@@ -92,14 +92,14 @@ class TestCascadeLatency:
         report = make_report([100, 0, 0])
         lat = pm.cascade_latency(report, topo)
         # compute-only floor: s*b/theta = 0.25 s = 250 ms
-        assert lat.hop_ms[0] == pytest.approx(250.0)
-        assert lat.hop_ms[1] == pytest.approx(250.0)
+        assert lat["st0_to_st1"] == pytest.approx(250.0)
+        assert lat["st1_to_st2"] == pytest.approx(250.0)
 
     def test_transmission_dominated_halving(self):
         topo = pm.uniform_topology(3, s=0.5, b=1e-9, theta=1e9, phi=100.0)
         full = pm.cascade_latency(make_report([100, 40, 20]), topo)
         half = pm.cascade_latency(make_report([100, 40, 10]), topo)
-        assert half.hop_ms[1] / full.hop_ms[1] == pytest.approx(0.5, rel=1e-6)
+        assert half["st1_to_st2"] / full["st1_to_st2"] == pytest.approx(0.5, rel=1e-6)
 
     def test_topology_mismatch(self):
         topo = pm.uniform_topology(2)
@@ -110,7 +110,7 @@ class TestCascadeLatency:
         topo = pm.uniform_topology(3, s=0.0, phi=100.0)
         a = pm.cascade_latency(make_report([100, 40, 20]), topo)
         b = pm.cascade_latency(make_report([100, 40, 10]), topo)
-        red = [pm.percent_reduction(x, y) for x, y in zip(a.hop_ms, b.hop_ms)]
+        red = [pm.percent_reduction(a[hop], b[hop]) for hop in a]
         assert red[0] == pytest.approx(0.0)
         assert red[1] == pytest.approx(50.0, rel=1e-9)
 

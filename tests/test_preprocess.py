@@ -77,6 +77,23 @@ class TestExtractWindow:
         assert np.any(window.samples[278] != 0.0)
         assert window.impact_index == 288
 
+    @settings(max_examples=200, deadline=None)
+    @given(rate=st.integers(1, 400), n=st.integers(1, 500), at=st.floats(0.0, 1.0),
+           ws_f=st.floats(0.01, 2.0), ws_b=st.floats(0.01, 2.0))
+    def test_impact_lands_at_before(self, rate, n, at, ws_f, ws_b):
+        spec = pp.WindowSpec(ws_f_s=ws_f, ws_b_s=ws_b)
+        impact = min(int(at * n), n - 1)
+        samples = np.arange(1.0, 3 * n + 1).reshape(n, 3) / (3 * n)
+        samples[impact] = [9.0, 0.0, 0.0]
+        window = pp.extract_window(make_trace(samples, rate=rate), spec)
+        before = spec.before(rate)
+        assert window.impact_index == before
+        assert len(window.samples) == spec.length(rate)
+        # oracle: row j is trace row impact - before + j, zero off the trace
+        for j, row in enumerate(window.samples):
+            src = impact - before + j
+            assert row.tolist() == (samples[src].tolist() if 0 <= src < n else [0.0] * 3)
+
     def test_impact_attains_window_max(self, small_dataset):
         spec = pp.WindowSpec(0.6, 0.5)
         for trace in small_dataset.traces:
