@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,30 +52,30 @@ class Station:
 
 @dataclass
 class Cascade:
-    """The gate, then classifier stations in ascending capacity. Every
-    classifier below the last escalates windows whose fall probability lies
-    in the band [tq_min, tq_max]; the last decides by argmax."""
+    """The gate, then one classifier station per model, in ascending
+    capacity: mec1, mec2, ... and cc on top. Every classifier below the last
+    escalates windows whose fall probability lies in the band
+    [tq_min, tq_max]; the last decides by argmax."""
 
-    stations: list
+    models: list
     thresholds: EdgeThresholds
     tq_max: float = 0.8
     tq_min: float = 0.2
     inference_temperature: float = 1.0
     featurize: object = extract_features  # callable Window -> model input
+    stations: list = field(init=False)
 
     def __post_init__(self):
-        if len(self.stations) < 2:
-            raise ValueError("cascade needs at least a gate and one classifier")
-        if self.stations[0].model is not None:
-            raise ValueError("first station must be the threshold gate")
-        if any(s.model is None for s in self.stations[1:]):
-            raise ValueError("every station after the gate needs a model")
+        if not self.models:
+            raise ValueError("cascade needs at least one classifier model")
         check_band(self.tq_max, self.tq_min)
         check_temperature(self.inference_temperature)
-        sizes = [count_params(s.model) for s in self.stations[1:]]
+        sizes = [count_params(m) for m in self.models]
         if any(a > b for a, b in zip(sizes, sizes[1:])):
             warnings.warn("classifier stations are not capacity-ordered ascending",
                           stacklevel=2)
+        names = [f"mec{i + 1}" for i in range(len(self.models) - 1)] + ["cc"]
+        self.stations = [Station("ed_gate")] + [Station(n, m) for n, m in zip(names, self.models)]
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,6 @@ def run_dataset(cascade: Cascade, windows) -> CascadeReport:
 
 
 def build_cascade(models, thresholds: EdgeThresholds, **settings) -> Cascade:
-    """The gate, then the models in order as mec1, mec2, ... and cc on top;
-    `settings` are Cascade's band, temperature and featurize fields."""
-    names = [f"mec{i + 1}" for i in range(len(models) - 1)] + ["cc"]
-    stations = [Station("ed_gate")] + [Station(n, m) for n, m in zip(names, models)]
-    return Cascade(stations, thresholds, **settings)
+    """The cascade over `models`; `settings` are Cascade's band, temperature
+    and featurize fields."""
+    return Cascade(models, thresholds, **settings)

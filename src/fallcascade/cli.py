@@ -24,6 +24,9 @@ from .preprocess import N_FEATURES, WindowSpec, check_axis
 
 SCHEMA_VERSION = "1"
 
+# the report's metric keys and CSV columns, in Metrics field order
+METRIC_NAMES = [f.name for f in dataclasses.fields(evaluate.Metrics)]
+
 
 class ConfigError(Exception):
     pass
@@ -193,7 +196,7 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
         for kd_variant, layers in variants:
             _named(f"latency.topology: variant {_variant_token(kd_variant, layers)}",
                    perfmodel.check_topology, topology, 1 + len(evaluate.DEPLOYED_TIERS[layers]))
-    horizon_s = cfg["latency"].get("horizon_s", 1.0)
+    horizon_s = cfg["latency"].get("horizon_s", perfmodel.HORIZON_S)
     _named("latency.horizon_s", perfmodel.check_horizon, horizon_s)
 
     out_dir = out_override or cfg["run"].get("out") or os.environ.get("FALLCASCADE_OUT", "out")
@@ -223,41 +226,37 @@ def _variant_token(kd_variant, layers) -> str:
     return f"{kd_variant}_{layers}"
 
 
+def _fields(obj, fmt=str) -> list:
+    """(name, fmt(value)) of each field of the dataclass `obj`, in field order."""
+    return [(f.name, fmt(getattr(obj, f.name))) for f in dataclasses.fields(obj)]
+
+
+def _key_values(pairs) -> list:
+    return [f"{key}={value}" for key, value in pairs]
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w") as f:
+        f.writelines(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
 def write_report(path, variant_token, dataset_name, normalization,
                  agg, latency) -> None:
+    sections = [("pooled_confusion", _fields(agg.pooled_report.cm)),
+                ("pooled_metrics", _fields(agg.pooled_metrics, _f)),
+                ("mean_metrics", _fields(agg.mean_metrics, _f))]
+    sections += [(f"fold {fold.subject}", _fields(fold.report.cm)
+                  + [("acc", _f(evaluate.metrics(fold.report.cm).acc))])
+                 for fold in agg.folds]
     lines = [f"# generated {datetime.now(timezone.utc).isoformat()}"]
-    lines.append(f"schema_version={SCHEMA_VERSION}")
-    lines.append(f"variant={variant_token}")
-    lines.append(f"dataset={dataset_name}")
-    lines.append(f"normalization={normalization}")
-    cm = agg.pooled_report.cm
-    lines.append("[pooled_confusion]")
-    lines.append(f"tp={cm.tp}")
-    lines.append(f"tn={cm.tn}")
-    lines.append(f"fp={cm.fp}")
-    lines.append(f"fn={cm.fn}")
-    lines.append("[pooled_metrics]")
-    for name in ("acc", "pre", "rec", "f1"):
-        lines.append(f"{name}={_f(getattr(agg.pooled_metrics, name))}")
-    lines.append("[mean_metrics]")
-    for name in ("acc", "pre", "rec", "f1"):
-        lines.append(f"{name}={_f(getattr(agg.mean_metrics, name))}")
-    for fold in agg.folds:
-        lines.append(f"[fold {fold.subject}]")
-        cm = fold.report.cm
-        lines.append(f"tp={cm.tp}")
-        lines.append(f"tn={cm.tn}")
-        lines.append(f"fp={cm.fp}")
-        lines.append(f"fn={cm.fn}")
-        lines.append(f"acc={_f(evaluate.metrics(cm).acc)}")
+    lines += _key_values([("schema_version", SCHEMA_VERSION), ("variant", variant_token),
+                          ("dataset", dataset_name), ("normalization", normalization)])
+    for title, pairs in sections:
+        lines += [f"[{title}]", *_key_values(pairs)]
     lines.append("[layers]")
     for name, *counts in agg.pooled_report.station_rows():
-        lines.append(" ".join([name] + [f"{column}={n}" for column, n
-                                        in zip(cascade.STATION_COLUMNS, counts)]))
-    if latency is not None:
-        lines.append("[latency]")
-        for name, ms in latency.items():
-            lines.append(f"{name}={repr(ms)}")
+        lines.append(" ".join([name, *_key_values(zip(cascade.STATION_COLUMNS, counts))]))
+    lines += ["[latency]", *_key_values((hop, repr(ms)) for hop, ms in latency.items())]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -283,24 +282,15 @@ def read_report(path) -> dict:
 
 
 def _write_plot_data(out_dir, token, agg) -> None:
-    curve_path = os.path.join(out_dir, f"loss_curves_{token}.csv")
     names = sorted(agg.loss_curves)
-    with open(curve_path, "w") as f:
-        f.write("epoch," + ",".join(names) + "\n")
-        n_epochs = len(next(iter(agg.loss_curves.values())))
-        for e in range(n_epochs):
-            row = [str(e + 1)] + [repr(agg.loss_curves[n][e]) for n in names]
-            f.write(",".join(row) + "\n")
-    vol_path = os.path.join(out_dir, f"layer_volumes_{token}.csv")
-    with open(vol_path, "w") as f:
-        f.write(",".join(("station",) + cascade.STATION_COLUMNS) + "\n")
-        for row in agg.pooled_report.station_rows():
-            f.write(",".join(str(v) for v in row) + "\n")
-    met_path = os.path.join(out_dir, f"metrics_{token}.csv")
-    with open(met_path, "w") as f:
-        f.write("scope,acc,pre,rec,f1\n")
-        for scope, m in (("pooled", agg.pooled_metrics), ("mean", agg.mean_metrics)):
-            f.write(f"{scope},{_f(m.acc)},{_f(m.pre)},{_f(m.rec)},{_f(m.f1)}\n")
+    epochs = zip(*(agg.loss_curves[name] for name in names))
+    _write_csv(os.path.join(out_dir, f"loss_curves_{token}.csv"), ["epoch", *names],
+               [(e, *losses) for e, losses in enumerate(epochs, start=1)])
+    _write_csv(os.path.join(out_dir, f"layer_volumes_{token}.csv"),
+               ["station", *cascade.STATION_COLUMNS], agg.pooled_report.station_rows())
+    _write_csv(os.path.join(out_dir, f"metrics_{token}.csv"), ["scope", *METRIC_NAMES],
+               [(scope, *map(_f, dataclasses.astuple(m)))
+                for scope, m in (("pooled", agg.pooled_metrics), ("mean", agg.mean_metrics))])
 
 
 def cmd_validate(args) -> int:
@@ -349,16 +339,11 @@ def cmd_run(args) -> int:
             write_report(path, token, data.name, mode, agg, latency)
             _write_plot_data(run_cfg.out_dir, token, agg)
             m = agg.pooled_metrics
-            comparison_rows.append((mode, token, m))
-            print(f"{token}: acc={_f(m.acc)} pre={_f(m.pre)} "
-                  f"rec={_f(m.rec)} f1={_f(m.f1)} -> {path}")
+            comparison_rows.append((mode, token, *map(_f, dataclasses.astuple(m))))
+            print(f"{token}: {' '.join(_key_values(_fields(m, _f)))} -> {path}")
     if run_cfg.compare_normalization:
         comp_path = os.path.join(run_cfg.out_dir, "normalization_comparison.txt")
-        with open(comp_path, "w") as f:
-            f.write("mode,variant,acc,pre,rec,f1\n")
-            for mode, token, m in comparison_rows:
-                f.write(f"{mode},{token},{_f(m.acc)},{_f(m.pre)},"
-                        f"{_f(m.rec)},{_f(m.f1)}\n")
+        _write_csv(comp_path, ["mode", "variant", *METRIC_NAMES], comparison_rows)
         print(f"normalization comparison: {comp_path}")
     return 0
 
@@ -371,7 +356,7 @@ def cmd_compare(args) -> int:
     if va != vb or va != SCHEMA_VERSION:
         raise SchemaMismatch(f"schema versions differ or unsupported: {va}, {vb}")
     print(f"comparing {args.report_b} against baseline {args.report_a}")
-    for name in ("acc", "pre", "rec", "f1"):
+    for name in METRIC_NAMES:
         delta = evaluate.percent_change(_value(b["pooled_metrics"][name]),
                                         _value(a["pooled_metrics"][name]))
         print(f"{name}_imp={_percent(delta)}")

@@ -87,6 +87,14 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "traces", tuple(self.traces))
+        # a report's sample volumes take one window length for every trace
+        first = self.traces[0] if self.traces else None
+        for t in self.traces:
+            if t.sample_rate_hz != first.sample_rate_hz:
+                raise DatasetError(
+                    f"traces {first.subject_id}/{first.trial_id} and {t.subject_id}/"
+                    f"{t.trial_id} have sample rates {first.sample_rate_hz} and "
+                    f"{t.sample_rate_hz} Hz; a dataset needs one rate")
 
     @property
     def subjects(self) -> tuple:

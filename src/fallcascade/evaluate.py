@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -139,11 +139,9 @@ class AggregateReport:
     @classmethod
     def pool(cls, folds) -> "AggregateReport":
         pooled = functools.reduce(operator.add, (fold.report for fold in folds))
-        per_fold = [metrics(fold.report.cm) for fold in folds]
-        mean = {}
-        for name in ("acc", "pre", "rec", "f1"):
-            vals = [getattr(m, name) for m in per_fold if getattr(m, name) is not None]
-            mean[name] = float(np.mean(vals)) if vals else None
+        # each metric's defined per-fold values, in Metrics field order
+        defined = [[v for v in column if v is not None] for column in
+                   zip(*(astuple(metrics(fold.report.cm)) for fold in folds))]
         curves = {}
         for fold in folds:
             for name, curve in fold.loss_curves.items():
@@ -151,7 +149,7 @@ class AggregateReport:
         return cls(
             folds=folds,
             pooled_metrics=metrics(pooled.cm),
-            mean_metrics=Metrics(**mean),
+            mean_metrics=Metrics(*(float(np.mean(v)) if v else None for v in defined)),
             pooled_report=pooled,
             loss_curves={name: np.mean(np.array(c), axis=0).tolist()
                          for name, c in curves.items()},

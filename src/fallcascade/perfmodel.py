@@ -12,6 +12,9 @@ from dataclasses import dataclass, replace
 from .cascade import CascadeReport
 
 
+HORIZON_S = 1.0  # default routing horizon, seconds
+
+
 class InvalidLayer(Exception):
     pass
 
@@ -103,7 +106,7 @@ def model_flops(model_or_spec) -> int:
 
 
 def cascade_latency(report: CascadeReport, topology: Topology,
-                    horizon_s: float = 1.0) -> dict:
+                    horizon_s: float = HORIZON_S) -> dict:
     """Map per-layer routed volumes onto the latency model: {hop: ms}.
 
     Topology layers align one-to-one with cascade stations (bottom = edge

@@ -14,8 +14,6 @@ import numpy as np
 if TYPE_CHECKING:
     from .dataset import Trace
 
-N_FEATURES = 54
-
 FALL = "FALL"
 ADL = "ADL"
 LABELS = (FALL, ADL)
@@ -30,6 +28,7 @@ FEATURE_NAMES = tuple(
     "corr_ax_ay", "corr_ax_az", "corr_ay_az",
     "corr_norm_verti", "corr_norm_hori", "corr_verti_hori",
 )
+N_FEATURES = len(FEATURE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class Window:
     """Fixed-size impact-centered segment of one trace."""
 
     samples: np.ndarray  # (length, 3)
-    impact_index: int
     label: str  # FALL or ADL
     vertical_axis: str = "x"  # picks the planes the gate and the features read
 
@@ -67,6 +65,8 @@ class Window:
         samples = np.asarray(self.samples, dtype=np.float64)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+        if self.label not in LABELS:
+            raise ValueError(f"label must be one of {LABELS}, got {self.label!r}")
         check_axis(self.vertical_axis)
 
 
@@ -103,8 +103,8 @@ def find_impact(trace_or_samples) -> int:
 
 
 def extract_window(trace: Trace, spec: WindowSpec) -> Window:
-    """Cut the fixed-size window around the impact point, zero-padding
-    positions that fall outside the trace."""
+    """Cut the fixed-size window that puts the impact at index
+    spec.before(rate), zero-padding positions that fall outside the trace."""
     rate = trace.sample_rate_hz
     wb = spec.before(rate)
     length = spec.length(rate)
@@ -114,7 +114,7 @@ def extract_window(trace: Trace, spec: WindowSpec) -> Window:
     src_lo = max(lo, 0)
     src_hi = min(hi, len(trace.samples))
     out[src_lo - lo: src_hi - lo] = trace.samples[src_lo:src_hi]
-    return Window(out, wb, trace.label, spec.vertical_axis)
+    return Window(out, trace.label, spec.vertical_axis)
 
 
 def check_axis(vertical_axis: str) -> None:

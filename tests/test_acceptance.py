@@ -91,7 +91,7 @@ def _synthetic_windows(n, seed):
             peak, label = rng.uniform(1.2, 2.8), FALL if kind == 2 else ADL
         direction = rng.normal(size=3)
         samples[10] = peak * direction / np.linalg.norm(direction)
-        windows.append(Window(samples, 10, label))
+        windows.append(Window(samples, label))
     return windows
 
 

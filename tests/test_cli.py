@@ -312,7 +312,7 @@ def test_temperature_rule_has_one_check(tmp_path, capsys, value, section, key, n
 def test_axis_rule_has_one_check(tmp_path, capsys):
     sites = [lambda a: pp.channel_matrix(np.zeros((4, 3)), a),
              lambda a: pp.WindowSpec(vertical_axis=a),
-             lambda a: pp.Window(np.zeros((4, 3)), 0, "ADL", a)]
+             lambda a: pp.Window(np.zeros((4, 3)), "ADL", a)]
     assert_one_check(tmp_path, capsys, sites, "w", "vertical_axis must be x, y or z, got 'w'",
                      "window", "vertical_axis")
 
@@ -448,6 +448,29 @@ class TestRun:
         assert report["_header"]["schema_version"] == cli.SCHEMA_VERSION
         assert set(report["pooled_metrics"]) == {"acc", "pre", "rec", "f1"}
 
+    def test_schema_v1_key_order(self, tmp_path):
+        # the keys follow the fields of ConfusionMatrix, Metrics and
+        # STATION_COLUMNS; reordering one of them must not reorder schema v1
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--config", write_config(tmp_path), "--out", out]) == 0
+        report = cli.read_report(os.path.join(out, "report_nokd_dual.txt"))
+        counts, metrics = ["tp", "tn", "fp", "fn"], ["acc", "pre", "rec", "f1"]
+        assert list(report) == ["_header", "pooled_confusion", "pooled_metrics",
+                                "mean_metrics", "fold S01", "fold S02", "fold S03",
+                                "layers", "latency"]
+        assert list(report["pooled_confusion"]) == counts
+        assert list(report["pooled_metrics"]) == list(report["mean_metrics"]) == metrics
+        for subject in ("S01", "S02", "S03"):
+            assert list(report[f"fold {subject}"]) == counts + ["acc"]
+        volumes = ["processed", "decided_fall", "decided_adl", "escalated",
+                   "processed_samples"]
+        for line in report["layers"].values():
+            assert [field.split("=")[0] for field in line.split()[1:]] == volumes
+        with open(os.path.join(out, "metrics_nokd_dual.csv")) as f:
+            assert f.readline() == "scope," + ",".join(metrics) + "\n"
+        with open(os.path.join(out, "layer_volumes_nokd_dual.csv")) as f:
+            assert f.readline() == "station," + ",".join(volumes) + "\n"
+
     def test_rerun_is_byte_identical_modulo_timestamp(self, tmp_path):
         cfg = write_config(tmp_path)
         out_a, out_b = str(tmp_path / "ra"), str(tmp_path / "rb")
@@ -555,6 +578,19 @@ class TestRun:
             "source = synth", f"source = manifest\nmanifest = {manifest}"))
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: LOSO needs at least 2 subjects, got 1\n"
+
+    def test_mixed_sample_rate_manifest_is_an_error_line(self, tmp_path, capsys):
+        data = ds.synth_generate(ds.SynthSpec(n_subjects=2, falls_per_subject=1,
+                                              adls_per_subject=1, seed=7))
+        manifest = ds.write_dataset(data, str(tmp_path / "data"))
+        path = tmp_path / "data" / "S02_A01.txt"
+        path.write_text(path.read_text().replace("rate_hz=50\n", "rate_hz=100\n"))
+        cfg = write_config(tmp_path, TINY_CONFIG.replace(
+            "source = synth", f"source = manifest\nmanifest = {manifest}"))
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: traces S01/F01 and S02/A01 have sample rates 50 and 100 Hz; "
+            "a dataset needs one rate\n")
 
     def test_unreadable_manifest_is_an_error_line(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.txt"

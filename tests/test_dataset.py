@@ -59,6 +59,19 @@ class TestRoundTrip:
         assert loaded.subjects == small_dataset.subjects
 
 
+def test_a_dataset_holds_one_sample_rate():
+    # a report's sample volumes take one window length for every trace: a
+    # 100 Hz subject among 50 Hz ones would be counted at the 50 Hz length
+    def subjects(rate, ids):
+        data = ds.synth_generate(ds.SynthSpec(n_subjects=3, sample_rate_hz=rate))
+        return [t for t in data.traces if t.subject_id in ids]
+
+    traces = subjects(50, ("S01", "S02")) + subjects(100, ("S03",))
+    with pytest.raises(ds.DatasetError, match="traces S01/F01 and S03/F01 have sample "
+                                              "rates 50 and 100 Hz"):
+        ds.Dataset("mixed", traces)
+
+
 class TestSynthGenerate:
     def test_counts(self):
         spec = ds.SynthSpec(n_subjects=3, falls_per_subject=2, adls_per_subject=2)

@@ -109,6 +109,26 @@ class TestLossTri:
         expected = 0.5 * 4.0 * comp + 0.5 * ce
         assert distill.loss_tri(t, ta, s, 1, cfg) == pytest.approx(expected, rel=1e-10)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64),
+           T=st.sampled_from([0.5, 1.0, 2.0, 20.0]), scale=st.floats(0.1, 30.0),
+           lam=st.floats(0.0, 1.0))
+    def test_composite_additive_is_dual_kd_from_the_teacher(self, seed, n, T, scale, lam):
+        # sum p((log p - log q) + (log q - log r)) = sum p(log p - log r): the
+        # TA's log q cancels, leaving the paper-direction KL to the teacher
+        rng = np.random.default_rng(seed)
+        s, t, ta, other_ta = rng.normal(scale=scale, size=(4, n, 2))
+        y, idx = rng.integers(0, 2, size=n), np.arange(n)
+        cfg = distill.KDConfig(lam=lam, temperature=T, direction=distill.PAPER_EQ8,
+                               triple_mode=distill.COMPOSITE_EQ10,
+                               tri_combine=distill.ADDITIVE)
+        loss, grad = distill.TriLoss(t, ta, cfg).value_and_grad(s, y, idx)
+        dual_loss, dual_grad = distill.DualLoss(t, cfg).value_and_grad(s, y, idx)
+        np.testing.assert_allclose(loss, dual_loss, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad, dual_grad, rtol=1e-12, atol=1e-12)
+        redrawn, _ = distill.TriLoss(t, other_ta, cfg).value_and_grad(s, y, idx)
+        np.testing.assert_allclose(redrawn, loss, rtol=1e-12, atol=1e-12)
+
 
 class TestBatchLossGradients:
     def _setup(self, seed):

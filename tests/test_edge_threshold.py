@@ -15,7 +15,7 @@ TH = et.EdgeThresholds(t_fall_xyz=3.0, t_fall_hori=3.0,
 def window_with_peak(vec, label):
     samples = np.zeros((10, 3))
     samples[4] = vec
-    return Window(samples, 4, label)
+    return Window(samples, label)
 
 
 class TestFitThresholds:

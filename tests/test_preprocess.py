@@ -75,7 +75,7 @@ class TestExtractWindow:
         # WS_b * rate = 288, impact at 10 -> first 278 slots zero-filled
         assert np.all(window.samples[:278] == 0.0)
         assert np.any(window.samples[278] != 0.0)
-        assert window.impact_index == 288
+        assert window.samples[288].tolist() == [9.0, 0.0, 0.0]
 
     @settings(max_examples=200, deadline=None)
     @given(rate=st.integers(1, 400), n=st.integers(1, 500), at=st.floats(0.0, 1.0),
@@ -87,7 +87,7 @@ class TestExtractWindow:
         samples[impact] = [9.0, 0.0, 0.0]
         window = pp.extract_window(make_trace(samples, rate=rate), spec)
         before = spec.before(rate)
-        assert window.impact_index == before
+        assert window.samples[before].tolist() == [9.0, 0.0, 0.0]
         assert len(window.samples) == spec.length(rate)
         # oracle: row j is trace row impact - before + j, zero off the trace
         for j, row in enumerate(window.samples):
@@ -99,7 +99,7 @@ class TestExtractWindow:
         for trace in small_dataset.traces:
             window = pp.extract_window(trace, spec)
             norms = np.linalg.norm(window.samples, axis=1)
-            assert norms[window.impact_index] == norms.max()
+            assert norms[spec.before(trace.sample_rate_hz)] == norms.max()
 
     def test_length_is_pure_function_of_spec_and_rate(self, small_dataset):
         spec = pp.WindowSpec(0.6, 0.5)
@@ -186,7 +186,7 @@ class TestFeatures:
 
     def test_constant_window(self):
         samples = np.tile([1.0, 0.0, 0.0], (20, 1))
-        window = pp.Window(samples, 10, "ADL")
+        window = pp.Window(samples, "ADL")
         f = pp.extract_features(window)
         assert f[0] == 1.0       # mean ax
         assert f[6] == 0.0       # sd ax
@@ -201,7 +201,7 @@ class TestFeatures:
         # rounding residue, which must not pass for spread
         samples = np.zeros((50, 3))
         samples[:, 1] = 0.1
-        f = pp.extract_features(pp.Window(samples, 0, "ADL", axis))
+        f = pp.extract_features(pp.Window(samples, "ADL", axis))
         assert np.all(f[36:48] == 0.0)  # kurtosis and skewness of every channel
         assert np.all(f[48:54] == 0.0)  # every correlation has a constant channel
 
@@ -209,7 +209,7 @@ class TestFeatures:
         rng = np.random.default_rng(4)
         col = rng.normal(size=30)
         samples = np.column_stack([col, col, rng.normal(size=30)])
-        window = pp.Window(samples, 0, "ADL")
+        window = pp.Window(samples, "ADL")
         f = pp.extract_features(window)
         assert f[48] == pytest.approx(1.0)  # corr(ax, ay)
 
@@ -217,7 +217,7 @@ class TestFeatures:
     def test_matches_independent_oracle(self, seed):
         rng = np.random.default_rng(seed)
         samples = rng.normal(scale=2.0, size=(64, 3))
-        window = pp.Window(samples, 0, "FALL")
+        window = pp.Window(samples, "FALL")
         f = pp.extract_features(window)
         oracle = _oracle_features(window)
         np.testing.assert_allclose(f, oracle, rtol=1e-9, atol=1e-12)
@@ -226,7 +226,7 @@ class TestFeatures:
     def test_vertical_axis_configurable(self, axis):
         rng = np.random.default_rng(9)
         samples = rng.normal(size=(32, 3))
-        window = pp.Window(samples, 0, "FALL", axis)
+        window = pp.Window(samples, "FALL", axis)
         f = pp.extract_features(window)
         np.testing.assert_allclose(f, _oracle_features(window), rtol=1e-9)
 
@@ -274,7 +274,7 @@ def feature_windows(draw):
         samples[:pad] = 0.0
     else:
         samples[length - pad:] = 0.0
-    return pp.Window(samples, 0, "FALL")
+    return pp.Window(samples, "FALL")
 
 
 class TestFeatureProperties:
