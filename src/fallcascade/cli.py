@@ -95,6 +95,17 @@ def _named(key, fn, *args, **kwargs):
         raise ConfigError(f"{key}: {e}") from e
 
 
+def _built(section, cls, values, keys=None):
+    """cls(**values), after each value passes the check cls.CHECKS holds for
+    its field, so that an error names the key; `keys` names the keys of a
+    field that is not set by one key of its own name."""
+    keys = keys or {}
+    for name, value in values.items():
+        if name in cls.CHECKS:
+            _named(f"{section}.{keys.get(name, name)}", cls.CHECKS[name], name, value)
+    return _named(section, cls, **values)
+
+
 def _read(path) -> dict:
     """The keys the file sets, cast by KEYS, as {section: {key: value}} over
     every section of KEYS. An unknown key is reported before any bad value."""
@@ -136,13 +147,15 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
             raise ConfigError(f"dataset.manifest: file not found: {manifest}")
     elif source == "synth":
         manifest = None
+        peak_keys = {}
         for kind in ("fall", "adl"):
             lo, hi = getattr(ds.SynthSpec, f"{kind}_peak_range")
             dataset[f"{kind}_peak_range"] = (dataset.pop(f"{kind}_peak_min", lo),
                                              dataset.pop(f"{kind}_peak_max", hi))
+            peak_keys[f"{kind}_peak_range"] = f"{kind}_peak_min/{kind}_peak_max"
         if seed_override is not None:
             dataset["seed"] = seed_override
-        synth = _named("dataset", ds.SynthSpec, **dataset)
+        synth = _built("dataset", ds.SynthSpec, dataset, peak_keys)
         _named("dataset.n_subjects", ds.check_subjects, synth.n_subjects)
     else:
         raise ConfigError(f"dataset.source: must be synth or manifest, got {source!r}")
@@ -164,7 +177,7 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
 
     if seed_override is not None:
         cfg["train"]["seed"] = seed_override
-    train = _named("train", TrainConfig, **cfg["train"])
+    train = _built("train", TrainConfig, cfg["train"])
     kd = _named("kd", KDConfig,
                 **{KD_FIELDS.get(key, key): v for key, v in cfg["kd"].items()})
 

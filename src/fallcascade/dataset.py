@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import ADL, FALL, LABELS, norm_xyz
+from .nn import check_non_negative, check_positive
+from .preprocess import ADL, FALL, check_label, norm_xyz
 
 
 class DatasetError(Exception):
@@ -49,8 +50,10 @@ class Trace:
     samples: np.ndarray  # shape (n, 3), unit g
 
     def __post_init__(self):
-        if self.label not in LABELS:
-            raise DatasetError(f"label must be one of {LABELS}, got {self.label!r}")
+        try:
+            check_label(self.label)
+        except ValueError as e:
+            raise DatasetError(str(e)) from e
         if self.sample_rate_hz <= 0:
             raise DatasetError("sample_rate_hz must be positive")
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -62,10 +65,6 @@ class Trace:
             raise DatasetError("samples must be finite")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
 
     def __eq__(self, other):
         if not isinstance(other, Trace):
@@ -104,6 +103,13 @@ class Dataset:
         return len(self.traces)
 
 
+def check_peak_range(name: str, peak_range) -> None:
+    """Raise ValueError, naming the field, unless the range is 0 < lo < hi."""
+    lo, hi = peak_range
+    if not 0 < lo < hi:
+        raise ValueError(f"{name} must satisfy 0 < lo < hi, got ({lo}, {hi})")
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of the synthetic desk-scale dataset generator.
@@ -122,17 +128,18 @@ class SynthSpec:
     sample_rate_hz: int = 50
     seed: int = 0
 
+    # each checked field's one rule, a check(name, value)
+    CHECKS = {"n_subjects": check_positive, "falls_per_subject": check_positive,
+              "adls_per_subject": check_positive, "fall_peak_range": check_peak_range,
+              "adl_peak_range": check_peak_range, "trace_duration_s": check_positive,
+              "noise_sd": check_non_negative, "sample_rate_hz": check_positive}
+
     def __post_init__(self):
-        if min(self.n_subjects, self.falls_per_subject, self.adls_per_subject) < 1:
-            raise InvalidSpec("subject and per-subject trial counts must be >= 1")
-        for name, (lo, hi) in (("fall_peak_range", self.fall_peak_range),
-                               ("adl_peak_range", self.adl_peak_range)):
-            if not (0 < lo < hi):
-                raise InvalidSpec(f"{name} must satisfy 0 < lo < hi, got ({lo}, {hi})")
-        if self.trace_duration_s <= 0 or self.sample_rate_hz <= 0:
-            raise InvalidSpec("trace_duration_s and sample_rate_hz must be positive")
-        if self.noise_sd < 0:
-            raise InvalidSpec("noise_sd must be non-negative")
+        for name, check in self.CHECKS.items():
+            try:
+                check(name, getattr(self, name))
+            except ValueError as e:
+                raise InvalidSpec(str(e)) from e
 
 
 def _fmt(v: float) -> str:

@@ -15,7 +15,10 @@ from .dataset import Dataset, loso_folds
 from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KD_VARIANTS, KDConfig
 from .edge_threshold import MissingClass, fit_thresholds
 from .nn import TrainConfig, check_temperature, default_tier_spec
-from .preprocess import WindowSpec, extract_features, extract_window, feature_matrix
+from .preprocess import WindowSpec, extract_window, feature_matrix
+# routing reads the feature table and calls no extract_features here; the name
+# stays because perfbench/tracing.py patches `evaluate.extract_features`
+from .preprocess import extract_features  # noqa: F401
 
 F1_STANDARD = "standard"
 F1_PAPER = "paper"
@@ -94,6 +97,26 @@ def fit_scaler(X_train: np.ndarray, mode: str):
     flat = (sd == 0) | (X_train.max(axis=0) == X_train.min(axis=0))
     sd = np.where(flat, 1.0, sd)
     return lambda x: (x - mu) / sd
+
+
+class NotInTable(LookupError):
+    pass
+
+
+def row_lookup(windows, rows):
+    """A cascade's featurize that returns the row of `rows` at each window's
+    position in `windows`. Windows are matched by identity, not by value: the
+    lookup holds every window, so no other object can take a held window's id,
+    and any other window, even an equal copy, raises NotInTable."""
+    index = {id(w): (w, row) for w, row in zip(windows, rows)}
+
+    def featurize(window):
+        try:
+            return index[id(window)][1]
+        except KeyError:
+            raise NotInTable(f"window is not one of the {len(index)} windows of this "
+                             "feature table; a table is looked up by window identity") from None
+    return featurize
 
 
 @dataclass(frozen=True)
@@ -200,16 +223,19 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
         n_rows = len(splits[stack[0]][1])
         X = np.empty((len(stack), n_rows, features.shape[1]))
         y = np.empty((len(stack), n_rows), dtype=labels.dtype)
-        gates = []
+        routes = []  # each fold's gate, held-out windows and their featurize
         for i, k in enumerate(stack):
-            subject, train_rows, _ = splits[k]
+            subject, train_rows, test_rows = splits[k]
             try:
                 thresholds = fit_thresholds([windows[r] for r in train_rows])
             except MissingClass as e:
                 raise _fold_error(e, subject) from e
             scaler = fit_scaler(features[train_rows], cfg.normalization)
             X[i], y[i] = scaler(features[train_rows]), labels[train_rows]
-            gates.append((thresholds, scaler))
+            # the held-out windows route by their scaled rows of the table
+            held_out = [windows[r] for r in test_rows]
+            featurize = row_lookup(held_out, scaler(features[test_rows]))
+            routes.append((thresholds, held_out, featurize))
         fits = {}
         for (kd_variant, layers), run in zip(pairs, runs):
             # the TA is trained when it is deployed or when it teaches the student
@@ -221,17 +247,16 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
             except nn.NonFiniteLoss as e:
                 raise _fold_error(e, splits[stack[e.fold]][0]) from e
             for i, k in enumerate(stack):
-                subject, _, test_rows = splits[k]
-                thresholds, scaler = gates[i]
+                thresholds, held_out, featurize = routes[i]
                 results = {name: res.fold(i) for name, res in
                            zip(("teacher", "ta", "student"), tiers) if res is not None}
                 deployed = [results[name].model for name in DEPLOYED_TIERS[layers]]
                 cascade = build_cascade(
                     deployed, thresholds, tq_max=cfg.tq_max, tq_min=cfg.tq_min,
                     inference_temperature=cfg.inference_temperature,
-                    featurize=lambda w, s=scaler: s(extract_features(w)))
-                report = run_dataset(cascade, [windows[r] for r in test_rows])
-                run[k] = FoldResult(subject, report,
+                    featurize=featurize)
+                report = run_dataset(cascade, held_out)
+                run[k] = FoldResult(splits[k][0], report,
                                     {name: res.epoch_losses for name, res in results.items()})
     aggs = [AggregateReport.pool(run) for run in runs]
     return aggs[0] if variants is None else aggs

@@ -192,6 +192,24 @@ def grad(model: TieredModel, X, y, loss_spec=None, idx=None):
     return loss, grads_w, grads_b
 
 
+def check_positive(name: str, value) -> None:
+    """Raise ValueError, naming the field, unless value > 0."""
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+
+
+def check_non_negative(name: str, value) -> None:
+    """Raise ValueError, naming the field, unless value >= 0."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def check_fraction(name: str, value) -> None:
+    """Raise ValueError, naming the field, unless 0 <= value < 1."""
+    if not 0 <= value < 1:
+        raise ValueError(f"{name} must be >= 0 and < 1, got {value}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
@@ -200,11 +218,13 @@ class TrainConfig:
     momentum: float = 0.9
     seed: int = 0
 
+    # each checked field's one rule, a check(name, value)
+    CHECKS = {"epochs": check_positive, "batch_size": check_positive,
+              "learning_rate": check_non_negative, "momentum": check_fraction}
+
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate < 0 or not (0 <= self.momentum < 1):
-            raise ValueError("bad learning_rate or momentum")
+        for name, check in self.CHECKS.items():
+            check(name, getattr(self, name))
 
 
 @dataclass
@@ -275,11 +295,6 @@ def train(model: TieredModel, X, y, cfg: TrainConfig,
 def count_params(model_or_spec) -> int:
     spec = getattr(model_or_spec, "spec", model_or_spec)
     return spec.n_params
-
-
-def accuracy(model: TieredModel, X, y) -> float:
-    logits = forward(model, np.asarray(X, dtype=np.float64))
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
 
 
 def save_model(model: TieredModel, path) -> None:

@@ -147,20 +147,6 @@ def uniform_topology(n_layers: int, s: float = 0.5, b: float = 1.0,
     return Topology(tuple(layers))
 
 
-def write_topology(topology: Topology, path) -> None:
-    lines = []
-    for n, layer in enumerate(topology.layers):
-        lines.append(f"layer {n}")
-        for node in layer:
-            p = node.params
-            lines.append(
-                f"node {node.name} parent={node.parent or '-'} "
-                f"s={p.s!r} b={p.b!r} theta={p.theta!r} rho={p.rho!r} "
-                f"lambda={p.lam!r} beta={p.beta!r} phi={p.phi!r}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
 def load_topology(path) -> Topology:
     layers = []
     current = None

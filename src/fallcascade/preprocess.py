@@ -31,6 +31,12 @@ FEATURE_NAMES = tuple(
 N_FEATURES = len(FEATURE_NAMES)
 
 
+def check_label(label: str) -> None:
+    """Raise ValueError unless label is one of LABELS."""
+    if label not in LABELS:
+        raise ValueError(f"label must be one of {LABELS}, got {label!r}")
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """Sub-window durations after (ws_f_s) and before (ws_b_s) the impact,
@@ -65,8 +71,7 @@ class Window:
         samples = np.asarray(self.samples, dtype=np.float64)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-        if self.label not in LABELS:
-            raise ValueError(f"label must be one of {LABELS}, got {self.label!r}")
+        check_label(self.label)
         check_axis(self.vertical_axis)
 
 

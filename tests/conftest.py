@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fallcascade import dataset as ds
+from fallcascade import nn
 from fallcascade.preprocess import WindowSpec, extract_window
 
 
@@ -28,3 +29,30 @@ def separable_xy():
     X = np.vstack([x0, x1])
     y = np.array([0] * n + [1] * n)
     return X, y
+
+
+@pytest.fixture(scope="session")
+def accuracy():
+    """The share of rows of X that a model's argmax logit labels as y."""
+    def share(model, X, y) -> float:
+        logits = nn.forward(model, np.asarray(X, dtype=np.float64))
+        return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
+    return share
+
+
+@pytest.fixture(scope="session")
+def write_topology():
+    """Writes a perfmodel.Topology in the text form load_topology reads."""
+    def write(topology, path) -> None:
+        lines = []
+        for n, layer in enumerate(topology.layers):
+            lines.append(f"layer {n}")
+            for node in layer:
+                p = node.params
+                lines.append(
+                    f"node {node.name} parent={node.parent or '-'} "
+                    f"s={p.s!r} b={p.b!r} theta={p.theta!r} rho={p.rho!r} "
+                    f"lambda={p.lam!r} beta={p.beta!r} phi={p.phi!r}")
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+    return write

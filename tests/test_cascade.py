@@ -8,7 +8,7 @@ from fallcascade import cascade as cs
 from fallcascade import edge_threshold as et
 from fallcascade import evaluate, nn
 from fallcascade import preprocess as pp
-from fallcascade.dataset import ADL, FALL
+from fallcascade.dataset import ADL, FALL, DatasetError, Trace
 from fallcascade.edge_threshold import EdgeThresholds
 from fallcascade.preprocess import Window
 
@@ -160,6 +160,15 @@ def test_a_label_outside_the_vocabulary_raises(reader):
     read[reader](windows)
     with pytest.raises(ValueError, match=r"label must be one of \('FALL', 'ADL'\), got 'fall'"):
         read[reader](windows + [make_window([4.0, 3.0, 3.0], "fall")])
+
+
+def test_trace_and_window_share_one_label_rule():
+    with pytest.raises(ValueError) as window:
+        Window(np.zeros((4, 3)), "fall")
+    with pytest.raises(DatasetError) as trace:
+        Trace("S1", "T1", "fall", 50, np.zeros((4, 3)))
+    assert str(trace.value) == str(window.value) == (
+        "label must be one of ('FALL', 'ADL'), got 'fall'")
 
 
 class TestCascadeValidation:

@@ -129,9 +129,10 @@ class TestValidate:
         assert rc != 0
         assert "latency.topology" in capsys.readouterr().err
 
-    def test_topology_layer_count_must_match_every_variant(self, tmp_path, capsys):
+    def test_topology_layer_count_must_match_every_variant(self, tmp_path, capsys,
+                                                            write_topology):
         topo = tmp_path / "topo.txt"
-        perfmodel.write_topology(perfmodel.uniform_topology(4), topo)
+        write_topology(perfmodel.uniform_topology(4), topo)
         cfg = write_config(tmp_path, TINY_CONFIG.replace(
             "variants = nokd:dual", "variants = nokd:triple,nokd:dual")
             + f"\n[latency]\ntopology = {topo}\n")
@@ -309,6 +310,43 @@ def test_temperature_rule_has_one_check(tmp_path, capsys, value, section, key, n
                      section, key, named)
 
 
+KEY_RULES = [
+    ("train", "epochs", 0, "epochs must be > 0, got 0"),
+    ("train", "batch_size", -1, "batch_size must be > 0, got -1"),
+    ("train", "learning_rate", -0.5, "learning_rate must be >= 0, got -0.5"),
+    ("train", "momentum", 1.0, "momentum must be >= 0 and < 1, got 1.0"),
+    ("dataset", "n_subjects", 0, "n_subjects must be > 0, got 0"),
+    ("dataset", "falls_per_subject", 0, "falls_per_subject must be > 0, got 0"),
+    ("dataset", "adls_per_subject", -2, "adls_per_subject must be > 0, got -2"),
+    ("dataset", "trace_duration_s", 0.0, "trace_duration_s must be > 0, got 0.0"),
+    ("dataset", "noise_sd", -0.1, "noise_sd must be >= 0, got -0.1"),
+    ("dataset", "sample_rate_hz", 0, "sample_rate_hz must be > 0, got 0"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, message", KEY_RULES,
+                         ids=[f"{section}.{key}" for section, key, *_ in KEY_RULES])
+def test_train_and_dataset_rules_name_their_key(tmp_path, capsys, section, key, value,
+                                                message):
+    build = {"train": nn.TrainConfig, "dataset": ds.SynthSpec}[section]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(**{key: value})
+    err = validate_error(tmp_path, capsys, f"[{section}]\n{key} = {value}\n")
+    assert err == f"config error: {section}.{key}: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["fall", "adl"])
+@pytest.mark.parametrize("key, value", [("peak_min", 7.0), ("peak_max", 0.5)])
+def test_peak_range_names_its_two_keys(tmp_path, capsys, kind, key, value):
+    lo, hi = getattr(ds.SynthSpec, f"{kind}_peak_range")
+    bad = (value, hi) if key == "peak_min" else (lo, value)
+    message = f"{kind}_peak_range must satisfy 0 < lo < hi, got {bad}"
+    with pytest.raises(ds.InvalidSpec, match=f"^{re.escape(message)}$"):
+        ds.SynthSpec(**{f"{kind}_peak_range": bad})
+    err = validate_error(tmp_path, capsys, f"[dataset]\n{kind}_{key} = {value}\n")
+    assert err == f"config error: dataset.{kind}_peak_min/{kind}_peak_max: {message}\n"
+
+
 def test_axis_rule_has_one_check(tmp_path, capsys):
     sites = [lambda a: pp.channel_matrix(np.zeros((4, 3)), a),
              lambda a: pp.WindowSpec(vertical_axis=a),
@@ -336,12 +374,12 @@ def test_horizon_rule_has_one_check(tmp_path, capsys, value):
                      "latency", "horizon_s")
 
 
-def test_topology_rule_has_one_check(tmp_path, capsys):
+def test_topology_rule_has_one_check(tmp_path, capsys, write_topology):
     message = "topology has 4 layers, cascade has 3 stations"
     with pytest.raises(ValueError, match=f"^{message}$"):
         perfmodel.cascade_latency(DUAL_REPORT, perfmodel.uniform_topology(4))
     topo = tmp_path / "topo.txt"
-    perfmodel.write_topology(perfmodel.uniform_topology(4), topo)
+    write_topology(perfmodel.uniform_topology(4), topo)
     err = validate_error(tmp_path, capsys, with_key(TINY_CONFIG, "latency", "topology", topo))
     assert err == f"config error: latency.topology: variant nokd_dual: {message}\n"
 
@@ -367,18 +405,29 @@ def test_empty_config_takes_the_dataclass_defaults(tmp_path, monkeypatch):
     assert run_cfg.out_dir == "out"
 
 
+ESCALATE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "escalate.ini")
+
+
+@pytest.fixture(scope="module")
+def escalate_out(tmp_path_factory):
+    """The output directory of one `run` of configs/escalate.ini at seed 0,
+    which is also the seed its dataset and training take without --seed."""
+    out = tmp_path_factory.mktemp("escalate") / "out"
+    assert cli.main(["run", "--config", ESCALATE_CONFIG, "--seed", "0", "--out", str(out)]) == 0
+    return out
+
+
 def test_escalate_config_validates(capsys):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "escalate.ini")
-    assert cli.main(["validate", "--config", path]) == 0
+    assert cli.main(["validate", "--config", ESCALATE_CONFIG]) == 0
     assert capsys.readouterr().out == "config ok\n"
-    run_cfg = cli.parse_config(path)
+    run_cfg = cli.parse_config(ESCALATE_CONFIG)
     assert run_cfg.synth.n_subjects == 6 and run_cfg.synth.noise_sd == 0.5
     assert [t.layer_widths for t in (run_cfg.experiment.student, run_cfg.experiment.ta,
                                      run_cfg.experiment.teacher)] == [(54, 8, 2), (54, 16, 2),
                                                                       (54, 32, 2)]
 
 
-def test_readme_escalate_deltas_match_a_run(tmp_path, capsys):
+def test_readme_escalate_deltas_match_a_run(escalate_out, capsys):
     # README quotes `compare` on the escalate config's nokd_dual and
     # dualkd_dual reports at seed 0
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -386,12 +435,9 @@ def test_readme_escalate_deltas_match_a_run(tmp_path, capsys):
         quoted = re.search(r"\(at seed 0: accuracy unchanged, `mec1_to_cc` (\+[\d.]+)%\)",
                            " ".join(f.read().split()))
     assert quoted is not None
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "escalate.ini")
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", path, "--seed", "0", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert cli.main(["compare", str(out / "report_nokd_dual.txt"),
-                     str(out / "report_dualkd_dual.txt")]) == 0
+    assert cli.main(["compare", str(escalate_out / "report_nokd_dual.txt"),
+                     str(escalate_out / "report_dualkd_dual.txt")]) == 0
     deltas = dict(line.split("=") for line in capsys.readouterr().out.splitlines()[1:])
     assert deltas["acc_imp"] == "+0.0000%"
     hop = float(deltas["latency_reduction mec1_to_cc"].rstrip("%"))
@@ -484,16 +530,18 @@ class TestRun:
                 with open(pa) as fa, open(pb) as fb:
                     assert fa.read() == fb.read()
 
-    def test_synth_traces_read_through_a_manifest_run_as_synthesised(self, tmp_path, capsys):
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "escalate.ini")
-        with open(path) as f:
+    def test_synth_traces_read_through_a_manifest_run_as_synthesised(self, tmp_path, capsys,
+                                                                     escalate_out):
+        # the synthesised side is the shared seed-0 run, the config's own seeds
+        assert cli.parse_config(ESCALATE_CONFIG, seed_override=0) == cli.parse_config(
+            ESCALATE_CONFIG)
+        with open(ESCALATE_CONFIG) as f:
             text = f.read()
         data = tmp_path / "data"
-        assert cli.main(["synth", "--config", path, "--out", str(data)]) == 0
+        assert cli.main(["synth", "--config", ESCALATE_CONFIG, "--out", str(data)]) == 0
         manifest = write_config(tmp_path, text.replace(
             "source = synth", f"source = manifest\nmanifest = {data / 'manifest.txt'}"))
-        out_s, out_m = tmp_path / "synth", tmp_path / "manifest"
-        assert cli.main(["run", "--config", path, "--out", str(out_s)]) == 0
+        out_s, out_m = escalate_out, tmp_path / "manifest"
         assert cli.main(["run", "--config", manifest, "--out", str(out_m)]) == 0
         names = sorted(os.listdir(out_s))
         assert names == sorted(os.listdir(out_m)) and len(names) == 12

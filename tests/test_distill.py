@@ -168,14 +168,14 @@ class TestDistillTrain:
         for a, b in zip(distilled.model.weights, plain.model.weights):
             assert a.tobytes() == b.tobytes()
 
-    def test_separable_accuracy(self, separable_xy):
+    def test_separable_accuracy(self, separable_xy, accuracy):
         X, y = separable_xy
         cfg = nn.TrainConfig(epochs=150, seed=10)
         teacher = nn.train(nn.TieredModel.init(nn.TierSpec(nn.TEACHER, (2, 16, 2)),
                                                seed=10), X, y, cfg).model
         res = distill.distill_train(teacher, nn.TierSpec(nn.STUDENT, (2, 4, 2)),
                                     X, y, distill.KDConfig(), cfg)
-        assert nn.accuracy(res.model, X, y) >= 0.9
+        assert accuracy(res.model, X, y) >= 0.9
 
     def test_determinism(self, separable_xy):
         X, y = separable_xy
@@ -196,13 +196,13 @@ class TestTakdPipeline:
              nn.TierSpec(nn.STUDENT, (2, 4, 2)))
 
     @pytest.mark.parametrize("mode", [distill.SEQUENTIAL, distill.COMPOSITE_EQ10])
-    def test_all_models_learn_separable_set(self, separable_xy, mode):
+    def test_all_models_learn_separable_set(self, separable_xy, accuracy, mode):
         X, y = separable_xy
         cfg = nn.TrainConfig(epochs=150, seed=12)
         kd = distill.KDConfig(triple_mode=mode)
         t, ta, s = distill.takd_pipeline(*self.SPECS, X, y, kd, cfg)
         for res in (t, ta, s):
-            assert nn.accuracy(res.model, X, y) >= 0.9
+            assert accuracy(res.model, X, y) >= 0.9
 
     def test_capacity_order_enforced(self, separable_xy):
         X, y = separable_xy

@@ -3,14 +3,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fallcascade import distill
 from fallcascade import evaluate as ev
 from fallcascade import nn
+from fallcascade import preprocess as pp
 from fallcascade.cascade import InvalidThresholds
-from fallcascade.dataset import FALL, Dataset, SynthSpec, synth_generate
+from fallcascade.dataset import FALL, Dataset, SynthSpec, loso_folds, synth_generate
 from fallcascade.edge_threshold import MissingClass
-from fallcascade.preprocess import WindowSpec
+from fallcascade.preprocess import Window, WindowSpec
 
 
 class TestMetrics:
@@ -334,6 +336,85 @@ class TestSharedPass:
             # student on the labels, from the teacher and from the TA (or from
             # teacher and TA, in composite mode)
             assert fits == {nn.TEACHER: folds, nn.TA: 2 * folds, nn.STUDENT: 3 * folds}
+
+
+class TestTableRouting:
+    """The held-out windows route by their scaled rows of the run's feature
+    table, which is featurised once per trace."""
+
+    VARIANTS = TestSharedPass.VARIANTS
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return synth_generate(ESCALATING_SPEC)
+
+    def test_one_feature_row_per_trace(self, data, monkeypatch):
+        rows = Counter()
+        extract_features = pp.extract_features
+
+        def count_row(window):
+            rows[id(window)] += 1
+            return extract_features(window)
+
+        # the name the feature table calls, and the one `evaluate` imports
+        monkeypatch.setattr(pp, "extract_features", count_row)
+        monkeypatch.setattr(ev, "extract_features", count_row)
+        aggs = ev.loso_evaluate(data, TestSharedPass.config(distill.SEQUENTIAL),
+                                variants=self.VARIANTS)
+        assert len(rows) == len(data) and set(rows.values()) == {1}
+        # the routes did reach the classifier stations, which read the rows
+        assert all(agg.pooled_report.processed[1] > 0 for agg in aggs)
+
+    def test_lookup_holds_its_windows_and_only_those(self, small_windows):
+        rows = np.arange(len(small_windows) * 2.0).reshape(len(small_windows), 2)
+        featurize = ev.row_lookup(small_windows, rows)
+        for k, w in enumerate(small_windows):
+            assert featurize(w) is not None and np.array_equal(featurize(w), rows[k])
+        w = small_windows[0]
+        equal = Window(w.samples.copy(), w.label, w.vertical_axis)
+        assert np.array_equal(equal.samples, w.samples) and equal is not w
+        with pytest.raises(ev.NotInTable, match=f"one of the {len(small_windows)} windows"):
+            featurize(equal)
+        assert issubclass(ev.NotInTable, LookupError)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n_subjects=st.integers(2, 3),
+           per_class=st.integers(2, 4), normalization=st.sampled_from(ev.NORMALIZATIONS),
+           axis=st.sampled_from(sorted(pp.PLANE_AXES)),
+           variants=st.lists(st.sampled_from(TestSharedPass.VARIANTS), min_size=1,
+                             max_size=3, unique=True))
+    def test_table_rows_route_as_recomputed_features(self, seed, n_subjects, per_class,
+                                                     normalization, axis, variants):
+        data = synth_generate(dataclasses.replace(
+            ESCALATING_SPEC, n_subjects=n_subjects, falls_per_subject=per_class,
+            adls_per_subject=per_class, seed=seed))
+        cfg = fast_config(window=WindowSpec(0.6, 0.5, axis), normalization=normalization,
+                          train=nn.TrainConfig(epochs=3, batch_size=8, learning_rate=0.02))
+        # the reference featurize: each fold's scaler, fit on its training
+        # rows, over features computed afresh from the window
+        windows = [pp.extract_window(t, cfg.window) for t in data.traces]
+        features, _ = pp.feature_matrix(windows)
+        subject_of = {w.samples.tobytes(): t.subject_id for w, t in zip(windows, data.traces)}
+        scalers = {subject: ev.fit_scaler(features[train], normalization)
+                   for subject, train, _ in loso_folds(t.subject_id for t in data.traces)}
+        routed = []
+        run_dataset = ev.run_dataset
+
+        def with_reference(cascade, held_out):
+            scaler = scalers[subject_of[held_out[0].samples.tobytes()]]
+            reference = dataclasses.replace(
+                cascade, featurize=lambda w: scaler(pp.extract_features(w)))
+            routed.append((run_dataset(cascade, held_out), run_dataset(reference, held_out)))
+            return routed[-1][0]
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ev, "run_dataset", with_reference)
+            aggs = ev.loso_evaluate(data, cfg, variants=variants)
+        assert len(routed) == n_subjects * len(variants)
+        assert sorted(map(id, (f.report for agg in aggs for f in agg.folds))) == sorted(
+            id(table) for table, _ in routed)
+        for table, reference in routed:
+            assert table == reference
 
 
 class TestLockstepFolds:

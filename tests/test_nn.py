@@ -126,12 +126,12 @@ class TestGrad:
 
 
 class TestTrain:
-    def test_separable_set_reaches_high_accuracy(self, separable_xy):
+    def test_separable_set_reaches_high_accuracy(self, separable_xy, accuracy):
         X, y = separable_xy
         model = tiny_model(widths=(2, 8, 2), seed=1)
         cfg = nn.TrainConfig(epochs=200, batch_size=64, learning_rate=0.001, seed=1)
         result = nn.train(model, X, y, cfg)
-        assert nn.accuracy(result.model, X, y) >= 0.95
+        assert accuracy(result.model, X, y) >= 0.95
 
     def test_zero_learning_rate_is_noop(self, separable_xy):
         X, y = separable_xy

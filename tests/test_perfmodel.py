@@ -116,7 +116,7 @@ class TestCascadeLatency:
 
 
 class TestTopologyIO:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, write_topology):
         topo = pm.Topology((
             (pm.Node("ed0", "mec0", pm.NodeParams(0.5, 2.0, 4.0, 0.1, 10.0, 1.0, 2.0)),
              pm.Node("ed1", "mec0", pm.NodeParams(0.2, 1.0, 3.0, 0.0, 5.0, 0.0, 1.5))),
@@ -124,7 +124,7 @@ class TestTopologyIO:
             (pm.Node("cc", None, pm.NodeParams(1.0, 3.0, 8.0, 0.5, 2.0, 4.0, 6.0)),),
         ))
         path = tmp_path / "topo.txt"
-        pm.write_topology(topo, path)
+        write_topology(topo, path)
         loaded = pm.load_topology(path)
         assert loaded == topo
 
