@@ -20,7 +20,7 @@ from .distill import KD_TRIPLE, KDConfig, check_capacity
 from .edge_threshold import MissingClass
 from .evaluate import ExperimentConfig, loso_evaluate
 from .nn import TierSpec, TrainConfig
-from .preprocess import N_FEATURES, WindowSpec, check_axis
+from .preprocess import N_FEATURES, WindowSpec
 
 SCHEMA_VERSION = "1"
 
@@ -160,9 +160,7 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
     else:
         raise ConfigError(f"dataset.source: must be synth or manifest, got {source!r}")
 
-    _named("window.vertical_axis", check_axis,
-           cfg["window"].get("vertical_axis", WindowSpec.vertical_axis))
-    window = _named("window", WindowSpec, **cfg["window"])
+    window = _built("window", WindowSpec, cfg["window"])
 
     normalization = cfg["normalize"].get("mode", ExperimentConfig.normalization)
     _named("normalize.mode", evaluate.check_normalization, normalization)
@@ -178,8 +176,8 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
     if seed_override is not None:
         cfg["train"]["seed"] = seed_override
     train = _built("train", TrainConfig, cfg["train"])
-    kd = _named("kd", KDConfig,
-                **{KD_FIELDS.get(key, key): v for key, v in cfg["kd"].items()})
+    kd = _built("kd", KDConfig, {KD_FIELDS.get(key, key): v for key, v in cfg["kd"].items()},
+                {field: key for key, field in KD_FIELDS.items()})
 
     band = cfg["cascade"]
     _named("cascade.tq_max/tq_min", cascade.check_band,
@@ -210,7 +208,7 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
             _named(f"latency.topology: variant {_variant_token(kd_variant, layers)}",
                    perfmodel.check_topology, topology, 1 + len(evaluate.DEPLOYED_TIERS[layers]))
     horizon_s = cfg["latency"].get("horizon_s", perfmodel.HORIZON_S)
-    _named("latency.horizon_s", perfmodel.check_horizon, horizon_s)
+    _named("latency.horizon_s", nn.check_positive, "horizon_s", horizon_s)
 
     out_dir = out_override or cfg["run"].get("out") or os.environ.get("FALLCASCADE_OUT", "out")
     experiment = ExperimentConfig(window=window, normalization=normalization,

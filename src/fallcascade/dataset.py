@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import check_non_negative, check_positive
+from .nn import check_fields, check_non_negative, check_positive
 from .preprocess import ADL, FALL, check_label, norm_xyz
 
 
@@ -52,10 +52,9 @@ class Trace:
     def __post_init__(self):
         try:
             check_label(self.label)
+            check_positive("sample_rate_hz", self.sample_rate_hz)
         except ValueError as e:
             raise DatasetError(str(e)) from e
-        if self.sample_rate_hz <= 0:
-            raise DatasetError("sample_rate_hz must be positive")
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 2 or samples.shape[1] != 3:
             raise DatasetError("samples must have shape (n, 3)")
@@ -132,14 +131,14 @@ class SynthSpec:
     CHECKS = {"n_subjects": check_positive, "falls_per_subject": check_positive,
               "adls_per_subject": check_positive, "fall_peak_range": check_peak_range,
               "adl_peak_range": check_peak_range, "trace_duration_s": check_positive,
-              "noise_sd": check_non_negative, "sample_rate_hz": check_positive}
+              "noise_sd": check_non_negative, "sample_rate_hz": check_positive,
+              "seed": check_non_negative}
 
     def __post_init__(self):
-        for name, check in self.CHECKS.items():
-            try:
-                check(name, getattr(self, name))
-            except ValueError as e:
-                raise InvalidSpec(str(e)) from e
+        try:
+            check_fields(self)
+        except ValueError as e:
+            raise InvalidSpec(str(e)) from e
 
 
 def _fmt(v: float) -> str:

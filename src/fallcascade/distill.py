@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (TieredModel, TrainConfig, TrainResult, ce_rows, check_temperature,
-                 forward, softmax_t, train)
+from .nn import (TieredModel, TrainConfig, TrainResult, ce_rows, check_fields,
+                 check_temperature, forward, softmax_t, train)
 
 PAPER_EQ8 = "paper_eq8"     # student-leading KL, as printed
 STANDARD_KD = "standard"    # teacher-leading KL, conventional KD
@@ -30,6 +30,21 @@ KD_TRIPLE = "triplekd"
 KD_VARIANTS = (KD_NONE, KD_DUAL, KD_TRIPLE)
 
 
+def check_weight(name: str, value) -> None:
+    """Raise ValueError, naming the field, unless 0 <= value <= 1."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
+def one_of(*choices):
+    """The check(name, value) that raises ValueError, naming the field,
+    unless value is one of `choices`."""
+    def check(name: str, value) -> None:
+        if value not in choices:
+            raise ValueError(f"unknown {name} {value!r}")
+    return check
+
+
 @dataclass(frozen=True)
 class KDConfig:
     lam: float = 0.5
@@ -38,16 +53,14 @@ class KDConfig:
     triple_mode: str = SEQUENTIAL
     tri_combine: str = ADDITIVE
 
+    # each checked field's one rule, a check(name, value)
+    CHECKS = {"lam": check_weight, "temperature": lambda _, t: check_temperature(t),
+              "direction": one_of(PAPER_EQ8, STANDARD_KD),
+              "triple_mode": one_of(SEQUENTIAL, COMPOSITE_EQ10),
+              "tri_combine": one_of(ADDITIVE, MULTIPLICATIVE)}
+
     def __post_init__(self):
-        if not (0.0 <= self.lam <= 1.0):
-            raise ValueError("lam must be in [0, 1]")
-        check_temperature(self.temperature)
-        if self.direction not in (PAPER_EQ8, STANDARD_KD):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if self.triple_mode not in (SEQUENTIAL, COMPOSITE_EQ10):
-            raise ValueError(f"unknown triple_mode {self.triple_mode!r}")
-        if self.tri_combine not in (ADDITIVE, MULTIPLICATIVE):
-            raise ValueError(f"unknown tri_combine {self.tri_combine!r}")
+        check_fields(self)
 
 
 def _log_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:

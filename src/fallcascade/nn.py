@@ -76,7 +76,6 @@ class TieredModel:
     spec: TierSpec
     weights: list  # weights[l] has shape (in, out), stacked (F, in, out)
     biases: list   # biases[l] has shape (out,), stacked (F, 1, out)
-    seed: int = 0
 
     @classmethod
     def init(cls, spec: TierSpec, seed: int = 0) -> "TieredModel":
@@ -87,18 +86,17 @@ class TieredModel:
             limit = np.sqrt(6.0 / fan_in)
             weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
-        return cls(spec=spec, weights=weights, biases=biases, seed=seed)
+        return cls(spec=spec, weights=weights, biases=biases)
 
     def stacked(self, folds: int) -> "TieredModel":
         """A stack of `folds` copies of this solo model."""
         return TieredModel(self.spec, [np.repeat(w[None], folds, axis=0) for w in self.weights],
-                           [np.repeat(b[None, None], folds, axis=0) for b in self.biases],
-                           self.seed)
+                           [np.repeat(b[None, None], folds, axis=0) for b in self.biases])
 
     def fold(self, k: int) -> "TieredModel":
         """Fold k of a stack, as a solo model (views of the stack)."""
         return TieredModel(self.spec, [w[k] for w in self.weights],
-                           [b[k, 0] for b in self.biases], self.seed)
+                           [b[k, 0] for b in self.biases])
 
 
 def forward(model: TieredModel, x) -> np.ndarray:
@@ -210,6 +208,13 @@ def check_fraction(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 0 and < 1, got {value}")
 
 
+def check_fields(config) -> None:
+    """Run each rule of config.CHECKS, its table of one check(name, value)
+    per checked field, on the field it names."""
+    for name, check in config.CHECKS.items():
+        check(name, getattr(config, name))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
@@ -220,11 +225,11 @@ class TrainConfig:
 
     # each checked field's one rule, a check(name, value)
     CHECKS = {"epochs": check_positive, "batch_size": check_positive,
-              "learning_rate": check_non_negative, "momentum": check_fraction}
+              "learning_rate": check_non_negative, "momentum": check_fraction,
+              "seed": check_non_negative}
 
     def __post_init__(self):
-        for name, check in self.CHECKS.items():
-            check(name, getattr(self, name))
+        check_fields(self)
 
 
 @dataclass
@@ -295,54 +300,3 @@ def train(model: TieredModel, X, y, cfg: TrainConfig,
 def count_params(model_or_spec) -> int:
     spec = getattr(model_or_spec, "spec", model_or_spec)
     return spec.n_params
-
-
-def save_model(model: TieredModel, path) -> None:
-    """Text checkpoint; floats are written in exact round-trip form."""
-    lines = [
-        "format=fallcascade-model-v1",
-        f"tier={model.spec.tier}",
-        f"widths={','.join(str(w) for w in model.spec.layer_widths)}",
-        f"seed={model.seed}",
-    ]
-    for l, (W, b) in enumerate(zip(model.weights, model.biases)):
-        lines.append(f"layer={l}")
-        for row in W:
-            lines.append("W " + " ".join(repr(float(v)) for v in row))
-        lines.append("b " + " ".join(repr(float(v)) for v in b))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_model(path) -> TieredModel:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0] != "format=fallcascade-model-v1":
-        raise ValueError(f"{path}: not a model checkpoint")
-    n_header = next((i for i, line in enumerate(lines) if line.startswith("layer=")),
-                    len(lines))
-    header = dict(line.split("=", 1) for line in lines[1:n_header])
-    missing = {"tier", "widths", "seed"} - header.keys()
-    if missing:
-        raise ValueError(f"{path}: checkpoint header lacks {sorted(missing)}")
-    spec = TierSpec(header["tier"],
-                    tuple(int(w) for w in header["widths"].split(",")))
-    weights, biases = [], []
-    rows = []
-    for line in lines[n_header:]:
-        if line.startswith("layer="):
-            rows = []
-        elif line.startswith("W "):
-            rows.append([float(v) for v in line[2:].split()])
-        elif line.startswith("b "):
-            weights.append(np.array(rows))
-            biases.append(np.array([float(v) for v in line[2:].split()]))
-    shapes = list(zip(spec.layer_widths, spec.layer_widths[1:]))
-    if len(weights) != len(shapes):
-        raise ShapeMismatch(f"{path}: checkpoint has {len(weights)} layers, "
-                            f"widths {spec.layer_widths} need {len(shapes)}")
-    for W, b, (fan_in, fan_out) in zip(weights, biases, shapes):
-        if W.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-            raise ShapeMismatch(f"{path}: checkpoint shapes do not match spec")
-    return TieredModel(spec=spec, weights=weights, biases=biases,
-                       seed=int(header["seed"]))

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .cascade import CascadeReport
+from .nn import check_positive
 
 
 HORIZON_S = 1.0  # default routing horizon, seconds
@@ -69,12 +70,6 @@ def check_topology(topology: Topology, n_stations: int) -> None:
                                f"cascade has {n_stations} stations")
 
 
-def check_horizon(horizon_s: float) -> None:
-    """Raise ValueError unless the routing horizon is > 0 seconds."""
-    if horizon_s <= 0:
-        raise ValueError(f"horizon_s must be > 0, got {horizon_s}")
-
-
 def node_latency(p: NodeParams) -> float:
     """Compute-plus-transmission time contributed by one node."""
     compute = p.s * p.b / p.theta
@@ -115,7 +110,7 @@ def cascade_latency(report: CascadeReport, topology: Topology,
     share; the hop latency is the layer's layer_latency.
     """
     check_topology(topology, len(report.station_names))
-    check_horizon(horizon_s)
+    check_positive("horizon_s", horizon_s)
     names = report.station_names
     loaded = Topology([
         [replace(node, params=replace(node.params, lam=v / len(layer) / horizon_s,

@@ -11,6 +11,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .nn import check_fields, check_positive
+
 if TYPE_CHECKING:
     from .dataset import Trace
 
@@ -46,10 +48,12 @@ class WindowSpec:
     ws_b_s: float = 0.8
     vertical_axis: str = "x"
 
+    # each checked field's one rule, a check(name, value)
+    CHECKS = {"ws_f_s": check_positive, "ws_b_s": check_positive,
+              "vertical_axis": lambda _, axis: check_axis(axis)}
+
     def __post_init__(self):
-        if self.ws_f_s <= 0 or self.ws_b_s <= 0:
-            raise ValueError("sub-window durations must be positive")
-        check_axis(self.vertical_axis)
+        check_fields(self)
 
     def before(self, rate_hz: int) -> int:
         """Samples before the impact, which is the window's index of it."""

@@ -284,22 +284,23 @@ class TestValidate:
 TH = EdgeThresholds(t_fall_xyz=3.0, t_fall_hori=2.0, t_adl_xyz=1.5, t_adl_hori=1.0)
 
 
-def assert_one_check(tmp_path, capsys, sites, value, message, section, key, named=None):
+def assert_one_check(tmp_path, capsys, sites, value, message, section, key):
     """Every library call site raises the rule's one ValueError, with its one
-    message, on the bad value; validate's error names `named`, the key by
-    default."""
+    message, on the bad value; validate's error names the key."""
     for site in sites:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             site(value)
     err = validate_error(tmp_path, capsys, with_key(TINY_CONFIG, section, key, value))
-    assert err.startswith(f"config error: {named or f'{section}.{key}'}: ")
+    assert err.startswith(f"config error: {section}.{key}: ")
     assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0])
-@pytest.mark.parametrize("section, key, named", [
-    ("cascade", "inference_temperature", None), ("kd", "kd_temperature", "kd")])
-def test_temperature_rule_has_one_check(tmp_path, capsys, value, section, key, named):
+# the ids keep the names these cases have long had
+@pytest.mark.parametrize("section, key", [("cascade", "inference_temperature"),
+                                          ("kd", "kd_temperature")],
+                         ids=["cascade-inference_temperature-None", "kd-kd_temperature-kd"])
+def test_temperature_rule_has_one_check(tmp_path, capsys, value, section, key):
     model = nn.TieredModel.init(nn.TierSpec(nn.STUDENT, (54, 2)))
     sites = [lambda t: nn.softmax_t([1.0, 0.0], t),
              lambda t: distill._log_softmax(np.zeros((1, 2)), t),
@@ -307,7 +308,7 @@ def test_temperature_rule_has_one_check(tmp_path, capsys, value, section, key, n
              lambda t: ev.ExperimentConfig(inference_temperature=t),
              lambda t: cascade.build_cascade([model], TH, inference_temperature=t)]
     assert_one_check(tmp_path, capsys, sites, value, f"temperature must be > 0, got {value}",
-                     section, key, named)
+                     section, key)
 
 
 KEY_RULES = [
@@ -321,18 +322,52 @@ KEY_RULES = [
     ("dataset", "trace_duration_s", 0.0, "trace_duration_s must be > 0, got 0.0"),
     ("dataset", "noise_sd", -0.1, "noise_sd must be >= 0, got -0.1"),
     ("dataset", "sample_rate_hz", 0, "sample_rate_hz must be > 0, got 0"),
+    ("train", "seed", -3, "seed must be >= 0, got -3"),
+    ("dataset", "seed", -2, "seed must be >= 0, got -2"),
 ]
+
+WINDOW_KD_RULES = [
+    ("window", "ws_f_s", 0.0, "ws_f_s must be > 0, got 0.0"),
+    ("window", "ws_b_s", -0.5, "ws_b_s must be > 0, got -0.5"),
+    ("window", "vertical_axis", "w", "vertical_axis must be x, y or z, got 'w'"),
+    ("kd", "lambda", 2.0, "lam must be in [0, 1], got 2.0"),
+    ("kd", "kd_temperature", 0.0, "temperature must be > 0, got 0.0"),
+    ("kd", "kd_direction", "up", "unknown direction 'up'"),
+    ("kd", "triple_mode", "nested", "unknown triple_mode 'nested'"),
+    ("kd", "tri_combine", "max", "unknown tri_combine 'max'"),
+]
+
+
+def assert_rule_names_key(tmp_path, capsys, section, key, value, message):
+    """The dataclass the section builds raises the message on the bad value,
+    and validate's error is the message named by the key, on one line."""
+    build = {"train": nn.TrainConfig, "dataset": ds.SynthSpec, "window": pp.WindowSpec,
+             "kd": distill.KDConfig}[section]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(**{cli.KD_FIELDS.get(key, key): value})
+    err = validate_error(tmp_path, capsys, f"[{section}]\n{key} = {value}\n")
+    assert err == f"config error: {section}.{key}: {message}\n"
 
 
 @pytest.mark.parametrize("section, key, value, message", KEY_RULES,
                          ids=[f"{section}.{key}" for section, key, *_ in KEY_RULES])
 def test_train_and_dataset_rules_name_their_key(tmp_path, capsys, section, key, value,
                                                 message):
-    build = {"train": nn.TrainConfig, "dataset": ds.SynthSpec}[section]
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        build(**{key: value})
-    err = validate_error(tmp_path, capsys, f"[{section}]\n{key} = {value}\n")
-    assert err == f"config error: {section}.{key}: {message}\n"
+    assert_rule_names_key(tmp_path, capsys, section, key, value, message)
+
+
+@pytest.mark.parametrize("section, key, value, message", WINDOW_KD_RULES,
+                         ids=[f"{section}.{key}" for section, key, *_ in WINDOW_KD_RULES])
+def test_window_and_kd_rules_name_their_key(tmp_path, capsys, section, key, value, message):
+    assert_rule_names_key(tmp_path, capsys, section, key, value, message)
+
+
+def test_negative_seed_fails_before_the_run(tmp_path, capsys):
+    cfg = write_config(tmp_path, TINY_CONFIG)
+    assert cli.main(["run", "--config", cfg, "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "config error: dataset.seed: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["fall", "adl"])

@@ -48,6 +48,11 @@ class TestLoadTrace:
         with pytest.raises(ds.EmptyTrace):
             ds.load_trace(_write(tmp_path, HEADER))
 
+    def test_non_positive_rate(self, tmp_path):
+        path = _write(tmp_path, HEADER.replace("rate_hz=200", "rate_hz=0") + "1,0,0\n")
+        with pytest.raises(ds.DatasetError, match=r"^sample_rate_hz must be > 0, got 0$"):
+            ds.load_trace(path)
+
 
 class TestRoundTrip:
     def test_write_then_load_is_identity(self, tmp_path, small_dataset):

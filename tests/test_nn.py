@@ -187,37 +187,3 @@ class TestCountParams:
         ta = nn.count_params(nn.default_tier_spec(nn.TA))
         t = nn.count_params(nn.default_tier_spec(nn.TEACHER))
         assert t > ta > s
-
-
-class TestCheckpoint:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        model = tiny_model(widths=(5, 4, 2), seed=6)
-        path = tmp_path / "model.txt"
-        nn.save_model(model, path)
-        loaded = nn.load_model(path)
-        assert loaded.spec == model.spec
-        assert loaded.seed == model.seed
-        for a, b in zip(model.weights, loaded.weights):
-            assert a.tobytes() == b.tobytes()
-        for a, b in zip(model.biases, loaded.biases):
-            assert a.tobytes() == b.tobytes()
-
-    def test_truncated_checkpoint_is_rejected(self, tmp_path):
-        model = nn.TieredModel.init(nn.default_tier_spec(nn.TEACHER), seed=0)
-        path = tmp_path / "teacher.txt"
-        nn.save_model(model, path)
-        lines = path.read_text().splitlines()
-        cut = tmp_path / "cut.txt"
-        cut.write_text("\n".join(lines[:lines.index("layer=1")]) + "\n")
-        with pytest.raises(nn.ShapeMismatch):
-            nn.load_model(cut)
-
-    def test_header_is_read_by_key(self, tmp_path):
-        model = tiny_model(widths=(5, 4, 2), seed=6)
-        path = tmp_path / "model.txt"
-        nn.save_model(model, path)
-        lines = path.read_text().splitlines()
-        lines[1:1] = ["note=retrained"]
-        path.write_text("\n".join(lines) + "\n")
-        loaded = nn.load_model(path)
-        assert (loaded.spec, loaded.seed) == (model.spec, model.seed)
