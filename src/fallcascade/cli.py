@@ -71,7 +71,7 @@ KEYS = {
                 "sample_rate_hz": int, "seed": int},
     "window": {"ws_f_s": float, "ws_b_s": float, "vertical_axis": str},
     "normalize": {"mode": str, "compare": _bool},
-    "tiers": dict.fromkeys(evaluate.TIER_FIELDS, _widths),
+    "tiers": dict.fromkeys(nn.TIERS, _widths),
     "train": {"epochs": int, "batch_size": int, "learning_rate": float,
               "momentum": float, "seed": int},
     "kd": {"lambda": float, "kd_temperature": float, "kd_direction": str,
@@ -139,26 +139,28 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
     dataset = cfg["dataset"]
     source = dataset.pop("source", "synth")
     manifest = dataset.pop("manifest", None)
-    synth = None
     if source == "manifest":
         if manifest is None:
             raise ConfigError("dataset.manifest: required when source=manifest")
         if not os.path.isfile(manifest):
             raise ConfigError(f"dataset.manifest: file not found: {manifest}")
-    elif source == "synth":
-        manifest = None
-        peak_keys = {}
-        for kind in ("fall", "adl"):
-            lo, hi = getattr(ds.SynthSpec, f"{kind}_peak_range")
-            dataset[f"{kind}_peak_range"] = (dataset.pop(f"{kind}_peak_min", lo),
-                                             dataset.pop(f"{kind}_peak_max", hi))
-            peak_keys[f"{kind}_peak_range"] = f"{kind}_peak_min/{kind}_peak_max"
-        if seed_override is not None:
-            dataset["seed"] = seed_override
-        synth = _built("dataset", ds.SynthSpec, dataset, peak_keys)
-        _named("dataset.n_subjects", ds.check_subjects, synth.n_subjects)
-    else:
+    elif source != "synth":
         raise ConfigError(f"dataset.source: must be synth or manifest, got {source!r}")
+    # the synth keys are checked under either source, and used under synth
+    peak_keys = {}
+    for kind in ("fall", "adl"):
+        lo, hi = getattr(ds.SynthSpec, f"{kind}_peak_range")
+        dataset[f"{kind}_peak_range"] = (dataset.pop(f"{kind}_peak_min", lo),
+                                         dataset.pop(f"{kind}_peak_max", hi))
+        peak_keys[f"{kind}_peak_range"] = f"{kind}_peak_min/{kind}_peak_max"
+    if seed_override is not None and source == "synth":
+        dataset["seed"] = seed_override
+    synth = _built("dataset", ds.SynthSpec, dataset, peak_keys)
+    if source == "manifest":
+        synth = None
+    else:
+        manifest = None
+        _named("dataset.n_subjects", ds.check_subjects, synth.n_subjects)
 
     window = _built("window", WindowSpec, cfg["window"])
 
@@ -168,7 +170,7 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
 
     tiers = {}
     for key, widths in cfg["tiers"].items():
-        tiers[key] = _named(f"tiers.{key}", TierSpec, evaluate.TIER_FIELDS[key], widths)
+        tiers[key] = _named(f"tiers.{key}", TierSpec, key, widths)
         if widths[0] != N_FEATURES:
             raise ConfigError(f"tiers.{key}: input width must be {N_FEATURES}, "
                               f"one per feature, got {widths[0]}")

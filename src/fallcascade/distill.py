@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (TieredModel, TrainConfig, TrainResult, ce_rows, check_fields,
-                 check_temperature, forward, softmax_t, train)
+from .nn import (STUDENT, TA, TEACHER, TIERS, TieredModel, TrainConfig, TrainResult,
+                 ce_rows, check_fields, check_temperature, forward, softmax_t, train)
 
 PAPER_EQ8 = "paper_eq8"     # student-leading KL, as printed
 STANDARD_KD = "standard"    # teacher-leading KL, conventional KD
@@ -77,10 +77,9 @@ def _kl_rows(log_p, log_q, temperature: float, direction: str):
     if direction == PAPER_EQ8:
         kl = np.sum(p * (log_p - log_q), axis=-1)
         return kl, p * ((log_p - log_q) - kl[..., None]) / temperature
-    if direction == STANDARD_KD:
+    else:  # STANDARD_KD
         q = np.exp(log_q)
         return np.sum(q * (log_q - log_p), axis=-1), (p - q) / temperature
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 def _composite_rows(log_p, log_q, log_r, temperature: float, combine: str):
@@ -92,11 +91,10 @@ def _composite_rows(log_p, log_q, log_r, temperature: float, combine: str):
     if combine == ADDITIVE:
         comp = np.sum(p * (a + b), axis=-1)
         return comp, p * ((a + b) - comp[..., None]) / temperature
-    if combine == MULTIPLICATIVE:
+    else:  # MULTIPLICATIVE
         comp = np.sum(p * a * b, axis=-1)
         eb = np.sum(p * b, axis=-1)
         return comp, p * (a * b + b - comp[..., None] - eb[..., None]) / temperature
-    raise ValueError(f"unknown combine {combine!r}")
 
 
 def _blend(cfg: KDConfig, div, ddiv, logits, labels):
@@ -111,6 +109,7 @@ def _blend(cfg: KDConfig, div, ddiv, logits, labels):
 def kl_soft(t_logits, s_logits, temperature: float,
             direction: str = PAPER_EQ8) -> float:
     """Divergence between the temperature-softened output distributions."""
+    KDConfig.CHECKS["direction"]("direction", direction)
     log_p = _log_softmax(np.atleast_2d(s_logits), temperature)  # student
     log_q = _log_softmax(np.atleast_2d(t_logits), temperature)  # teacher
     return float(_kl_rows(log_p, log_q, temperature, direction)[0][0])
@@ -188,51 +187,53 @@ def check_capacity(teacher, ta, student) -> None:
         raise ValueError(f"specs must be capacity-ordered teacher > TA > student, got {order}")
 
 
-def takd_pipeline(teacher_spec, ta_spec, student_spec, X, y,
-                  cfg: KDConfig, train_cfg: TrainConfig,
-                  kd: str = KD_TRIPLE, fits=None):
-    """Staged pipeline: the teacher (CE), then the TA if `ta_spec` is given,
-    then the student: the trainer of every variant's tier stack. Each tier
-    gets its own seed, train_cfg.seed plus 0, 1 and 2.
+def takd_pipeline(specs, X, y, cfg: KDConfig, train_cfg: TrainConfig, variants):
+    """Staged pipeline, the trainer of every variant's tier stack. `specs`
+    maps each tier of nn.TIERS to its TierSpec; `variants` lists (kd, tiers)
+    pairs: what the tiers below the teacher learn from, and the tiers the
+    variant deploys.
 
-    `kd` says what the lower tiers learn from: KD_NONE trains them on the
-    hard labels alone; KD_DUAL distills each from the teacher; KD_TRIPLE
-    needs the TA and specs strictly capacity-ordered teacher > TA > student.
-    It distills the TA from the teacher, and the student from the TA
-    (sequential mode) or from the nested three-model divergence with the
-    teacher and TA frozen (composite mode).
-    `fits`, a dict shared by calls over the same X, y, cfg and train_cfg,
-    holds each fit by (tier spec, seed offset, *keys of the fits it learns
-    from); a fit it holds is returned, not retrained.
+    KD_NONE trains them on the hard labels alone; KD_DUAL distills each
+    from the teacher; KD_TRIPLE needs specs strictly capacity-ordered
+    teacher > TA > student. It distills the TA from the teacher, and the
+    student from the TA (sequential mode) or from the nested three-model
+    divergence with the teacher and TA frozen (composite mode). The TA is
+    trained when the variant deploys it or under KD_TRIPLE.
+    Each variant's fits are planned first, a key per tier: (tier, *keys of
+    the fits it learns from). Each distinct key is then trained once, in
+    nn.TIERS order, so that a fit's teachers exist before it, with the seed
+    train_cfg.seed plus the tier's index in nn.TIERS.
     X and y may hold a stack of folds, (F, n, in) and (F, n), which train
     in lockstep (see `nn.train`); the results are then stacked.
-    Returns the (teacher, TA or None, student) TrainResults.
+    Returns each variant's {tier: TrainResult} over the tiers it trains.
     """
-    if kd not in KD_VARIANTS:
-        raise ValueError(f"unknown kd {kd!r}")
-    if kd == KD_TRIPLE:
-        if ta_spec is None:
-            raise ValueError("triple KD needs a TA spec")
-        check_capacity(teacher_spec, ta_spec, student_spec)
+    plans = []
+    for kd, tiers in variants:
+        one_of(*KD_VARIANTS)("kd", kd)
+        teacher = (TEACHER,)
+        ta = (TA,) if kd == KD_NONE else (TA, teacher)
+        student = {KD_NONE: (STUDENT,), KD_DUAL: (STUDENT, teacher),
+                   KD_TRIPLE: (STUDENT, ta) if cfg.triple_mode == SEQUENTIAL
+                   else (STUDENT, teacher, ta)}[kd]
+        plan = {TEACHER: teacher, TA: ta, STUDENT: student}
+        if kd == KD_TRIPLE:
+            check_capacity(*(specs[tier] for tier in TIERS))
+        elif TA not in tiers:
+            del plan[TA]
+        plans.append(plan)
+
     X = np.asarray(X, dtype=np.float64)
-    fits = {} if fits is None else fits
-
-    def fit(spec, offset, *upstream):
+    fits = {}
+    keys = dict.fromkeys(key for plan in plans for key in plan.values())
+    for key in sorted(keys, key=lambda key: TIERS.index(key[0])):
+        tier, *upstream = key
+        tier_cfg = dataclasses.replace(train_cfg, seed=train_cfg.seed + TIERS.index(tier))
+        models = [fits[k].model for k in upstream]
         # one upstream fit teaches by dual KD, two by the composite loss
-        key = (spec, offset, *upstream)
-        if key not in fits:
-            tier_cfg = dataclasses.replace(train_cfg, seed=train_cfg.seed + offset)
-            models = [fits[k].model for k in upstream]
-            if len(models) == 1:
-                fits[key] = distill_train(models[0], spec, X, y, cfg, tier_cfg)
-            else:
-                loss = TriLoss(*(forward(m, X) for m in models), cfg) if models else None
-                fits[key] = train(TieredModel.init(spec, seed=tier_cfg.seed), X, y, tier_cfg, loss)
-        return key
-
-    teacher = fit(teacher_spec, 0)
-    ta = None if ta_spec is None else fit(ta_spec, 1, *(() if kd == KD_NONE else (teacher,)))
-    student = fit(student_spec, 2, *{
-        KD_NONE: (), KD_DUAL: (teacher,),
-        KD_TRIPLE: (ta,) if cfg.triple_mode == SEQUENTIAL else (teacher, ta)}[kd])
-    return tuple(None if key is None else fits[key] for key in (teacher, ta, student))
+        if len(models) == 1:
+            fits[key] = distill_train(models[0], specs[tier], X, y, cfg, tier_cfg)
+        else:
+            loss = TriLoss(*(forward(m, X) for m in models), cfg) if models else None
+            fits[key] = train(TieredModel.init(specs[tier], seed=tier_cfg.seed),
+                              X, y, tier_cfg, loss)
+    return [{tier: fits[key] for tier, key in plan.items()} for plan in plans]

@@ -12,7 +12,7 @@ from . import distill, nn
 from .cascade import (Cascade, CascadeReport, ConfusionMatrix, build_cascade, check_band,
                       run_dataset)
 from .dataset import Dataset, loso_folds
-from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KD_VARIANTS, KDConfig
+from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KD_VARIANTS, KDConfig, one_of
 from .edge_threshold import MissingClass, fit_thresholds
 from .nn import TrainConfig, check_temperature, default_tier_spec
 from .preprocess import WindowSpec, extract_window, feature_matrix
@@ -28,12 +28,9 @@ LAYERS_TRIPLE = "triple"
 
 NORMALIZATIONS = ("minmax", "zscore")
 
-# the tier each ExperimentConfig tier field holds
-TIER_FIELDS = {"student": nn.STUDENT, "ta": nn.TA, "teacher": nn.TEACHER}
-
 # the classifier tiers each layer layout deploys above the gate, bottom-up
-DEPLOYED_TIERS = {LAYERS_DUAL: ("student", "teacher"),
-                  LAYERS_TRIPLE: ("student", "ta", "teacher")}
+DEPLOYED_TIERS = {LAYERS_DUAL: (nn.STUDENT, nn.TEACHER),
+                  LAYERS_TRIPLE: (nn.STUDENT, nn.TA, nn.TEACHER)}
 
 
 class UndefinedMetric(Exception):
@@ -53,8 +50,7 @@ class Metrics:
 def metrics(cm: ConfusionMatrix, f1_mode: str = F1_STANDARD) -> Metrics:
     """ACC, PRE, REC and F1. The default F1 is the harmonic mean; the
     'paper' mode omits the factor 2 (and therefore caps at 0.5)."""
-    if f1_mode not in (F1_STANDARD, F1_PAPER):
-        raise ValueError(f"unknown f1_mode {f1_mode!r}")
+    one_of(F1_STANDARD, F1_PAPER)("f1_mode", f1_mode)
     if cm.total == 0:
         raise UndefinedMetric("empty confusion matrix")
     acc = (cm.tp + cm.tn) / cm.total
@@ -134,14 +130,14 @@ class ExperimentConfig:
     tq_min: float = Cascade.tq_min
     inference_temperature: float = Cascade.inference_temperature
 
+    # each checked field's one rule, a check(name, value); the band spans two fields
+    CHECKS = {"kd_variant": one_of(*KD_VARIANTS), "layers": one_of(*DEPLOYED_TIERS),
+              "normalization": lambda _, mode: check_normalization(mode),
+              "inference_temperature": lambda _, t: check_temperature(t)}
+
     def __post_init__(self):
-        if self.kd_variant not in KD_VARIANTS:
-            raise ValueError(f"unknown kd_variant {self.kd_variant!r}")
-        if self.layers not in DEPLOYED_TIERS:
-            raise ValueError(f"unknown layers {self.layers!r}")
-        check_normalization(self.normalization)
+        nn.check_fields(self)
         check_band(self.tq_max, self.tq_min)
-        check_temperature(self.inference_temperature)
 
 
 @dataclass
@@ -211,8 +207,9 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
     Returns cfg's variant's AggregateReport, or the list of those of
     `variants`, (kd_variant, layers) pairs that share each distinct fit.
 
-    Folds of equal training size train in lockstep, a stack of them per
-    `distill.takd_pipeline` call; each fold's models are its solo fits."""
+    Folds of equal training size train in lockstep, and one
+    `distill.takd_pipeline` call trains a stack's fits for every variant;
+    each fold's models are its solo fits."""
     splits = loso_folds(t.subject_id for t in dataset.traces)
     pairs = [(cfg.kd_variant, cfg.layers)] if variants is None else list(variants)
     windows = [extract_window(t, cfg.window) for t in dataset.traces]
@@ -236,20 +233,16 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
             held_out = [windows[r] for r in test_rows]
             featurize = row_lookup(held_out, scaler(features[test_rows]))
             routes.append((thresholds, held_out, featurize))
-        fits = {}
-        for (kd_variant, layers), run in zip(pairs, runs):
-            # the TA is trained when it is deployed or when it teaches the student
-            trains_ta = kd_variant == KD_TRIPLE or layers == LAYERS_TRIPLE
-            try:
-                tiers = distill.takd_pipeline(
-                    cfg.teacher, cfg.ta if trains_ta else None, cfg.student,
-                    X, y, cfg.kd, cfg.train, kd=kd_variant, fits=fits)
-            except nn.NonFiniteLoss as e:
-                raise _fold_error(e, splits[stack[e.fold]][0]) from e
+        try:
+            fits = distill.takd_pipeline(
+                {tier: getattr(cfg, tier) for tier in nn.TIERS}, X, y, cfg.kd, cfg.train,
+                [(kd_variant, DEPLOYED_TIERS[layers]) for kd_variant, layers in pairs])
+        except nn.NonFiniteLoss as e:
+            raise _fold_error(e, splits[stack[e.fold]][0]) from e
+        for (_, layers), tiers, run in zip(pairs, fits, runs):
             for i, k in enumerate(stack):
                 thresholds, held_out, featurize = routes[i]
-                results = {name: res.fold(i) for name, res in
-                           zip(("teacher", "ta", "student"), tiers) if res is not None}
+                results = {name: res.fold(i) for name, res in tiers.items()}
                 deployed = [results[name].model for name in DEPLOYED_TIERS[layers]]
                 cascade = build_cascade(
                     deployed, thresholds, tq_max=cfg.tq_max, tq_min=cfg.tq_min,

@@ -12,9 +12,11 @@ import numpy as np
 
 N_CLASSES = 2  # index 0 = ADL, 1 = Fall
 
-STUDENT = "Student"
-TA = "TA"
-TEACHER = "Teacher"
+STUDENT = "student"
+TA = "ta"
+TEACHER = "teacher"
+# the tiers in training order, each taught only by tiers before it
+TIERS = (TEACHER, TA, STUDENT)
 
 DEFAULT_TIER_WIDTHS = {
     STUDENT: (54, 16, 2),

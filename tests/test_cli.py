@@ -362,6 +362,29 @@ def test_window_and_kd_rules_name_their_key(tmp_path, capsys, section, key, valu
     assert_rule_names_key(tmp_path, capsys, section, key, value, message)
 
 
+MANIFEST_SYNTH_RULES = [rule for rule in KEY_RULES if rule[0] == "dataset"]
+
+
+@pytest.mark.parametrize("section, key, value, message", MANIFEST_SYNTH_RULES,
+                         ids=[f"{section}.{key}" for section, key, *_ in MANIFEST_SYNTH_RULES])
+def test_synth_keys_are_checked_under_a_manifest(tmp_path, capsys, section, key, value,
+                                                 message):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("")
+    err = validate_error(tmp_path, capsys, f"[dataset]\nsource = manifest\n"
+                                           f"manifest = {manifest}\n{key} = {value}\n")
+    assert err == f"config error: {section}.{key}: {message}\n"
+
+
+def test_seed_flag_under_a_manifest_names_the_seed_it_sets(tmp_path, capsys):
+    # --seed sets the synth seed only where a synth dataset uses it
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("")
+    cfg = write_config(tmp_path, f"[dataset]\nsource = manifest\nmanifest = {manifest}\n")
+    assert cli.main(["validate", "--config", cfg, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "config error: train.seed: seed must be >= 0, got -1\n"
+
+
 def test_negative_seed_fails_before_the_run(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY_CONFIG)
     assert cli.main(["run", "--config", cfg, "--seed", "-1",
@@ -633,7 +656,7 @@ class TestRun:
             rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: fold holding out S01: Teacher training loss is ")
+        assert err.startswith("error: fold holding out S01: teacher training loss is ")
         assert err.count("\n") == 1
 
     def test_fold_without_a_class_is_an_error_line(self, tmp_path, capsys):

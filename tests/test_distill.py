@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fallcascade import distill, nn
+from fallcascade.evaluate import DEPLOYED_TIERS, LAYERS_DUAL, LAYERS_TRIPLE
 from gradcheck import max_rel_error
 
 # logits whose T=1 softmax gives exactly (0.5, 0.5) and (0.9, 0.1)
@@ -20,6 +22,12 @@ class TestKlSoft:
         for _ in range(20):
             logits = rng.normal(scale=3.0, size=2)
             assert abs(distill.kl_soft(logits, logits, T, direction)) < 1e-9
+
+    def test_unknown_direction_is_the_kd_config_rule(self):
+        with pytest.raises(ValueError, match="^unknown direction 'up'$"):
+            distill.kl_soft([0, 1], [1, 0], 2.0, "up")
+        with pytest.raises(ValueError, match="^unknown direction 'up'$"):
+            distill.KDConfig(direction="up")
 
     def test_paper_direction_hand_value(self):
         # 0.5*ln(0.5/0.9) + 0.5*ln(0.5/0.1)
@@ -190,45 +198,55 @@ class TestDistillTrain:
             assert a.tobytes() == b.tobytes()
 
 
+# the tiers of each layer layout, and every (kd, tiers) variant they make
+DUAL, TRIPLE = DEPLOYED_TIERS[LAYERS_DUAL], DEPLOYED_TIERS[LAYERS_TRIPLE]
+VARIANTS = [(kd, tiers) for kd in distill.KD_VARIANTS for tiers in (DUAL, TRIPLE)]
+
+
 class TestTakdPipeline:
-    SPECS = (nn.TierSpec(nn.TEACHER, (2, 16, 8, 2)),
-             nn.TierSpec(nn.TA, (2, 8, 2)),
-             nn.TierSpec(nn.STUDENT, (2, 4, 2)))
+    SPECS = {nn.TEACHER: nn.TierSpec(nn.TEACHER, (2, 16, 8, 2)),
+             nn.TA: nn.TierSpec(nn.TA, (2, 8, 2)),
+             nn.STUDENT: nn.TierSpec(nn.STUDENT, (2, 4, 2))}
 
     @pytest.mark.parametrize("mode", [distill.SEQUENTIAL, distill.COMPOSITE_EQ10])
     def test_all_models_learn_separable_set(self, separable_xy, accuracy, mode):
         X, y = separable_xy
         cfg = nn.TrainConfig(epochs=150, seed=12)
         kd = distill.KDConfig(triple_mode=mode)
-        t, ta, s = distill.takd_pipeline(*self.SPECS, X, y, kd, cfg)
-        for res in (t, ta, s):
+        [fits] = distill.takd_pipeline(self.SPECS, X, y, kd, cfg, [(distill.KD_TRIPLE, TRIPLE)])
+        for res in (fits[nn.TEACHER], fits[nn.TA], fits[nn.STUDENT]):
             assert accuracy(res.model, X, y) >= 0.9
 
     def test_capacity_order_enforced(self, separable_xy):
         X, y = separable_xy
         cfg = nn.TrainConfig(epochs=2, seed=13)
+        teacher, ta, student = (self.SPECS[tier] for tier in nn.TIERS)
         with pytest.raises(ValueError):
-            distill.takd_pipeline(self.SPECS[2], self.SPECS[1], self.SPECS[0],
-                                  X, y, distill.KDConfig(), cfg)
+            distill.takd_pipeline({nn.TEACHER: student, nn.TA: ta, nn.STUDENT: teacher},
+                                  X, y, distill.KDConfig(), cfg, [(distill.KD_TRIPLE, TRIPLE)])
         with pytest.raises(ValueError):  # equal sizes are not an order either
-            distill.takd_pipeline(self.SPECS[0], self.SPECS[0], self.SPECS[2],
-                                  X, y, distill.KDConfig(), cfg)
+            distill.takd_pipeline({nn.TEACHER: teacher, nn.TA: teacher, nn.STUDENT: student},
+                                  X, y, distill.KDConfig(), cfg, [(distill.KD_TRIPLE, TRIPLE)])
 
     def test_determinism(self, separable_xy):
         X, y = separable_xy
         cfg = nn.TrainConfig(epochs=3, seed=15)
-        out1 = distill.takd_pipeline(*self.SPECS, X, y, distill.KDConfig(), cfg)
-        out2 = distill.takd_pipeline(*self.SPECS, X, y, distill.KDConfig(), cfg)
-        for r1, r2 in zip(out1, out2):
-            for a, b in zip(r1.model.weights, r2.model.weights):
+        [out1] = distill.takd_pipeline(self.SPECS, X, y, distill.KDConfig(), cfg,
+                                       [(distill.KD_TRIPLE, TRIPLE)])
+        [out2] = distill.takd_pipeline(self.SPECS, X, y, distill.KDConfig(), cfg,
+                                       [(distill.KD_TRIPLE, TRIPLE)])
+        assert list(out1) == list(out2)
+        for tier, r1 in out1.items():
+            for a, b in zip(r1.model.weights, out2[tier].model.weights):
                 assert a.tobytes() == b.tobytes()
 
     def test_without_kd_each_tier_is_plain_training_with_its_seed(self, separable_xy):
         X, y = separable_xy
         cfg = nn.TrainConfig(epochs=3, seed=16)
-        stack = distill.takd_pipeline(*self.SPECS, X, y, distill.KDConfig(), cfg,
-                                      kd=distill.KD_NONE)
-        for offset, (spec, res) in enumerate(zip(self.SPECS, stack)):
+        [stack] = distill.takd_pipeline(self.SPECS, X, y, distill.KDConfig(), cfg,
+                                        [(distill.KD_NONE, TRIPLE)])
+        for offset, tier in enumerate(nn.TIERS):
+            spec, res = self.SPECS[tier], stack[tier]
             tier_cfg = nn.TrainConfig(epochs=3, seed=16 + offset)
             plain = nn.train(nn.TieredModel.init(spec, seed=16 + offset), X, y, tier_cfg)
             for a, b in zip(res.model.weights, plain.model.weights):
@@ -237,47 +255,25 @@ class TestTakdPipeline:
     def test_ta_is_optional_except_for_triple_kd(self, separable_xy):
         X, y = separable_xy
         cfg = nn.TrainConfig(epochs=2, seed=17)
-        teacher, ta, student = distill.takd_pipeline(
-            self.SPECS[0], None, self.SPECS[2], X, y, distill.KDConfig(), cfg,
-            kd=distill.KD_DUAL)
-        assert ta is None and student.model.spec == self.SPECS[2]
-        with pytest.raises(ValueError):
-            distill.takd_pipeline(self.SPECS[0], None, self.SPECS[2], X, y,
-                                  distill.KDConfig(), cfg)
+        dual, triple = distill.takd_pipeline(
+            self.SPECS, X, y, distill.KDConfig(), cfg,
+            [(distill.KD_DUAL, DUAL), (distill.KD_TRIPLE, DUAL)])
+        assert nn.TA not in dual and dual[nn.STUDENT].model.spec == self.SPECS[nn.STUDENT]
+        # triple KD trains the TA that teaches its student, deployed or not
+        assert set(triple) == set(nn.TIERS)
 
     def test_equal_tiers_without_kd_are_separate_fits_with_their_seeds(self, separable_xy):
         X, y = separable_xy
         cfg = nn.TrainConfig(epochs=3, seed=19)
-        spec = self.SPECS[2]  # the TA takes the student's spec
-        _, ta, student = distill.takd_pipeline(self.SPECS[0], spec, spec, X, y,
-                                               distill.KDConfig(), cfg, kd=distill.KD_NONE)
+        spec = self.SPECS[nn.STUDENT]  # the TA takes the student's spec
+        [fits] = distill.takd_pipeline({**self.SPECS, nn.TA: spec}, X, y,
+                                       distill.KDConfig(), cfg, [(distill.KD_NONE, TRIPLE)])
+        ta, student = fits[nn.TA], fits[nn.STUDENT]
         for offset, res in ((1, ta), (2, student)):
             tier_cfg = nn.TrainConfig(epochs=3, seed=19 + offset)
             assert same_fit(res, nn.train(nn.TieredModel.init(spec, seed=19 + offset),
                                           X, y, tier_cfg))
         assert not same_fit(ta, student)
-
-    @pytest.mark.parametrize("kd, mode", [(distill.KD_NONE, distill.SEQUENTIAL),
-                                          (distill.KD_DUAL, distill.SEQUENTIAL),
-                                          (distill.KD_TRIPLE, distill.SEQUENTIAL),
-                                          (distill.KD_TRIPLE, distill.COMPOSITE_EQ10)],
-                             ids=["none-sequential", "dual-sequential", "triple-sequential",
-                                  "triple-composite_eq10"])
-    def test_held_fits_are_returned_not_retrained(self, separable_xy, monkeypatch, kd, mode):
-        X, y = separable_xy
-        cfg, kd_cfg = nn.TrainConfig(epochs=2, seed=20), distill.KDConfig(triple_mode=mode)
-        fits = {}
-        first = distill.takd_pipeline(*self.SPECS, X, y, kd_cfg, cfg, kd=kd, fits=fits)
-        held = dict(fits)
-        assert len(held) == 3
-
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a held fit was trained again")
-
-        monkeypatch.setattr(distill, "train", no_fit)
-        second = distill.takd_pipeline(*self.SPECS, X, y, kd_cfg, cfg, kd=kd, fits=fits)
-        assert all(a is b for a, b in zip(first, second))
-        assert fits == held
 
 
 def same_fit(a: nn.TrainResult, b: nn.TrainResult) -> bool:
@@ -288,9 +284,9 @@ def same_fit(a: nn.TrainResult, b: nn.TrainResult) -> bool:
 
 
 @st.composite
-def fold_stacks(draw, width):
+def fold_stacks(draw, width, max_folds=4):
     """F folds of n rows each: (F, n, width) features and (F, n) labels."""
-    folds = draw(st.integers(1, 4))
+    folds = draw(st.integers(1, max_folds))
     n = draw(st.integers(1, 40))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
@@ -305,6 +301,13 @@ kd_configs = st.builds(
 train_configs = st.builds(
     nn.TrainConfig, epochs=st.integers(1, 3), batch_size=st.integers(1, 48),
     learning_rate=st.sampled_from([0.0, 0.01, 0.1]), seed=st.integers(0, 99))
+
+
+def capacity_ordered(width, student, grow):
+    """Tier specs with one hidden layer each, teacher > TA > student."""
+    hidden = (student, student + grow[0], student + grow[0] + grow[1])
+    return {tier: nn.TierSpec(tier, (width, h, 2)) for tier, h in
+            zip((nn.STUDENT, nn.TA, nn.TEACHER), hidden)}
 
 
 class TestLockstep:
@@ -341,16 +344,45 @@ class TestLockstep:
     def test_pipeline_stack_equals_solo_pipelines(self, data, width, student, grow,
                                                   kd_variant, kd, cfg):
         X, y, _ = data.draw(fold_stacks(width))
-        hidden = (student, student + grow[0], student + grow[0] + grow[1])
-        specs = [nn.TierSpec(tier, (width, h, 2)) for tier, h in
-                 zip((nn.STUDENT, nn.TA, nn.TEACHER), hidden)]
-        stacked = distill.takd_pipeline(specs[2], specs[1], specs[0], X, y, kd, cfg,
-                                        kd=kd_variant)
+        specs = capacity_ordered(width, student, grow)
+        [stacked] = distill.takd_pipeline(specs, X, y, kd, cfg, [(kd_variant, TRIPLE)])
         for k in range(len(X)):
-            solo = distill.takd_pipeline(specs[2], specs[1], specs[0], X[k], y[k], kd, cfg,
-                                         kd=kd_variant)
-            for a, b in zip(stacked, solo):
-                assert same_fit(a.fold(k), b)
+            [solo] = distill.takd_pipeline(specs, X[k], y[k], kd, cfg, [(kd_variant, TRIPLE)])
+            for tier, a in stacked.items():
+                assert same_fit(a.fold(k), solo[tier])
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), width=st.integers(1, 6), student=st.integers(1, 4),
+           grow=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           variants=st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=6, unique=True),
+           mode=st.sampled_from([distill.SEQUENTIAL, distill.COMPOSITE_EQ10]),
+           cfg=train_configs)
+    def test_one_call_equals_each_variant_solo_call(self, data, width, student, grow,
+                                                    variants, mode, cfg):
+        X, y, _ = data.draw(fold_stacks(width, max_folds=3))
+        specs = capacity_ordered(width, student, grow)
+        kd = distill.KDConfig(triple_mode=mode)
+        calls, train = [], distill.train
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].spec.tier)
+            return train(*args, **kwargs)
+
+        with mock.patch.object(distill, "train", counted):
+            shared = distill.takd_pipeline(specs, X, y, kd, cfg, variants)
+        # one teacher; a TA on the labels and one from the teacher, each when
+        # some variant trains it; one student per kd
+        tas = {kd_variant == distill.KD_NONE for kd_variant, tiers in variants
+               if kd_variant == distill.KD_TRIPLE or nn.TA in tiers}
+        assert len(calls) == 1 + len(tas) + len({kd_variant for kd_variant, _ in variants})
+        assert len(shared) == len(variants)
+        # a fit that several variants plan is one fit, handed to each
+        assert all(fits[nn.TEACHER] is shared[0][nn.TEACHER] for fits in shared)
+        for variant, fits in zip(variants, shared):
+            [solo] = distill.takd_pipeline(specs, X, y, kd, cfg, [variant])
+            assert list(fits) == list(solo)
+            for tier, fit in fits.items():
+                assert same_fit(fit, solo[tier])
 
     def test_first_non_finite_epoch_then_first_fold_is_named(self):
         class Poisoned(nn.CELoss):
@@ -372,7 +404,7 @@ class TestLockstep:
         model = nn.TieredModel.init(nn.TierSpec(nn.TA, (3, 4, 2)))
         cfg = nn.TrainConfig(epochs=4, batch_size=10)  # 2 steps per epoch
         # fold 1 goes NaN in epoch 3, folds 3 and 2 in epoch 2: fold 2 is named
-        with pytest.raises(nn.NonFiniteLoss, match="TA training loss is nan at epoch 2") as e:
+        with pytest.raises(nn.NonFiniteLoss, match="^ta training loss is nan at epoch 2$") as e:
             nn.train(model, X, y, cfg, Poisoned({1: 5, 3: 3, 2: 4}))
         assert e.value.fold == 2
         with pytest.raises(nn.NonFiniteLoss) as e:

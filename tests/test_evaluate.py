@@ -193,7 +193,7 @@ class TestLosoEvaluate:
         diverging = nn.TrainConfig(epochs=3, batch_size=16, learning_rate=1e300)
         first = small_dataset.subjects[0]
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                nn.NonFiniteLoss, match=f"holding out {first}: Teacher training loss"):
+                nn.NonFiniteLoss, match=f"holding out {first}: teacher training loss"):
             ev.loso_evaluate(small_dataset, fast_config(train=diverging))
 
     def test_needs_two_subjects(self, small_dataset):
@@ -259,8 +259,9 @@ class TestVariantMatrix:
         small, big = (nn.TierSpec(nn.STUDENT, (2, 4, 2)),
                       nn.TierSpec(nn.TEACHER, (2, 16, 2)))
         with pytest.raises(ValueError):
-            distill.takd_pipeline(small, big, big, X, y, distill.KDConfig(),
-                                  nn.TrainConfig(epochs=1))
+            distill.takd_pipeline({nn.TEACHER: small, nn.TA: big, nn.STUDENT: big}, X, y,
+                                  distill.KDConfig(), nn.TrainConfig(epochs=1),
+                                  [(ev.KD_TRIPLE, ev.DEPLOYED_TIERS[ev.LAYERS_TRIPLE])])
 
 
 class TestSharedPass:
@@ -309,6 +310,7 @@ class TestSharedPass:
         # per fold, and 6 of them are distinct fits
         calls, fits = Counter(), Counter()
         extract_window, feature_matrix, train = ev.extract_window, ev.feature_matrix, distill.train
+        takd_pipeline = distill.takd_pipeline
 
         def count_window(*args, **kwargs):
             calls["windows"] += 1
@@ -318,6 +320,10 @@ class TestSharedPass:
             calls["feature_tables"] += 1
             return feature_matrix(*args, **kwargs)
 
+        def count_pipeline(*args, **kwargs):
+            calls["pipelines"] += 1
+            return takd_pipeline(*args, **kwargs)
+
         def count_fit(model, X, *args, **kwargs):
             # a stack of folds is one call with one fit per fold
             fits[model.spec.tier] += len(X) if np.ndim(X) == 3 else 1
@@ -326,12 +332,16 @@ class TestSharedPass:
         monkeypatch.setattr(ev, "extract_window", count_window)
         monkeypatch.setattr(ev, "feature_matrix", count_table)
         monkeypatch.setattr(distill, "train", count_fit)
+        monkeypatch.setattr(distill, "takd_pipeline", count_pipeline)
         folds = len(data.subjects)
+        splits = ev.loso_folds(t.subject_id for t in data.traces)
+        stacks = len(list(ev._stacks(splits, self.config(distill.SEQUENTIAL).teacher)))
         for mode in (distill.SEQUENTIAL, distill.COMPOSITE_EQ10):
             calls.clear()
             fits.clear()
             ev.loso_evaluate(data, self.config(mode), variants=self.VARIANTS)
-            assert calls == {"windows": len(data), "feature_tables": 1}
+            # one pipeline call trains a fold stack's fits for every variant
+            assert calls == {"windows": len(data), "feature_tables": 1, "pipelines": stacks}
             # the teacher; the TA on the labels and from the teacher; the
             # student on the labels, from the teacher and from the TA (or from
             # teacher and TA, in composite mode)
@@ -477,5 +487,5 @@ class TestLockstepFolds:
         splits = ev.loso_folds(t.subject_id for t in small_dataset.traces)
         assert list(ev._stacks(splits, fast_config().teacher)) == [[0, 1, 2]]
         with pytest.raises(nn.NonFiniteLoss,
-                           match=f"holding out {second}: Teacher training loss is nan at epoch 1"):
+                           match=f"holding out {second}: teacher training loss is nan at epoch 1"):
             ev.loso_evaluate(small_dataset, fast_config())

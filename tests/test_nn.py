@@ -166,7 +166,7 @@ class TestTrain:
         X = X.copy()
         X[7, 0] = np.nan
         model = nn.TieredModel.init(nn.TierSpec(nn.TA, (2, 4, 2)), seed=0)
-        with pytest.raises(nn.NonFiniteLoss, match="TA training loss is nan at epoch 1"):
+        with pytest.raises(nn.NonFiniteLoss, match="^ta training loss is nan at epoch 1$"):
             nn.train(model, X, y, nn.TrainConfig(epochs=3, batch_size=16))
 
 
