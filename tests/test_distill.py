@@ -275,6 +275,31 @@ class TestTakdPipeline:
                                           X, y, tier_cfg))
         assert not same_fit(ta, student)
 
+    @pytest.mark.parametrize("kd, mode", [(distill.KD_NONE, distill.SEQUENTIAL),
+                                          (distill.KD_DUAL, distill.SEQUENTIAL),
+                                          (distill.KD_TRIPLE, distill.SEQUENTIAL),
+                                          (distill.KD_TRIPLE, distill.COMPOSITE_EQ10)],
+                             ids=["none-sequential", "dual-sequential", "triple-sequential",
+                                  "triple-composite_eq10"])
+    def test_held_fits_are_returned_not_retrained(self, separable_xy, monkeypatch, kd, mode):
+        X, y = separable_xy
+        cfg, kd_cfg = nn.TrainConfig(epochs=2, seed=20), distill.KDConfig(triple_mode=mode)
+        trained, train = [], distill.train
+
+        def counted(*args, **kwargs):
+            trained.append(args[0].spec.tier)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(distill, "train", counted)
+        first, dual, again = distill.takd_pipeline(self.SPECS, X, y, kd_cfg, cfg,
+                                                   [(kd, TRIPLE), (kd, DUAL), (kd, TRIPLE)])
+        # each tier is trained once; the later variants are handed the held fits
+        assert sorted(trained) == sorted(nn.TIERS)
+        assert list(again) == list(first)
+        assert all(again[tier] is fit for tier, fit in first.items())
+        assert all(first[tier] is fit for tier, fit in dual.items())
+        assert (nn.TA in dual) == (kd == distill.KD_TRIPLE)
+
 
 def same_fit(a: nn.TrainResult, b: nn.TrainResult) -> bool:
     """Weights, biases and epoch losses equal bit for bit."""
