@@ -97,12 +97,13 @@ def _named(key, fn, *args, **kwargs):
 
 def _built(section, cls, values, keys=None):
     """cls(**values), after each value passes the check cls.CHECKS holds for
-    its field, so that an error names the key; `keys` names the keys of a
-    field that is not set by one key of its own name."""
+    its field, so that an error names the key: `<section>.<field>`, or the
+    full key name `keys` gives a field set otherwise. An error of cls as a
+    whole is named `section`."""
     keys = keys or {}
     for name, value in values.items():
         if name in cls.CHECKS:
-            _named(f"{section}.{keys.get(name, name)}", cls.CHECKS[name], name, value)
+            _named(keys.get(name, f"{section}.{name}"), cls.CHECKS[name], name, value)
     return _named(section, cls, **values)
 
 
@@ -152,7 +153,7 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
         lo, hi = getattr(ds.SynthSpec, f"{kind}_peak_range")
         dataset[f"{kind}_peak_range"] = (dataset.pop(f"{kind}_peak_min", lo),
                                          dataset.pop(f"{kind}_peak_max", hi))
-        peak_keys[f"{kind}_peak_range"] = f"{kind}_peak_min/{kind}_peak_max"
+        peak_keys[f"{kind}_peak_range"] = f"dataset.{kind}_peak_min/{kind}_peak_max"
     if seed_override is not None and source == "synth":
         dataset["seed"] = seed_override
     synth = _built("dataset", ds.SynthSpec, dataset, peak_keys)
@@ -163,9 +164,6 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
         _named("dataset.n_subjects", ds.check_subjects, synth.n_subjects)
 
     window = _built("window", WindowSpec, cfg["window"])
-
-    normalization = cfg["normalize"].get("mode", ExperimentConfig.normalization)
-    _named("normalize.mode", evaluate.check_normalization, normalization)
     compare_norm = cfg["normalize"].get("compare", False)
 
     tiers = {}
@@ -179,23 +177,22 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
         cfg["train"]["seed"] = seed_override
     train = _built("train", TrainConfig, cfg["train"])
     kd = _built("kd", KDConfig, {KD_FIELDS.get(key, key): v for key, v in cfg["kd"].items()},
-                {field: key for key, field in KD_FIELDS.items()})
-
-    band = cfg["cascade"]
-    _named("cascade.tq_max/tq_min", cascade.check_band,
-           band.get("tq_max", ExperimentConfig.tq_max),
-           band.get("tq_min", ExperimentConfig.tq_min))
-    _named("cascade.inference_temperature", nn.check_temperature,
-           band.get("inference_temperature", ExperimentConfig.inference_temperature))
+                {field: f"kd.{key}" for key, field in KD_FIELDS.items()})
+    # the band is the one rule of the config as a whole, and spans two keys
+    experiment = _built(
+        "cascade.tq_max/tq_min", ExperimentConfig,
+        {"window": window, "train": train, "kd": kd, **tiers,
+         "normalization": cfg["normalize"].get("mode", ExperimentConfig.normalization),
+         **cfg["cascade"]},
+        {"normalization": "normalize.mode",
+         "inference_temperature": "cascade.inference_temperature"})
 
     raw_variants = cfg["run"].get("variants", "nokd:dual,dualkd:dual")
     variants = []
     for token in [t.strip() for t in raw_variants.split(",") if t.strip()]:
         kd_name, _, layer_name = token.partition(":")
-        if kd_name not in evaluate.KD_VARIANTS or layer_name not in evaluate.DEPLOYED_TIERS:
-            raise ConfigError(
-                f"run.variants: bad token {token!r}; expected kd:layers with kd in "
-                f"{sorted(evaluate.KD_VARIANTS)} and layers in {sorted(evaluate.DEPLOYED_TIERS)}")
+        for name, value in (("kd_variant", kd_name), ("layers", layer_name)):
+            _named("run.variants", ExperimentConfig.CHECKS[name], name, value)
         variants.append((kd_name, layer_name))
     if not variants:
         raise ConfigError("run.variants: at least one variant is required")
@@ -213,8 +210,6 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
     _named("latency.horizon_s", nn.check_positive, "horizon_s", horizon_s)
 
     out_dir = out_override or cfg["run"].get("out") or os.environ.get("FALLCASCADE_OUT", "out")
-    experiment = ExperimentConfig(window=window, normalization=normalization,
-                                  train=train, kd=kd, **tiers, **band)
     if any(kd_variant == KD_TRIPLE for kd_variant, _ in variants):
         _named("tiers", check_capacity, experiment.teacher, experiment.ta, experiment.student)
     return RunConfig(synth=synth, manifest=manifest, experiment=experiment,
@@ -317,7 +312,6 @@ def cmd_synth(args) -> int:
     if run_cfg.synth is None:
         raise ConfigError("dataset.source: must be synth for the synth command")
     data = ds.synth_generate(run_cfg.synth)
-    os.makedirs(run_cfg.out_dir, exist_ok=True)
     manifest = ds.write_dataset(data, run_cfg.out_dir)
     n_fall = sum(1 for t in data.traces if t.label == ds.FALL)
     print(f"wrote {len(data)} traces ({n_fall} falls, {len(data) - n_fall} ADLs) "
@@ -328,9 +322,10 @@ def cmd_synth(args) -> int:
 
 def cmd_run(args) -> int:
     run_cfg = parse_config(args.config, seed_override=args.seed, out_override=args.out)
+    # an unusable output directory fails before any data is made or trained on
+    os.makedirs(run_cfg.out_dir, exist_ok=True)
     data = (ds.synth_generate(run_cfg.synth) if run_cfg.manifest is None
             else ds.load_manifest(run_cfg.manifest))
-    os.makedirs(run_cfg.out_dir, exist_ok=True)
     modes = (evaluate.NORMALIZATIONS if run_cfg.compare_normalization
              else [run_cfg.experiment.normalization])
     comparison_rows = []
@@ -408,7 +403,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (SchemaMismatch, MissingClass, nn.NonFiniteLoss, ds.DatasetError) as e:
+    except (SchemaMismatch, MissingClass, nn.NonFiniteLoss, ds.DatasetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import check_fields, check_non_negative, check_positive
-from .preprocess import ADL, FALL, check_label, norm_xyz
+from .preprocess import ADL, FALL, Window, norm_xyz
 
 
 class DatasetError(Exception):
@@ -49,10 +49,12 @@ class Trace:
     sample_rate_hz: int
     samples: np.ndarray  # shape (n, 3), unit g
 
+    # each checked field's one rule, a check(name, value); the label's is the window's
+    CHECKS = {"label": Window.CHECKS["label"], "sample_rate_hz": check_positive}
+
     def __post_init__(self):
         try:
-            check_label(self.label)
-            check_positive("sample_rate_hz", self.sample_rate_hz)
+            check_fields(self)
         except ValueError as e:
             raise DatasetError(str(e)) from e
         samples = np.asarray(self.samples, dtype=np.float64)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (STUDENT, TA, TEACHER, TIERS, TieredModel, TrainConfig, TrainResult,
-                 ce_rows, check_fields, check_temperature, forward, softmax_t, train)
+                 ce_rows, check_fields, check_positive, check_unit, forward, one_of,
+                 softmax_t, train)
 
 PAPER_EQ8 = "paper_eq8"     # student-leading KL, as printed
 STANDARD_KD = "standard"    # teacher-leading KL, conventional KD
@@ -30,21 +31,6 @@ KD_TRIPLE = "triplekd"
 KD_VARIANTS = (KD_NONE, KD_DUAL, KD_TRIPLE)
 
 
-def check_weight(name: str, value) -> None:
-    """Raise ValueError, naming the field, unless 0 <= value <= 1."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-
-def one_of(*choices):
-    """The check(name, value) that raises ValueError, naming the field,
-    unless value is one of `choices`."""
-    def check(name: str, value) -> None:
-        if value not in choices:
-            raise ValueError(f"unknown {name} {value!r}")
-    return check
-
-
 @dataclass(frozen=True)
 class KDConfig:
     lam: float = 0.5
@@ -54,7 +40,7 @@ class KDConfig:
     tri_combine: str = ADDITIVE
 
     # each checked field's one rule, a check(name, value)
-    CHECKS = {"lam": check_weight, "temperature": lambda _, t: check_temperature(t),
+    CHECKS = {"lam": check_unit, "temperature": check_positive,
               "direction": one_of(PAPER_EQ8, STANDARD_KD),
               "triple_mode": one_of(SEQUENTIAL, COMPOSITE_EQ10),
               "tri_combine": one_of(ADDITIVE, MULTIPLICATIVE)}
@@ -64,7 +50,7 @@ class KDConfig:
 
 
 def _log_softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
-    check_temperature(temperature)
+    check_positive("temperature", temperature)
     u = np.asarray(logits, dtype=np.float64) / temperature
     u = u - u.max(axis=-1, keepdims=True)
     return u - np.log(np.exp(u).sum(axis=-1, keepdims=True))

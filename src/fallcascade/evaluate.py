@@ -12,9 +12,9 @@ from . import distill, nn
 from .cascade import (Cascade, CascadeReport, ConfusionMatrix, build_cascade, check_band,
                       run_dataset)
 from .dataset import Dataset, loso_folds
-from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KD_VARIANTS, KDConfig, one_of
+from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KD_VARIANTS, KDConfig
 from .edge_threshold import MissingClass, fit_thresholds
-from .nn import TrainConfig, check_temperature, default_tier_spec
+from .nn import TrainConfig, check_positive, default_tier_spec, one_of
 from .preprocess import WindowSpec, extract_window, feature_matrix
 # routing reads the feature table and calls no extract_features here; the name
 # stays because perfbench/tracing.py patches `evaluate.extract_features`
@@ -72,16 +72,9 @@ def percent_change(new: float | None, base: float | None) -> float | None:
     return 100.0 * (new - base) / base
 
 
-def check_normalization(mode: str) -> None:
-    """Raise ValueError unless mode is one of NORMALIZATIONS."""
-    if mode not in NORMALIZATIONS:
-        raise ValueError(f"normalization must be {' or '.join(NORMALIZATIONS)}, "
-                         f"got {mode!r}")
-
-
 def fit_scaler(X_train: np.ndarray, mode: str):
     """Per-feature scaler fit on training data; returns a pure callable."""
-    check_normalization(mode)
+    ExperimentConfig.CHECKS["normalization"]("normalization", mode)
     if mode == "minmax":
         lo = X_train.min(axis=0)
         span = X_train.max(axis=0) - lo
@@ -132,8 +125,8 @@ class ExperimentConfig:
 
     # each checked field's one rule, a check(name, value); the band spans two fields
     CHECKS = {"kd_variant": one_of(*KD_VARIANTS), "layers": one_of(*DEPLOYED_TIERS),
-              "normalization": lambda _, mode: check_normalization(mode),
-              "inference_temperature": lambda _, t: check_temperature(t)}
+              "normalization": one_of(*NORMALIZATIONS),
+              "inference_temperature": check_positive}
 
     def __post_init__(self):
         nn.check_fields(self)

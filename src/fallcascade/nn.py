@@ -29,10 +29,6 @@ class ShapeMismatch(Exception):
     pass
 
 
-class NonPositiveTemperature(ValueError):
-    pass
-
-
 class EmptyData(Exception):
     pass
 
@@ -126,15 +122,9 @@ def _forward_cached(model: TieredModel, X: np.ndarray):
     return activations[-1], activations
 
 
-def check_temperature(temperature: float) -> None:
-    """Raise NonPositiveTemperature unless temperature > 0."""
-    if temperature <= 0:
-        raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
-
-
 def softmax_t(logits, temperature: float = 1.0) -> np.ndarray:
     """Temperature-softened softmax; rows sum to 1."""
-    check_temperature(temperature)
+    check_positive("temperature", temperature)
     z = np.asarray(logits, dtype=np.float64) / temperature
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -208,6 +198,21 @@ def check_fraction(name: str, value) -> None:
     """Raise ValueError, naming the field, unless 0 <= value < 1."""
     if not 0 <= value < 1:
         raise ValueError(f"{name} must be >= 0 and < 1, got {value}")
+
+
+def check_unit(name: str, value) -> None:
+    """Raise ValueError, naming the field, unless 0 <= value <= 1."""
+    if not 0 <= value <= 1:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
+def one_of(*choices):
+    """The check(name, value) that raises ValueError, naming the field and
+    the choices, unless value is one of `choices`."""
+    def check(name: str, value) -> None:
+        if value not in choices:
+            raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    return check
 
 
 def check_fields(config) -> None:
@@ -297,8 +302,3 @@ def train(model: TieredModel, X, y, cfg: TrainConfig,
                                 f"{float(losses[-1][fold])} at epoch {len(losses)}", fold)
     result = TrainResult(model=model, epoch_losses=np.array(losses).T)
     return result.fold(0) if solo else result
-
-
-def count_params(model_or_spec) -> int:
-    spec = getattr(model_or_spec, "spec", model_or_spec)
-    return spec.n_params

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .cascade import CascadeReport
-from .nn import check_positive
+from .nn import check_fields, check_non_negative, check_positive, check_unit
 
 
 HORIZON_S = 1.0  # default routing horizon, seconds
@@ -34,11 +34,13 @@ class NodeParams:
     beta: float     # processed-data volume received from below, units
     phi: float      # uplink transmit capacity, units per second
 
+    # each checked field's one rule, a check(name, value)
+    CHECKS = {"s": check_unit, "b": check_non_negative, "theta": check_positive,
+              "rho": check_unit, "lam": check_non_negative, "beta": check_non_negative,
+              "phi": check_positive}
+
     def __post_init__(self):
-        if self.theta <= 0 or self.phi <= 0:
-            raise ValueError("theta and phi must be positive")
-        if not (0.0 <= self.s <= 1.0) or not (0.0 <= self.rho <= 1.0):
-            raise ValueError("s and rho must lie in [0, 1]")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,9 @@ class Topology:
     def __post_init__(self):
         layers = tuple(tuple(layer) for layer in self.layers)
         object.__setattr__(self, "layers", layers)
+        for n, layer in enumerate(layers):
+            if not layer:
+                raise ValueError(f"layer {n} has no nodes")
         for n, layer in enumerate(layers[:-1]):
             above = {node.name for node in layers[n + 1]}
             for node in layer:
@@ -167,6 +172,8 @@ def load_topology(path) -> Topology:
                         beta=float(kv["beta"]), phi=float(kv["phi"]))
                 except KeyError as e:
                     raise ValueError(f"{path}: node {name} lacks {e}") from e
+                except ValueError as e:
+                    raise ValueError(f"{path}: node {name}: {e}") from e
                 current.append(Node(name, parent, params))
             else:
                 raise ValueError(f"{path}: unrecognized line {line!r}")

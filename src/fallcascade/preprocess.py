@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .nn import check_fields, check_positive
+from .nn import check_fields, check_positive, one_of
 
 if TYPE_CHECKING:
     from .dataset import Trace
@@ -33,10 +33,8 @@ FEATURE_NAMES = tuple(
 N_FEATURES = len(FEATURE_NAMES)
 
 
-def check_label(label: str) -> None:
-    """Raise ValueError unless label is one of LABELS."""
-    if label not in LABELS:
-        raise ValueError(f"label must be one of {LABELS}, got {label!r}")
+# (vertical-plane, horizontal-plane) axis pairs for each vertical axis
+PLANE_AXES = {"x": ((0, 1), (1, 2)), "y": ((1, 2), (0, 2)), "z": ((2, 0), (0, 1))}
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class WindowSpec:
 
     # each checked field's one rule, a check(name, value)
     CHECKS = {"ws_f_s": check_positive, "ws_b_s": check_positive,
-              "vertical_axis": lambda _, axis: check_axis(axis)}
+              "vertical_axis": one_of(*PLANE_AXES)}
 
     def __post_init__(self):
         check_fields(self)
@@ -71,16 +69,15 @@ class Window:
     label: str  # FALL or ADL
     vertical_axis: str = "x"  # picks the planes the gate and the features read
 
+    # each checked field's one rule, a check(name, value)
+    CHECKS = {"label": one_of(*LABELS), "vertical_axis": WindowSpec.CHECKS["vertical_axis"]}
+
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-        check_label(self.label)
-        check_axis(self.vertical_axis)
+        check_fields(self)
 
-
-# (vertical-plane, horizontal-plane) axis pairs for each vertical axis
-PLANE_AXES = {"x": ((0, 1), (1, 2)), "y": ((1, 2), (0, 2)), "z": ((2, 0), (0, 1))}
 
 # channel index pairs of the six Pearson correlations, in FEATURE_NAMES order
 _CORR_PAIRS = np.array([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
@@ -104,10 +101,8 @@ def norm_hori(s, vertical_axis: str = "x"):
     return _plane_norm(np.asarray(s, dtype=np.float64), PLANE_AXES[vertical_axis][1])
 
 
-def find_impact(trace_or_samples) -> int:
+def find_impact(samples) -> int:
     """Index of the sample maximizing norm_xyz; ties break to the earliest."""
-    samples = getattr(trace_or_samples, "samples", trace_or_samples)
-    samples = np.asarray(samples, dtype=np.float64)
     return int(np.argmax(norm_xyz(samples)))
 
 
@@ -118,7 +113,7 @@ def extract_window(trace: Trace, spec: WindowSpec) -> Window:
     wb = spec.before(rate)
     length = spec.length(rate)
     out = np.zeros((length, 3))
-    lo = find_impact(trace) - wb
+    lo = find_impact(trace.samples) - wb
     hi = lo + length
     src_lo = max(lo, 0)
     src_hi = min(hi, len(trace.samples))
@@ -126,15 +121,9 @@ def extract_window(trace: Trace, spec: WindowSpec) -> Window:
     return Window(out, trace.label, spec.vertical_axis)
 
 
-def check_axis(vertical_axis: str) -> None:
-    """Raise ValueError unless vertical_axis names a PLANE_AXES axis."""
-    if vertical_axis not in PLANE_AXES:
-        raise ValueError(f"vertical_axis must be x, y or z, got {vertical_axis!r}")
-
-
 def channel_matrix(samples: np.ndarray, vertical_axis: str = "x") -> np.ndarray:
     """Stack the six analysis channels as columns."""
-    check_axis(vertical_axis)
+    WindowSpec.CHECKS["vertical_axis"]("vertical_axis", vertical_axis)
     samples = np.asarray(samples, dtype=np.float64)
     verti, hori = PLANE_AXES[vertical_axis]
     return np.column_stack([samples, norm_xyz(samples),

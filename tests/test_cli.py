@@ -150,6 +150,24 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "latency.topology" in err and "node g lacks 'b'" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (("theta=1e9 rho=0.2", "theta=nan rho=0.2"), "{topo}: node m: theta must be > 0, got nan"),
+        (("b=2.0", "b=-5"), "{topo}: node m: b must be >= 0, got -5.0"),
+        (None, "layer 0 has no nodes"),
+    ], ids=["nan_theta", "negative_b", "empty_layers"])
+    def test_bad_topology_value_names_the_node(self, tmp_path, capsys, edit, message):
+        topo = tmp_path / "topo.txt"
+        good = ("layer 0\nnode e parent=m s=0.5 b=1.0 theta=1e9 rho=0.1 lambda=0 beta=0 phi=1e6\n"
+                "layer 1\nnode m parent=c s=0.5 b=2.0 theta=1e9 rho=0.2 lambda=0 beta=0 phi=1e6\n"
+                "layer 2\nnode c parent=- s=0.5 b=1.0 theta=1e9 rho=0.1 lambda=0 beta=0 phi=1e6\n")
+        topo.write_text(good)
+        cfg = with_key(TINY_CONFIG, "latency", "topology", topo)
+        assert cli.main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
+        capsys.readouterr()
+        topo.write_text(good.replace(*edit) if edit else "layer 0\nlayer 1\nlayer 2\n")
+        err = validate_error(tmp_path, capsys, cfg)
+        assert err == f"config error: latency.topology: {message.format(topo=topo)}\n"
+
     def test_unknown_vertical_axis_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_CONFIG.replace(
             "ws_b_s = 0.5", "ws_b_s = 0.5\nvertical_axis = w"))
@@ -297,17 +315,19 @@ def assert_one_check(tmp_path, capsys, sites, value, message, section, key):
 
 @pytest.mark.parametrize("value", [0.0, -1.0])
 # the ids keep the names these cases have long had
-@pytest.mark.parametrize("section, key", [("cascade", "inference_temperature"),
-                                          ("kd", "kd_temperature")],
-                         ids=["cascade-inference_temperature-None", "kd-kd_temperature-kd"])
-def test_temperature_rule_has_one_check(tmp_path, capsys, value, section, key):
+@pytest.mark.parametrize("section, key, field", [
+    ("cascade", "inference_temperature", "inference_temperature"),
+    ("kd", "kd_temperature", "temperature")],
+    ids=["cascade-inference_temperature-None", "kd-kd_temperature-kd"])
+def test_temperature_rule_has_one_check(tmp_path, capsys, value, section, key, field):
     model = nn.TieredModel.init(nn.TierSpec(nn.STUDENT, (54, 2)))
-    sites = [lambda t: nn.softmax_t([1.0, 0.0], t),
-             lambda t: distill._log_softmax(np.zeros((1, 2)), t),
-             lambda t: distill.KDConfig(temperature=t),
-             lambda t: ev.ExperimentConfig(inference_temperature=t),
-             lambda t: cascade.build_cascade([model], TH, inference_temperature=t)]
-    assert_one_check(tmp_path, capsys, sites, value, f"temperature must be > 0, got {value}",
+    sites = {"temperature": [lambda t: nn.softmax_t([1.0, 0.0], t),
+                             lambda t: distill._log_softmax(np.zeros((1, 2)), t),
+                             lambda t: distill.KDConfig(temperature=t)],
+             "inference_temperature": [
+                 lambda t: ev.ExperimentConfig(inference_temperature=t),
+                 lambda t: cascade.build_cascade([model], TH, inference_temperature=t)]}
+    assert_one_check(tmp_path, capsys, sites[field], value, f"{field} must be > 0, got {value}",
                      section, key)
 
 
@@ -329,12 +349,13 @@ KEY_RULES = [
 WINDOW_KD_RULES = [
     ("window", "ws_f_s", 0.0, "ws_f_s must be > 0, got 0.0"),
     ("window", "ws_b_s", -0.5, "ws_b_s must be > 0, got -0.5"),
-    ("window", "vertical_axis", "w", "vertical_axis must be x, y or z, got 'w'"),
+    ("window", "vertical_axis", "w", "vertical_axis must be one of x, y, z, got 'w'"),
     ("kd", "lambda", 2.0, "lam must be in [0, 1], got 2.0"),
     ("kd", "kd_temperature", 0.0, "temperature must be > 0, got 0.0"),
-    ("kd", "kd_direction", "up", "unknown direction 'up'"),
-    ("kd", "triple_mode", "nested", "unknown triple_mode 'nested'"),
-    ("kd", "tri_combine", "max", "unknown tri_combine 'max'"),
+    ("kd", "kd_direction", "up", "direction must be one of paper_eq8, standard, got 'up'"),
+    ("kd", "triple_mode", "nested",
+     "triple_mode must be one of sequential, composite_eq10, got 'nested'"),
+    ("kd", "tri_combine", "max", "tri_combine must be one of additive, multiplicative, got 'max'"),
 ]
 
 
@@ -360,6 +381,51 @@ def test_train_and_dataset_rules_name_their_key(tmp_path, capsys, section, key, 
                          ids=[f"{section}.{key}" for section, key, *_ in WINDOW_KD_RULES])
 def test_window_and_kd_rules_name_their_key(tmp_path, capsys, section, key, value, message):
     assert_rule_names_key(tmp_path, capsys, section, key, value, message)
+
+
+# every CHECKS table's owner: the arguments it is built from, and one bad
+# value per checked field
+CHECKED = {
+    nn.TrainConfig: ({}, {"epochs": 0, "batch_size": -1, "learning_rate": -0.5,
+                          "momentum": 1.0, "seed": -3}),
+    ds.SynthSpec: ({}, {"n_subjects": 0, "falls_per_subject": 0, "adls_per_subject": -2,
+                        "fall_peak_range": (7.0, 6.0), "adl_peak_range": (0.0, 1.0),
+                        "trace_duration_s": 0.0, "noise_sd": -0.1, "sample_rate_hz": 0,
+                        "seed": -2}),
+    pp.WindowSpec: ({}, {"ws_f_s": 0.0, "ws_b_s": -0.5, "vertical_axis": "w"}),
+    distill.KDConfig: ({}, {"lam": 2.0, "temperature": 0.0, "direction": "up",
+                            "triple_mode": "nested", "tri_combine": "max"}),
+    ev.ExperimentConfig: ({}, {"kd_variant": "megakd", "layers": "quad",
+                               "normalization": "zcore", "inference_temperature": -1.0}),
+    pp.Window: ({"samples": np.zeros((4, 3)), "label": pp.ADL},
+                {"label": "fall", "vertical_axis": "w"}),
+    ds.Trace: ({"subject_id": "S01", "trial_id": "T01", "label": ds.FALL,
+                "sample_rate_hz": 50, "samples": np.zeros((4, 3))},
+               {"label": "fall", "sample_rate_hz": 0}),
+    perfmodel.NodeParams: ({"s": 0.5, "b": 1.0, "theta": 1e9, "rho": 0.1, "lam": 0.0,
+                            "beta": 0.0, "phi": 1e6},
+                           {"s": 1.5, "b": -5.0, "theta": float("nan"), "rho": -0.1,
+                            "lam": -1.0, "beta": float("nan"), "phi": 0.0}),
+}
+
+
+def test_every_checks_table_has_cases():
+    owners = {obj for module in (nn, ds, pp, distill, ev, cascade, perfmodel, cli)
+              for obj in vars(module).values()
+              if isinstance(obj, type) and "CHECKS" in vars(obj)}
+    assert owners == set(CHECKED)
+
+
+@pytest.mark.parametrize("owner", CHECKED, ids=lambda owner: owner.__name__)
+def test_every_checks_rule_names_its_field(owner):
+    base, bad = CHECKED[owner]
+    # a rule with no case fails here
+    assert set(bad) == set(owner.CHECKS)
+    for name, value in bad.items():
+        assert owner.CHECKS[name].__name__ != "<lambda>"
+        with pytest.raises((ValueError, ds.DatasetError)) as e:
+            owner(**{**base, name: value})
+        assert str(e.value).startswith(f"{name} ")
 
 
 MANIFEST_SYNTH_RULES = [rule for rule in KEY_RULES if rule[0] == "dataset"]
@@ -409,7 +475,7 @@ def test_axis_rule_has_one_check(tmp_path, capsys):
     sites = [lambda a: pp.channel_matrix(np.zeros((4, 3)), a),
              lambda a: pp.WindowSpec(vertical_axis=a),
              lambda a: pp.Window(np.zeros((4, 3)), "ADL", a)]
-    assert_one_check(tmp_path, capsys, sites, "w", "vertical_axis must be x, y or z, got 'w'",
+    assert_one_check(tmp_path, capsys, sites, "w", "vertical_axis must be one of x, y, z, got 'w'",
                      "window", "vertical_axis")
 
 
@@ -417,7 +483,8 @@ def test_normalization_rule_has_one_check(tmp_path, capsys):
     sites = [lambda m: ev.fit_scaler(np.zeros((2, 2)), m),
              lambda m: ev.ExperimentConfig(normalization=m)]
     assert_one_check(tmp_path, capsys, sites, "zcore",
-                     "normalization must be minmax or zscore, got 'zcore'", "normalize", "mode")
+                     "normalization must be one of minmax, zscore, got 'zcore'",
+                     "normalize", "mode")
 
 
 # a routing report of a dual-layer cascade: the gate and two classifier stations
@@ -528,6 +595,13 @@ class TestSynth:
         rc = cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc != 0
         assert capsys.readouterr().err != ""
+
+    def test_out_below_a_file_is_an_error_line(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        assert cli.main(["synth", "--config", write_config(tmp_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
 
     def test_manifest_source_is_a_config_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.txt"
@@ -697,6 +771,15 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: traces S01/F01 and S02/A01 have sample rates 50 and 100 Hz; "
             "a dataset needs one rate\n")
+
+    def test_out_that_is_a_file_is_an_error_line_before_training(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        out = tmp_path / "file"
+        out.write_text("")
+        monkeypatch.setattr(cli, "loso_evaluate", lambda *a, **k: pytest.fail("trained"))
+        assert cli.main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
 
     def test_unreadable_manifest_is_an_error_line(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.txt"

@@ -123,7 +123,7 @@ class TestExperimentConfig:
         (dict(tq_max=0.2, tq_min=0.8), InvalidThresholds),
         (dict(tq_max=0.3, tq_min=0.3), InvalidThresholds),
         (dict(inference_temperature=0.0), ValueError),
-        (dict(inference_temperature=-1.0), nn.NonPositiveTemperature),
+        (dict(inference_temperature=-1.0), ValueError),
         (dict(normalization="zcore"), ValueError),
     ], ids=["inverted_band", "empty_band", "temperature", "negative_temperature",
             "normalization"])

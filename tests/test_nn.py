@@ -59,7 +59,7 @@ class TestSoftmaxT:
         assert p[1] == pytest.approx(0.47502, abs=1e-5)
 
     def test_nonpositive_temperature(self):
-        with pytest.raises(nn.NonPositiveTemperature):
+        with pytest.raises(ValueError, match=r"^temperature must be > 0, got 0\.0$"):
             nn.softmax_t([1.0, 0.0], 0.0)
 
     @pytest.mark.parametrize("T", [0.1, 1.0, 5.0, 20.0, 100.0])
@@ -172,18 +172,18 @@ class TestTrain:
 
 class TestCountParams:
     def test_default_student(self):
-        assert nn.count_params(nn.default_tier_spec(nn.STUDENT)) == 914
+        assert nn.default_tier_spec(nn.STUDENT).n_params == 914
 
     def test_minimal(self):
-        assert nn.count_params(nn.TierSpec(nn.STUDENT, (2, 2))) == 6
+        assert nn.TierSpec(nn.STUDENT, (2, 2)).n_params == 6
 
     def test_matches_recount_oracle(self):
         model = tiny_model(widths=(7, 5, 3, 2), seed=0)
         oracle = sum(W.size for W in model.weights) + sum(b.size for b in model.biases)
-        assert nn.count_params(model) == oracle
+        assert model.spec.n_params == oracle
 
     def test_tier_capacity_ordering(self):
-        s = nn.count_params(nn.default_tier_spec(nn.STUDENT))
-        ta = nn.count_params(nn.default_tier_spec(nn.TA))
-        t = nn.count_params(nn.default_tier_spec(nn.TEACHER))
+        s = nn.default_tier_spec(nn.STUDENT).n_params
+        ta = nn.default_tier_spec(nn.TA).n_params
+        t = nn.default_tier_spec(nn.TEACHER).n_params
         assert t > ta > s

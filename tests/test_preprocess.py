@@ -39,11 +39,11 @@ class TestNorms:
 class TestFindImpact:
     def test_unique_max(self):
         trace = make_trace([[1, 0, 0], [1, 0, 0], [5, 0, 0], [1, 0, 0]])
-        assert pp.find_impact(trace) == 2
+        assert pp.find_impact(trace.samples) == 2
 
     def test_tie_breaks_earliest(self):
         trace = make_trace([[5, 0, 0], [0, 5, 0], [1, 0, 0]])
-        assert pp.find_impact(trace) == 0
+        assert pp.find_impact(trace.samples) == 0
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(3)
