@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .edge_threshold import EdgeThresholds, classify_tc, window_peaks
-from .nn import TieredModel, check_positive, forward, softmax_t
+from .nn import TieredModel, check_fields, check_positive, forward, softmax_t
 from .preprocess import ADL, CLASSES, FALL, Window, extract_features
 
 FALL_CLASS = CLASSES.index(FALL)  # logit / probability index of the Fall class
@@ -65,11 +65,14 @@ class Cascade:
     featurize: object = extract_features  # callable Window -> model input
     stations: list = field(init=False)
 
+    # each checked field's one rule, a check(name, value); the band spans two fields
+    CHECKS = {"inference_temperature": check_positive}
+
     def __post_init__(self):
         if not self.models:
             raise ValueError("cascade needs at least one classifier model")
         check_band(self.tq_max, self.tq_min)
-        check_positive("inference_temperature", self.inference_temperature)
+        check_fields(self)
         sizes = [m.spec.n_params for m in self.models]
         if any(a > b for a, b in zip(sizes, sizes[1:])):
             warnings.warn("classifier stations are not capacity-ordered ascending",

@@ -7,11 +7,12 @@ parameters; no gradient flows into them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import (STUDENT, TA, TEACHER, TIERS, TieredModel, TrainConfig, TrainResult,
+from .nn import (STUDENT, TA, TEACHER, TIERS, CELoss, TieredModel, TrainConfig, TrainResult,
                  ce_rows, check_fields, check_positive, check_unit, forward, one_of,
                  softmax_t, train)
 
@@ -29,6 +30,8 @@ KD_NONE = "nokd"
 KD_DUAL = "dualkd"
 KD_TRIPLE = "triplekd"
 KD_VARIANTS = (KD_NONE, KD_DUAL, KD_TRIPLE)
+# the one kd-variant rule, also `ExperimentConfig`'s
+check_kd_variant = one_of(*KD_VARIANTS)
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,11 @@ def _composite_rows(log_p, log_q, log_r, temperature: float, combine: str):
         return comp, p * (a * b + b - comp[..., None] - eb[..., None]) / temperature
 
 
-def _blend(cfg: KDConfig, div, ddiv, logits, labels):
+def _blend(cfg: KDConfig, div, ddiv, logits, labels, hard=None):
     """Batch mean of lam * T^2 * divergence + (1 - lam) * CE(hard), per
-    fold of a stack, and its gradient with respect to the logits."""
-    ce, dce = ce_rows(softmax_t(logits, 1.0), labels)
+    fold of a stack, and its gradient with respect to the logits; `hard` is
+    the logits' (CE, gradient) pair, when the caller has it."""
+    ce, dce = ce_rows(softmax_t(logits, 1.0), labels) if hard is None else hard
     scale = cfg.lam * cfg.temperature * cfg.temperature
     loss = (scale * div + (1.0 - cfg.lam) * ce).sum(axis=-1) / ce.shape[-1]
     return loss, (scale * ddiv + (1.0 - cfg.lam) * dce) / ce.shape[-1]
@@ -118,20 +122,21 @@ def loss_tri(t_logits, ta_logits, s_logits, label: int, cfg: KDConfig) -> float:
 
 class DualLoss:
     """Batch loss spec for teacher -> student distillation. The upstream
-    logits are (n, classes), or (F, n, classes) for a stack of folds; their
-    softened log-probabilities are row-wise, so they are computed once per
-    fit and the step takes its batch's rows."""
+    logits are (n, classes), (F, n, classes) for a stack of folds, or
+    (K, F, n, classes) for K members of such a stack, each taught by its
+    own upstream fit; their softened log-probabilities are row-wise, so they
+    are computed once per fit and the step takes its batch's rows."""
 
     def __init__(self, teacher_logits: np.ndarray, cfg: KDConfig):
         self.teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
         self.cfg = cfg
         self.log_q = _log_softmax(self.teacher_logits, cfg.temperature)
 
-    def value_and_grad(self, logits, labels, idx):
+    def value_and_grad(self, logits, labels, idx, hard=None):
         T = self.cfg.temperature
         kl, dkl = _kl_rows(_log_softmax(logits, T), self.log_q.take(idx, axis=-2),
                            T, self.cfg.direction)
-        return _blend(self.cfg, kl, dkl, logits, labels)
+        return _blend(self.cfg, kl, dkl, logits, labels, hard)
 
 
 class TriLoss:
@@ -146,13 +151,42 @@ class TriLoss:
         self.log_q = _log_softmax(self.ta_logits, cfg.temperature)
         self.log_r = _log_softmax(self.teacher_logits, cfg.temperature)
 
-    def value_and_grad(self, logits, labels, idx):
+    def value_and_grad(self, logits, labels, idx, hard=None):
         T = self.cfg.temperature
         comp, dcomp = _composite_rows(_log_softmax(logits, T),
                                       self.log_q.take(idx, axis=-2),
                                       self.log_r.take(idx, axis=-2),
                                       T, self.cfg.tri_combine)
-        return _blend(self.cfg, comp, dcomp, logits, labels)
+        return _blend(self.cfg, comp, dcomp, logits, labels, hard)
+
+
+class MemberLosses:
+    """Loss spec of a member stack (see `nn.train`): `groups` lists
+    (spec, count) pairs, and each spec runs over its `count` members' slice
+    of the (M, F, b, classes) logits, in order. The hard-label CE, per row,
+    is computed once over all members, and each spec takes its slice."""
+
+    def __init__(self, groups):
+        self.groups = groups
+        self.members = sum(count for _, count in groups)
+
+    def value_and_grad(self, logits, labels, idx):
+        ce, dce = ce_rows(softmax_t(logits, 1.0), labels)
+        parts, start = [], 0
+        for spec, count in self.groups:
+            at = slice(start, start + count)
+            parts.append(spec.value_and_grad(logits[at], labels, idx, (ce[at], dce[at])))
+            start += count
+        losses, grads = zip(*parts)
+        return np.concatenate(losses), np.concatenate(grads)
+
+
+def _taught_by(upstream, cfg: KDConfig):
+    """The loss of a fit taught by `upstream`, its teachers' logits: CE by
+    none, dual KD by one, the composite loss by the teacher and the TA."""
+    if not upstream:
+        return CELoss()
+    return DualLoss(*upstream, cfg) if len(upstream) == 1 else TriLoss(*upstream, cfg)
 
 
 def distill_train(teacher: TieredModel, student_spec, X, y,
@@ -186,16 +220,21 @@ def takd_pipeline(specs, X, y, cfg: KDConfig, train_cfg: TrainConfig, variants):
     divergence with the teacher and TA frozen (composite mode). The TA is
     trained when the variant deploys it or under KD_TRIPLE.
     Each variant's fits are planned first, a key per tier: (tier, *keys of
-    the fits it learns from). Each distinct key is then trained once, in
-    nn.TIERS order, so that a fit's teachers exist before it, with the seed
-    train_cfg.seed plus the tier's index in nn.TIERS.
+    the fits it learns from). The distinct keys are then trained tier by
+    tier, in nn.TIERS order, so that a fit's teachers exist before it, each
+    tier seeded train_cfg.seed plus its index in nn.TIERS. A tier's keys
+    share the spec, seed, rows and batch order and differ only in their
+    loss, so they train as the members of one `nn.train` call, ordered by
+    loss: a `MemberLosses` of one CELoss, one DualLoss and one TriLoss,
+    each over its group's stacked upstream logits. A tier with one key
+    trains alone, through `distill_train` when it has one teacher.
     X and y may hold a stack of folds, (F, n, in) and (F, n), which train
     in lockstep (see `nn.train`); the results are then stacked.
     Returns each variant's {tier: TrainResult} over the tiers it trains.
     """
     plans = []
     for kd, tiers in variants:
-        one_of(*KD_VARIANTS)("kd", kd)
+        check_kd_variant("kd", kd)
         teacher = (TEACHER,)
         ta = (TA,) if kd == KD_NONE else (TA, teacher)
         student = {KD_NONE: (STUDENT,), KD_DUAL: (STUDENT, teacher),
@@ -208,18 +247,38 @@ def takd_pipeline(specs, X, y, cfg: KDConfig, train_cfg: TrainConfig, variants):
             del plan[TA]
         plans.append(plan)
 
-    X = np.asarray(X, dtype=np.float64)
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+    solo = X.ndim == 2
+    if solo:  # a solo fit is fold 0 of a one-fold stack
+        X, y = X[None], y[None]
     fits = {}
     keys = dict.fromkeys(key for plan in plans for key in plan.values())
-    for key in sorted(keys, key=lambda key: TIERS.index(key[0])):
-        tier, *upstream = key
-        tier_cfg = dataclasses.replace(train_cfg, seed=train_cfg.seed + TIERS.index(tier))
-        models = [fits[k].model for k in upstream]
-        # one upstream fit teaches by dual KD, two by the composite loss
-        if len(models) == 1:
-            fits[key] = distill_train(models[0], specs[tier], X, y, cfg, tier_cfg)
+
+    def taught(key):
+        """The logits of the fits `key` learns from."""
+        return [forward(fits[k].model, X) for k in key[1:]]
+
+    for index, tier in enumerate(TIERS):
+        # the tier's keys, ordered by loss: CE, then dual KD, then composite
+        members = sorted((key for key in keys if key[0] == tier), key=len)
+        if not members:
+            continue
+        tier_cfg = dataclasses.replace(train_cfg, seed=train_cfg.seed + index)
+        if len(members) == 1 and len(members[0]) == 2:
+            [(_, upstream)] = members
+            fits[members[0]] = distill_train(fits[upstream].model, specs[tier], X, y,
+                                             cfg, tier_cfg)
+            continue
+        model = TieredModel.init(specs[tier], seed=tier_cfg.seed)
+        if len(members) == 1:
+            fits[members[0]] = train(model, X, y, tier_cfg, _taught_by(taught(members[0]), cfg))
         else:
-            loss = TriLoss(*(forward(m, X) for m in models), cfg) if models else None
-            fits[key] = train(TieredModel.init(specs[tier], seed=tier_cfg.seed),
-                              X, y, tier_cfg, loss)
+            # one loss per group of K members, over their teachers' logits
+            # stacked (K, F, n, classes)
+            groups = [list(group) for _, group in itertools.groupby(members, key=len)]
+            loss = MemberLosses([(_taught_by([np.stack(c) for c in zip(*map(taught, group))],
+                                             cfg), len(group)) for group in groups])
+            fits.update(zip(members, train(model, X, y, tier_cfg, loss)))
+    if solo:
+        fits = {key: fit.fold(0) for key, fit in fits.items()}
     return [{tier: fits[key] for tier, key in plan.items()} for plan in plans]

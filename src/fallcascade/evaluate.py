@@ -12,7 +12,7 @@ from . import distill, nn
 from .cascade import (Cascade, CascadeReport, ConfusionMatrix, build_cascade, check_band,
                       run_dataset)
 from .dataset import Dataset, loso_folds
-from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KD_VARIANTS, KDConfig
+from .distill import KD_DUAL, KD_NONE, KD_TRIPLE, KDConfig, check_kd_variant
 from .edge_threshold import MissingClass, fit_thresholds
 from .nn import TrainConfig, check_positive, default_tier_spec, one_of
 from .preprocess import WindowSpec, extract_window, feature_matrix
@@ -22,6 +22,8 @@ from .preprocess import extract_features  # noqa: F401
 
 F1_STANDARD = "standard"
 F1_PAPER = "paper"
+# the one F1-mode rule, run by `metrics`
+check_f1_mode = one_of(F1_STANDARD, F1_PAPER)
 
 LAYERS_DUAL = "dual"
 LAYERS_TRIPLE = "triple"
@@ -50,7 +52,7 @@ class Metrics:
 def metrics(cm: ConfusionMatrix, f1_mode: str = F1_STANDARD) -> Metrics:
     """ACC, PRE, REC and F1. The default F1 is the harmonic mean; the
     'paper' mode omits the factor 2 (and therefore caps at 0.5)."""
-    one_of(F1_STANDARD, F1_PAPER)("f1_mode", f1_mode)
+    check_f1_mode("f1_mode", f1_mode)
     if cm.total == 0:
         raise UndefinedMetric("empty confusion matrix")
     acc = (cm.tp + cm.tn) / cm.total
@@ -124,7 +126,7 @@ class ExperimentConfig:
     inference_temperature: float = Cascade.inference_temperature
 
     # each checked field's one rule, a check(name, value); the band spans two fields
-    CHECKS = {"kd_variant": one_of(*KD_VARIANTS), "layers": one_of(*DEPLOYED_TIERS),
+    CHECKS = {"kd_variant": check_kd_variant, "layers": one_of(*DEPLOYED_TIERS),
               "normalization": one_of(*NORMALIZATIONS),
               "inference_temperature": check_positive}
 

@@ -86,15 +86,20 @@ class TieredModel:
             biases.append(np.zeros(fan_out))
         return cls(spec=spec, weights=weights, biases=biases)
 
-    def stacked(self, folds: int) -> "TieredModel":
-        """A stack of `folds` copies of this solo model."""
-        return TieredModel(self.spec, [np.repeat(w[None], folds, axis=0) for w in self.weights],
-                           [np.repeat(b[None, None], folds, axis=0) for b in self.biases])
+    def stacked(self, *lead: int) -> "TieredModel":
+        """Copies of this solo model along the leading axes `lead`: (F,) for
+        a stack of folds, (M, F) for M members of such a stack."""
+        return TieredModel(self.spec, [np.tile(w, (*lead, 1, 1)) for w in self.weights],
+                           [np.tile(b, (*lead, 1, 1)) for b in self.biases])
 
     def fold(self, k: int) -> "TieredModel":
         """Fold k of a stack, as a solo model (views of the stack)."""
         return TieredModel(self.spec, [w[k] for w in self.weights],
                            [b[k, 0] for b in self.biases])
+
+    def member(self, m: int) -> "TieredModel":
+        """Member m of a member stack, as a stack of folds (views)."""
+        return TieredModel(self.spec, [w[m] for w in self.weights], [b[m] for b in self.biases])
 
 
 def forward(model: TieredModel, x) -> np.ndarray:
@@ -134,16 +139,13 @@ def softmax_t(logits, temperature: float = 1.0) -> np.ndarray:
 def ce_rows(probs: np.ndarray, labels) -> tuple:
     """Per-row cross-entropy of the true labels, with the log argument
     clamped at 1e-12, and its gradient with respect to the logits the rows
-    of `probs` are the T=1 softmax of: (n, classes) with n labels, or a
-    stack's (F, n, classes) with (F, n) labels."""
-    labels = np.asarray(labels)
-    rows = np.arange(labels.shape[-1])
-    at = (rows, labels) if labels.ndim == 1 else (
-        np.arange(len(labels))[:, None], rows, labels)
-    ce = -np.log(np.clip(probs[at], 1e-12, None))
-    grad = probs.copy()
-    grad[at] -= 1.0
-    return ce, grad
+    of `probs` are the T=1 softmax of. The labels broadcast over the leading
+    axes of `probs`: n labels for (n, classes), (F, n) for a stack's
+    (F, n, classes) and for its members' (M, F, n, classes)."""
+    hot = np.asarray(labels)[..., None] == np.arange(probs.shape[-1])
+    # adding the zeros of the other classes leaves the picked value exact
+    ce = -np.log(np.clip(np.where(hot, probs, 0.0).sum(axis=-1), 1e-12, None))
+    return ce, probs - hot
 
 
 def cross_entropy(probs, label: int) -> float:
@@ -152,16 +154,19 @@ def cross_entropy(probs, label: int) -> float:
 
 
 class CELoss:
-    """Plain cross-entropy on the hard labels."""
+    """Plain cross-entropy on the hard labels. Like every loss spec, it takes
+    the `hard` pair `ce_rows(softmax_t(logits, 1.0), labels)` when its
+    caller has computed it already."""
 
-    def value_and_grad(self, logits: np.ndarray, labels: np.ndarray, idx):
-        ce, grad = ce_rows(softmax_t(logits, 1.0), labels)
+    def value_and_grad(self, logits: np.ndarray, labels: np.ndarray, idx, hard=None):
+        ce, grad = ce_rows(softmax_t(logits, 1.0), labels) if hard is None else hard
         return ce.sum(axis=-1) / ce.shape[-1], grad / ce.shape[-1]
 
 
 def grad(model: TieredModel, X, y, loss_spec=None, idx=None):
     """Backpropagated gradients: (loss, dW list, db list). A stacked model
-    takes (F, n, in) rows and (F, n) labels and gives a loss per fold."""
+    takes (F, n, in) rows and (F, n) labels and gives a loss per fold; a
+    member stack takes the same rows and gives an (M, F) loss."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.size == 0:
@@ -248,9 +253,13 @@ class TrainResult:
         """Fold k of a stacked fit, as the solo fit it equals."""
         return TrainResult(self.model.fold(k), self.epoch_losses[k].tolist())
 
+    def member(self, m: int) -> "TrainResult":
+        """Member m of a member stack, as the stacked fit it equals."""
+        return TrainResult(self.model.member(m), self.epoch_losses[m])
+
 
 def train(model: TieredModel, X, y, cfg: TrainConfig,
-          loss_spec=None) -> TrainResult:
+          loss_spec=None) -> TrainResult | list[TrainResult]:
     """SGD with momentum; deterministic given cfg.seed. The input model is
     not mutated; the trained copy and per-epoch mean losses are returned.
 
@@ -258,8 +267,13 @@ def train(model: TieredModel, X, y, cfg: TrainConfig,
     (F, n) labels. The solo input model is broadcast over the folds, which
     share the permutation and step in lockstep; the result is stacked, and
     each fold is bit-identical to its solo fit, which is the F = 1 case.
-    The first epoch whose mean loss is not finite in some fold raises
-    NonFiniteLoss, naming the tier and epoch, with the first such fold."""
+    A loss spec with `members` M > 0 trains M members, copies of the model
+    that differ only in their loss, on a leading axis: (M, F, in, out)
+    weights against the same rows, and returns a list of M results, each
+    bit-identical to its own solo or stacked fit.
+    The first epoch whose mean loss is not finite in some fold of some
+    member raises NonFiniteLoss, naming the tier and epoch, with the first
+    such fold."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.size == 0:
@@ -269,7 +283,8 @@ def train(model: TieredModel, X, y, cfg: TrainConfig,
     solo = X.ndim == 2
     if solo:
         X, y = X[None], y[None]
-    model = model.stacked(len(X))
+    members = getattr(loss_spec, "members", 0)
+    model = model.stacked(*((members, len(X)) if members else (len(X),)))
     rng = np.random.default_rng(cfg.seed)
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
@@ -295,10 +310,16 @@ def train(model: TieredModel, X, y, cfg: TrainConfig,
                     v -= g
                     p += v
         losses.append(epoch_loss / n_batches)
-        finite = np.isfinite(losses[-1])
+        # (members or 1, F): a fold fails when any member's loss does
+        finite = np.isfinite(losses[-1]).reshape(-1, len(X))
         if not finite.all():
-            fold = int(np.argmin(finite))
+            fold = int(np.argmin(finite.all(axis=0)))
+            value = losses[-1].reshape(-1, len(X))[np.argmin(finite[:, fold]), fold]
             raise NonFiniteLoss(f"{model.spec.tier} training loss is "
-                                f"{float(losses[-1][fold])} at epoch {len(losses)}", fold)
-    result = TrainResult(model=model, epoch_losses=np.array(losses).T)
-    return result.fold(0) if solo else result
+                                f"{float(value)} at epoch {len(losses)}", fold)
+    # (epochs, [M,] F) -> ([M,] F, epochs)
+    result = TrainResult(model=model, epoch_losses=np.moveaxis(np.array(losses), 0, -1))
+    results = [result.member(m) for m in range(members)] if members else [result]
+    if solo:
+        results = [r.fold(0) for r in results]
+    return results if members else results[0]

@@ -147,6 +147,13 @@ def uniform_topology(n_layers: int, s: float = 0.5, b: float = 1.0,
     return Topology(tuple(layers))
 
 
+def _key_value(token: str) -> tuple:
+    key, eq, value = token.partition("=")
+    if not eq:
+        raise ValueError(f"token {token!r} is not key=value")
+    return key, value
+
+
 def load_topology(path) -> Topology:
     layers = []
     current = None
@@ -163,9 +170,8 @@ def load_topology(path) -> Topology:
                     raise ValueError(f"{path}: node before any layer line")
                 parts = line.split()
                 name = parts[1]
-                kv = dict(p.split("=", 1) for p in parts[2:])
-                parent = None if kv.get("parent", "-") == "-" else kv["parent"]
                 try:
+                    kv = dict(_key_value(token) for token in parts[2:])
                     params = NodeParams(
                         s=float(kv["s"]), b=float(kv["b"]), theta=float(kv["theta"]),
                         rho=float(kv["rho"]), lam=float(kv["lambda"]),
@@ -174,6 +180,7 @@ def load_topology(path) -> Topology:
                     raise ValueError(f"{path}: node {name} lacks {e}") from e
                 except ValueError as e:
                     raise ValueError(f"{path}: node {name}: {e}") from e
+                parent = None if kv.get("parent", "-") == "-" else kv["parent"]
                 current.append(Node(name, parent, params))
             else:
                 raise ValueError(f"{path}: unrecognized line {line!r}")

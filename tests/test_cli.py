@@ -154,7 +154,8 @@ class TestValidate:
         (("theta=1e9 rho=0.2", "theta=nan rho=0.2"), "{topo}: node m: theta must be > 0, got nan"),
         (("b=2.0", "b=-5"), "{topo}: node m: b must be >= 0, got -5.0"),
         (None, "layer 0 has no nodes"),
-    ], ids=["nan_theta", "negative_b", "empty_layers"])
+        (("parent=c s=0.5", "parent=c s"), "{topo}: node m: token 's' is not key=value"),
+    ], ids=["nan_theta", "negative_b", "empty_layers", "token_without_equals"])
     def test_bad_topology_value_names_the_node(self, tmp_path, capsys, edit, message):
         topo = tmp_path / "topo.txt"
         good = ("layer 0\nnode e parent=m s=0.5 b=1.0 theta=1e9 rho=0.1 lambda=0 beta=0 phi=1e6\n"
@@ -402,6 +403,9 @@ CHECKED = {
     ds.Trace: ({"subject_id": "S01", "trial_id": "T01", "label": ds.FALL,
                 "sample_rate_hz": 50, "samples": np.zeros((4, 3))},
                {"label": "fall", "sample_rate_hz": 0}),
+    cascade.Cascade: ({"models": [nn.TieredModel.init(nn.TierSpec(nn.STUDENT, (54, 2)))],
+                       "thresholds": TH},
+                      {"inference_temperature": -1.0}),
     perfmodel.NodeParams: ({"s": 0.5, "b": 1.0, "theta": 1e9, "rho": 0.1, "lam": 0.0,
                             "beta": 0.0, "phi": 1e6},
                            {"s": 1.5, "b": -5.0, "theta": float("nan"), "rho": -0.1,
@@ -477,6 +481,27 @@ def test_axis_rule_has_one_check(tmp_path, capsys):
              lambda a: pp.Window(np.zeros((4, 3)), "ADL", a)]
     assert_one_check(tmp_path, capsys, sites, "w", "vertical_axis must be one of x, y, z, got 'w'",
                      "window", "vertical_axis")
+
+
+def test_kd_variant_rule_is_one_object(separable_xy):
+    assert ev.ExperimentConfig.CHECKS["kd_variant"] is distill.check_kd_variant
+    choices = "must be one of nokd, dualkd, triplekd, got 'megakd'"
+    with pytest.raises(ValueError, match=f"^kd_variant {choices}$"):
+        ev.ExperimentConfig(kd_variant="megakd")
+    X, y = separable_xy
+    specs = {tier: nn.TierSpec(tier, (X.shape[1], 2)) for tier in nn.TIERS}
+    with pytest.raises(ValueError, match=f"^kd {choices}$"):
+        distill.takd_pipeline(specs, X, y, distill.KDConfig(), nn.TrainConfig(epochs=1),
+                              [("megakd", ())])
+
+
+def test_f1_rule_is_one_object(monkeypatch):
+    with pytest.raises(ValueError, match="^f1_mode must be one of standard, paper, got 'x'$"):
+        ev.metrics(ConfusionMatrix(tp=1), "x")
+    seen = []
+    monkeypatch.setattr(ev, "check_f1_mode", lambda name, value: seen.append((name, value)))
+    ev.metrics(ConfusionMatrix(tp=1), ev.F1_PAPER)
+    assert seen == [("f1_mode", ev.F1_PAPER)]
 
 
 def test_normalization_rule_has_one_check(tmp_path, capsys):

@@ -381,18 +381,17 @@ class TestLockstep:
     @given(data=st.data(), width=st.integers(1, 6), student=st.integers(1, 4),
            grow=st.tuples(st.integers(1, 4), st.integers(1, 4)),
            variants=st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=6, unique=True),
-           mode=st.sampled_from([distill.SEQUENTIAL, distill.COMPOSITE_EQ10]),
-           cfg=train_configs)
+           kd=kd_configs, cfg=train_configs)
     def test_one_call_equals_each_variant_solo_call(self, data, width, student, grow,
-                                                    variants, mode, cfg):
+                                                    variants, kd, cfg):
         X, y, _ = data.draw(fold_stacks(width, max_folds=3))
         specs = capacity_ordered(width, student, grow)
-        kd = distill.KDConfig(triple_mode=mode)
         calls, train = [], distill.train
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].spec.tier)
-            return train(*args, **kwargs)
+        def counted(model, X, y, cfg, loss_spec=None):
+            # a member stack is one call with one fit per member
+            calls.extend([model.spec.tier] * (getattr(loss_spec, "members", 0) or 1))
+            return train(model, X, y, cfg, loss_spec)
 
         with mock.patch.object(distill, "train", counted):
             shared = distill.takd_pipeline(specs, X, y, kd, cfg, variants)
@@ -436,3 +435,25 @@ class TestLockstep:
         with pytest.raises(nn.NonFiniteLoss) as e:
             nn.train(model, X[0], y[0], cfg, Poisoned({0: 1}))
         assert e.value.fold == 0
+
+    def test_a_poisoned_member_names_its_fold(self):
+        class Poisoned(nn.CELoss):
+            """CE whose first member's loss in fold 1 is NaN."""
+
+            def value_and_grad(self, logits, labels, idx, hard=None):
+                loss, grad = super().value_and_grad(logits, labels, idx, hard)
+                loss[0, 1] = np.nan
+                return loss, grad
+
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(3, 20, 3)), rng.integers(0, 2, size=(3, 20))
+        model = nn.TieredModel.init(nn.TierSpec(nn.STUDENT, (3, 4, 2)))
+        teachers = rng.normal(size=(2, 3, 20, 2))
+        # four members: a healthy CE, a healthy dual group of two, and last
+        # the poisoned one
+        dual = distill.DualLoss(teachers, distill.KDConfig())
+        loss = distill.MemberLosses([(nn.CELoss(), 1), (dual, 2), (Poisoned(), 1)])
+        with pytest.raises(nn.NonFiniteLoss,
+                           match="^student training loss is nan at epoch 1$") as e:
+            nn.train(model, X, y, nn.TrainConfig(epochs=2, batch_size=10), loss)
+        assert e.value.fold == 1

@@ -196,6 +196,25 @@ class TestLosoEvaluate:
                 nn.NonFiniteLoss, match=f"holding out {first}: teacher training loss"):
             ev.loso_evaluate(small_dataset, fast_config(train=diverging))
 
+    def test_non_finite_member_of_a_stack_is_named(self, small_dataset, monkeypatch):
+        # the students of two variants train as one member stack; the second
+        # member's loss turns NaN in the stack's second fold only
+        second = small_dataset.subjects[1]
+        value_and_grad = distill.MemberLosses.value_and_grad
+
+        def poisoned(self, logits, labels, idx):
+            loss, grad = value_and_grad(self, logits, labels, idx)
+            loss[1, 1] = np.nan
+            return loss, grad
+
+        monkeypatch.setattr(distill.MemberLosses, "value_and_grad", poisoned)
+        splits = ev.loso_folds(t.subject_id for t in small_dataset.traces)
+        assert list(ev._stacks(splits, fast_config().teacher)) == [[0, 1, 2]]
+        with pytest.raises(nn.NonFiniteLoss,
+                           match=f"holding out {second}: student training loss is nan at epoch 1$"):
+            ev.loso_evaluate(small_dataset, fast_config(),
+                             variants=[(ev.KD_NONE, ev.LAYERS_DUAL), (ev.KD_DUAL, ev.LAYERS_DUAL)])
+
     def test_needs_two_subjects(self, small_dataset):
         first = small_dataset.subjects[0]
         single = Dataset("one-subject", [t for t in small_dataset.traces
@@ -324,10 +343,12 @@ class TestSharedPass:
             calls["pipelines"] += 1
             return takd_pipeline(*args, **kwargs)
 
-        def count_fit(model, X, *args, **kwargs):
-            # a stack of folds is one call with one fit per fold
-            fits[model.spec.tier] += len(X) if np.ndim(X) == 3 else 1
-            return train(model, X, *args, **kwargs)
+        def count_fit(model, X, y, cfg, loss_spec=None):
+            # a stack of folds is one call with one fit per fold, and a
+            # member stack one with a stack per member
+            members = getattr(loss_spec, "members", 0) or 1
+            fits[model.spec.tier] += members * (len(X) if np.ndim(X) == 3 else 1)
+            return train(model, X, y, cfg, loss_spec)
 
         monkeypatch.setattr(ev, "extract_window", count_window)
         monkeypatch.setattr(ev, "feature_matrix", count_table)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fallcascade import nn
 from gradcheck import max_rel_error
@@ -82,6 +83,41 @@ class TestCrossEntropy:
 
     def test_wrong_confident(self):
         assert nn.cross_entropy([0.9, 0.1], 1) == pytest.approx(2.302585, abs=1e-6)
+
+
+def fancy_ce_rows(probs, labels):
+    """ce_rows by fancy indexing, for (n, classes) rows with n labels or a
+    stack's (F, n, classes) with (F, n) labels: the oracle of the one-hot form."""
+    labels = np.asarray(labels)
+    rows = np.arange(labels.shape[-1])
+    at = (rows, labels) if labels.ndim == 1 else (
+        np.arange(len(labels))[:, None], rows, labels)
+    ce = -np.log(np.clip(probs[at], 1e-12, None))
+    grad = probs.copy()
+    grad[at] -= 1.0
+    return ce, grad
+
+
+class TestCeRows:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(members=st.integers(1, 4), folds=st.integers(1, 3), n=st.integers(1, 9),
+           classes=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1.0, 30.0, 800.0]))
+    def test_members_equal_the_fancy_index_form_slice_by_slice(self, members, folds, n,
+                                                               classes, seed, scale):
+        # large scales push probabilities to 0, below the 1e-12 clamp
+        rng = np.random.default_rng(seed)
+        probs = nn.softmax_t(rng.normal(scale=scale, size=(members, folds, n, classes)))
+        labels = rng.integers(0, classes, size=(folds, n))
+        ce, grad = nn.ce_rows(probs, labels)
+        assert ce.shape == (members, folds, n) and grad.shape == probs.shape
+        for m in range(members):
+            # each member as a stack, and each of its folds as a solo fit's rows
+            pairs = [((ce[m], grad[m]), fancy_ce_rows(probs[m], labels))]
+            pairs += [(nn.ce_rows(probs[m, k], labels[k]), fancy_ce_rows(probs[m, k], labels[k]))
+                      for k in range(folds)]
+            for got, want in pairs:
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 class TestGrad:
