@@ -193,6 +193,8 @@ def parse_config(path, seed_override=None, out_override=None) -> RunConfig:
         kd_name, _, layer_name = token.partition(":")
         for name, value in (("kd_variant", kd_name), ("layers", layer_name)):
             _named("run.variants", ExperimentConfig.CHECKS[name], name, value)
+        if (kd_name, layer_name) in variants:
+            raise ConfigError(f"run.variants: {token} is listed twice")
         variants.append((kd_name, layer_name))
     if not variants:
         raise ConfigError("run.variants: at least one variant is required")

@@ -87,9 +87,14 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "traces", tuple(self.traces))
-        # a report's sample volumes take one window length for every trace
+        # a report's sample volumes take one window length for every trace,
+        # and each trace counts once in its subject's fold
         first = self.traces[0] if self.traces else None
+        seen = set()
         for t in self.traces:
+            if (t.subject_id, t.trial_id) in seen:
+                raise DatasetError(f"trace {t.subject_id}/{t.trial_id} is listed twice")
+            seen.add((t.subject_id, t.trial_id))
             if t.sample_rate_hz != first.sample_rate_hz:
                 raise DatasetError(
                     f"traces {first.subject_id}/{first.trial_id} and {t.subject_id}/"

@@ -7,7 +7,7 @@ meaningful relative to one another.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .cascade import CascadeReport
 from .nn import check_fields, check_non_negative, check_positive, check_unit
@@ -30,9 +30,10 @@ class NodeParams:
     b: float        # computation demand, cycles per data unit
     theta: float    # computing capacity, cycles per second
     rho: float      # compression ratio of processed data, in [0, 1]
-    lam: float      # data generation / arrival rate, units per second
-    beta: float     # processed-data volume received from below, units
     phi: float      # uplink transmit capacity, units per second
+    # the load, which cascade_latency sets from the routed volume
+    lam: float = field(default=0.0, kw_only=True)   # arrival rate, units per second
+    beta: float = field(default=0.0, kw_only=True)  # volume received from below, units
 
     # each checked field's one rule, a check(name, value)
     CHECKS = {"s": check_unit, "b": check_non_negative, "theta": check_positive,
@@ -136,22 +137,33 @@ def percent_reduction(before: float | None, after: float | None) -> float | None
 def uniform_topology(n_layers: int, s: float = 0.5, b: float = 1.0,
                      theta: float = 1e9, rho: float = 0.1,
                      phi: float = 1e6) -> Topology:
-    """One node per layer with identical parameters; lam/beta are filled in
-    by cascade_latency from routed volumes."""
+    """One node per layer with identical parameters; the load (lam, beta)
+    is set by cascade_latency from routed volumes."""
     layers = []
     for n in range(n_layers):
         parent = f"n{n + 1}" if n < n_layers - 1 else None
-        params = NodeParams(s=s, b=b, theta=theta, rho=rho, lam=0.0,
-                            beta=0.0, phi=phi)
-        layers.append((Node(f"n{n}", parent, params),))
+        layers.append((Node(f"n{n}", parent, NodeParams(s, b, theta, rho, phi)),))
     return Topology(tuple(layers))
 
 
-def _key_value(token: str) -> tuple:
-    key, eq, value = token.partition("=")
-    if not eq:
-        raise ValueError(f"token {token!r} is not key=value")
-    return key, value
+# the keys a node line may set, each at most once; its load is not among them
+NODE_KEYS = ("parent", "s", "b", "theta", "rho", "phi")
+
+
+def _node_values(tokens) -> dict:
+    """{key: value} of a node line's `key=value` tokens."""
+    kv = {}
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ValueError(f"token {token!r} is not key=value")
+        if key not in NODE_KEYS:
+            raise ValueError(f"unknown key {key!r}; a node sets {', '.join(NODE_KEYS)}, "
+                             f"and its load comes from the routed volume")
+        if key in kv:
+            raise ValueError(f"key {key!r} is set twice")
+        kv[key] = value
+    return kv
 
 
 def load_topology(path) -> Topology:
@@ -171,11 +183,8 @@ def load_topology(path) -> Topology:
                 parts = line.split()
                 name = parts[1]
                 try:
-                    kv = dict(_key_value(token) for token in parts[2:])
-                    params = NodeParams(
-                        s=float(kv["s"]), b=float(kv["b"]), theta=float(kv["theta"]),
-                        rho=float(kv["rho"]), lam=float(kv["lambda"]),
-                        beta=float(kv["beta"]), phi=float(kv["phi"]))
+                    kv = _node_values(parts[2:])
+                    params = NodeParams(**{key: float(kv[key]) for key in NODE_KEYS[1:]})
                 except KeyError as e:
                     raise ValueError(f"{path}: node {name} lacks {e}") from e
                 except ValueError as e:

@@ -51,8 +51,7 @@ def write_topology():
                 p = node.params
                 lines.append(
                     f"node {node.name} parent={node.parent or '-'} "
-                    f"s={p.s!r} b={p.b!r} theta={p.theta!r} rho={p.rho!r} "
-                    f"lambda={p.lam!r} beta={p.beta!r} phi={p.phi!r}")
+                    f"s={p.s!r} b={p.b!r} theta={p.theta!r} rho={p.rho!r} phi={p.phi!r}")
         with open(path, "w") as f:
             f.write("\n".join(lines) + "\n")
     return write

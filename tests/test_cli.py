@@ -1,6 +1,7 @@
 import os
 import re
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,17 +151,24 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "latency.topology" in err and "node g lacks 'b'" in err
 
+    LOAD = "a node sets parent, s, b, theta, rho, phi, and its load comes from the routed volume"
+
     @pytest.mark.parametrize("edit, message", [
         (("theta=1e9 rho=0.2", "theta=nan rho=0.2"), "{topo}: node m: theta must be > 0, got nan"),
         (("b=2.0", "b=-5"), "{topo}: node m: b must be >= 0, got -5.0"),
         (None, "layer 0 has no nodes"),
         (("parent=c s=0.5", "parent=c s"), "{topo}: node m: token 's' is not key=value"),
-    ], ids=["nan_theta", "negative_b", "empty_layers", "token_without_equals"])
+        (("rho=0.2", "rho=0.2 lambda=0"), "{topo}: node m: unknown key 'lambda'; " + LOAD),
+        (("rho=0.2", "rho=0.2 beta=0"), "{topo}: node m: unknown key 'beta'; " + LOAD),
+        (("rho=0.2", "rho=0.2 thetta=5"), "{topo}: node m: unknown key 'thetta'; " + LOAD),
+        (("parent=c s=0.5", "parent=c s=0.5 s=0.7"), "{topo}: node m: key 's' is set twice"),
+    ], ids=["nan_theta", "negative_b", "empty_layers", "token_without_equals", "lambda",
+            "beta", "unknown_key", "repeated_key"])
     def test_bad_topology_value_names_the_node(self, tmp_path, capsys, edit, message):
         topo = tmp_path / "topo.txt"
-        good = ("layer 0\nnode e parent=m s=0.5 b=1.0 theta=1e9 rho=0.1 lambda=0 beta=0 phi=1e6\n"
-                "layer 1\nnode m parent=c s=0.5 b=2.0 theta=1e9 rho=0.2 lambda=0 beta=0 phi=1e6\n"
-                "layer 2\nnode c parent=- s=0.5 b=1.0 theta=1e9 rho=0.1 lambda=0 beta=0 phi=1e6\n")
+        good = ("layer 0\nnode e parent=m s=0.5 b=1.0 theta=1e9 rho=0.1 phi=1e6\n"
+                "layer 1\nnode m parent=c s=0.5 b=2.0 theta=1e9 rho=0.2 phi=1e6\n"
+                "layer 2\nnode c parent=- s=0.5 b=1.0 theta=1e9 rho=0.1 phi=1e6\n")
         topo.write_text(good)
         cfg = with_key(TINY_CONFIG, "latency", "topology", topo)
         assert cli.main(["validate", "--config", write_config(tmp_path, cfg)]) == 0
@@ -232,6 +240,11 @@ class TestValidate:
         rc = cli.main(["validate", "--config", cfg])
         assert rc != 0
         assert "run.variants" in capsys.readouterr().err
+
+    def test_repeated_variant_names_the_token(self, tmp_path, capsys):
+        err = validate_error(tmp_path, capsys, TINY_CONFIG.replace(
+            "variants = nokd:dual", "variants = nokd:dual, nokd:dual ,dualkd:dual"))
+        assert err == "config error: run.variants: nokd:dual is listed twice\n"
 
     def test_one_subject_names_the_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_CONFIG.replace("n_subjects = 3", "n_subjects = 1"))
@@ -797,6 +810,16 @@ class TestRun:
             "error: traces S01/F01 and S02/A01 have sample rates 50 and 100 Hz; "
             "a dataset needs one rate\n")
 
+    def test_repeated_manifest_entry_is_an_error_line(self, tmp_path, capsys):
+        data = ds.synth_generate(ds.SynthSpec(n_subjects=2, falls_per_subject=1,
+                                              adls_per_subject=1, seed=7))
+        manifest = Path(ds.write_dataset(data, str(tmp_path / "data")))
+        manifest.write_text(manifest.read_text() + "S01_F01.txt\n")
+        cfg = write_config(tmp_path, TINY_CONFIG.replace(
+            "source = synth", f"source = manifest\nmanifest = {manifest}"))
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: trace S01/F01 is listed twice\n"
+
     def test_out_that_is_a_file_is_an_error_line_before_training(self, tmp_path, capsys,
                                                                  monkeypatch):
         out = tmp_path / "file"
@@ -853,7 +876,7 @@ class TestCompare:
     def test_schema_mismatch(self, tmp_path, capsys):
         report = self._make_report(tmp_path)
         bad = tmp_path / "bad.txt"
-        text = open(report).read().replace("schema_version=1", "schema_version=9")
+        text = Path(report).read_text().replace("schema_version=1", "schema_version=9")
         bad.write_text(text)
         rc = cli.main(["compare", report, str(bad)])
         assert rc != 0

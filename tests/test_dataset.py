@@ -81,6 +81,13 @@ def test_a_dataset_holds_one_sample_rate():
         ds.Dataset("mixed", traces)
 
 
+def test_a_dataset_holds_each_trace_once():
+    # a repeated (subject, trial) would count twice in its subject's fold
+    traces = ds.synth_generate(ds.SynthSpec(n_subjects=2)).traces
+    with pytest.raises(ds.DatasetError, match="^trace S01/F02 is listed twice$"):
+        ds.Dataset("repeated", traces + traces[1:2])
+
+
 class TestSynthGenerate:
     def test_counts(self):
         spec = ds.SynthSpec(n_subjects=3, falls_per_subject=2, adls_per_subject=2)

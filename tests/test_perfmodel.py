@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fallcascade import perfmodel as pm
 from fallcascade.cascade import CascadeReport
@@ -115,22 +116,45 @@ class TestCascadeLatency:
         assert red[1] == pytest.approx(50.0, rel=1e-9)
 
 
+UNIT = st.floats(0.0, 1.0)
+NON_NEGATIVE = st.floats(0.0, 1e12)
+POSITIVE = st.floats(0.0, 1e12, exclude_min=True)
+
+
+@st.composite
+def topologies(draw):
+    """1-4 layers of 1-3 nodes, each value inside its NodeParams.CHECKS rule
+    and each parent a node of the layer above."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    names = [[f"l{n}n{i}" for i in range(size)] for n, size in enumerate(sizes)]
+    layers = []
+    for n, layer in enumerate(names):
+        above = names[n + 1] if n + 1 < len(names) else [None]
+        layers.append(tuple(
+            pm.Node(name, draw(st.sampled_from(above)), pm.NodeParams(
+                draw(UNIT), draw(NON_NEGATIVE), draw(POSITIVE), draw(UNIT), draw(POSITIVE)))
+            for name in layer))
+    return pm.Topology(tuple(layers))
+
+
 class TestTopologyIO:
-    def test_round_trip(self, tmp_path, write_topology):
-        topo = pm.Topology((
-            (pm.Node("ed0", "mec0", pm.NodeParams(0.5, 2.0, 4.0, 0.1, 10.0, 1.0, 2.0)),
-             pm.Node("ed1", "mec0", pm.NodeParams(0.2, 1.0, 3.0, 0.0, 5.0, 0.0, 1.5))),
-            (pm.Node("mec0", "cc", pm.NodeParams(1.0, 3.0, 8.0, 0.5, 2.0, 4.0, 6.0)),),
-            (pm.Node("cc", None, pm.NodeParams(1.0, 3.0, 8.0, 0.5, 2.0, 4.0, 6.0)),),
-        ))
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(topo=topologies())
+    def test_round_trip(self, tmp_path, write_topology, topo):
         path = tmp_path / "topo.txt"
         write_topology(topo, path)
         loaded = pm.load_topology(path)
         assert loaded == topo
+        # both copies take their load from the same routed volume
+        report = make_report([100, 40, 20, 5][:len(topo.layers)])
+        before, after = (pm.cascade_latency(report, t) for t in (topo, loaded))
+        assert {hop: ms.hex() for hop, ms in after.items()} == {
+            hop: ms.hex() for hop, ms in before.items()}
 
     def test_orphan_node_rejected(self):
         with pytest.raises(ValueError):
             pm.Topology((
-                (pm.Node("a", "missing", pm.NodeParams(0, 1, 1, 0, 0, 0, 1)),),
-                (pm.Node("b", None, pm.NodeParams(0, 1, 1, 0, 0, 0, 1)),),
+                (pm.Node("a", "missing", pm.NodeParams(0, 1, 1, 0, 1)),),
+                (pm.Node("b", None, pm.NodeParams(0, 1, 1, 0, 1)),),
             ))
