@@ -36,6 +36,11 @@ class SchemaMismatch(Exception):
     pass
 
 
+class MalformedReport(Exception):
+    """A report that `compare` cannot read; the message names the file and,
+    where there is one, the section or key."""
+
+
 @dataclasses.dataclass
 class RunConfig:
     synth: ds.SynthSpec | None
@@ -273,8 +278,12 @@ def write_report(path, variant_token, dataset_name, normalization,
 
 def read_report(path) -> dict:
     """Parse a report file back into {section: {key: value-string}}."""
-    with open(path) as f:
-        lines = [l.rstrip("\n") for l in f if l.strip()]
+    try:
+        with open(path) as f:
+            lines = [l for l in f.read().split("\n") if l.strip()]
+    except UnicodeDecodeError as e:
+        raise MalformedReport(f"{path}: not {e.encoding} text "
+                              f"({e.reason} at byte {e.start})") from e
     out = {"_header": {}}
     section = "_header"
     for line in lines:
@@ -358,24 +367,42 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _section_values(report, path, section, keys) -> list:
+    """The values of `keys` in the report's [section], read back by _value;
+    a missing section or key, or a value that is not a number, raises
+    MalformedReport."""
+    if section not in report:
+        raise MalformedReport(f"{path}: no [{section}] section")
+    values = []
+    for key in keys:
+        if key not in report[section]:
+            raise MalformedReport(f"{path}: [{section}] has no {key}")
+        try:
+            values.append(_value(report[section][key]))
+        except ValueError:
+            raise MalformedReport(f"{path}: [{section}] {key}="
+                                  f"{report[section][key]} is not a number") from None
+    return values
+
+
 def cmd_compare(args) -> int:
-    a = read_report(args.report_a)
-    b = read_report(args.report_b)
+    paths = (args.report_a, args.report_b)
+    a, b = map(read_report, paths)
     va = a["_header"].get("schema_version")
     vb = b["_header"].get("schema_version")
     if va != vb or va != SCHEMA_VERSION:
         raise SchemaMismatch(f"schema versions differ or unsupported: {va}, {vb}")
+    hops = [hop for hop in a.get("latency", {}) if hop in b.get("latency", {})]
+    # every value is read before the first line is printed
+    metrics = [_section_values(report, path, "pooled_metrics", METRIC_NAMES)
+               for report, path in zip((a, b), paths)]
+    latency = [_section_values(report, path, "latency", hops) if hops else []
+               for report, path in zip((a, b), paths)]
     print(f"comparing {args.report_b} against baseline {args.report_a}")
-    for name in METRIC_NAMES:
-        delta = evaluate.percent_change(_value(b["pooled_metrics"][name]),
-                                        _value(a["pooled_metrics"][name]))
-        print(f"{name}_imp={_percent(delta)}")
-    hops_a = a.get("latency", {})
-    hops_b = b.get("latency", {})
-    for hop in hops_a:
-        if hop in hops_b:
-            delta = perfmodel.percent_reduction(_value(hops_a[hop]), _value(hops_b[hop]))
-            print(f"latency_reduction {hop}={_percent(delta)}")
+    for name, before, after in zip(METRIC_NAMES, *metrics):
+        print(f"{name}_imp={_percent(evaluate.percent_change(after, before))}")
+    for hop, before, after in zip(hops, *latency):
+        print(f"latency_reduction {hop}={_percent(perfmodel.percent_reduction(before, after))}")
     return 0
 
 
@@ -405,7 +432,8 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (SchemaMismatch, MissingClass, nn.NonFiniteLoss, ds.DatasetError, OSError) as e:
+    except (SchemaMismatch, MalformedReport, MissingClass, nn.NonFiniteLoss, ds.DatasetError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -153,14 +153,15 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+# the keys a trace header sets, each exactly once
+HEADER_KEYS = ("subject", "trial", "label", "rate_hz")
+
+
 def write_trace(trace: Trace, path) -> None:
-    lines = [
-        f"subject={trace.subject_id}",
-        f"trial={trace.trial_id}",
-        f"label={trace.label}",
-        f"rate_hz={trace.sample_rate_hz}",
-        "---",
-    ]
+    """Write the trace as its HEADER_KEYS lines, `---` and one `ax,ay,az`
+    row per sample."""
+    values = (trace.subject_id, trace.trial_id, trace.label, trace.sample_rate_hz)
+    lines = [f"{key}={value}" for key, value in zip(HEADER_KEYS, values)] + ["---"]
     for ax, ay, az in trace.samples:
         lines.append(f"{_fmt(ax)},{_fmt(ay)},{_fmt(az)}")
     with open(path, "w") as f:
@@ -168,6 +169,8 @@ def write_trace(trace: Trace, path) -> None:
 
 
 def load_trace(path) -> Trace:
+    """The trace of a file that write_trace writes. Its header sets each of
+    HEADER_KEYS exactly once and no other key."""
     with open(path) as f:
         raw = f.read().splitlines()
     header = {}
@@ -179,10 +182,16 @@ def load_trace(path) -> Trace:
         if "=" not in line:
             raise MalformedHeader(f"{path}: bad header line {line!r}")
         key, _, value = line.partition("=")
-        header[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in HEADER_KEYS:
+            raise MalformedHeader(f"{path}: unknown header key {key!r}; a header sets "
+                                  f"{', '.join(HEADER_KEYS)}")
+        if key in header:
+            raise MalformedHeader(f"{path}: header key {key!r} is set twice")
+        header[key] = value.strip()
     if body_start is None:
         raise MalformedHeader(f"{path}: missing '---' separator")
-    missing = {"subject", "trial", "label", "rate_hz"} - header.keys()
+    missing = set(HEADER_KEYS) - header.keys()
     if missing:
         raise MalformedHeader(f"{path}: missing header keys {sorted(missing)}")
     try:

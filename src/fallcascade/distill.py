@@ -161,14 +161,15 @@ class TriLoss:
 
 
 class MemberLosses:
-    """Loss spec of a member stack (see `nn.train`): `groups` lists
+    """Loss spec of a member stack: M copies of one initial model, stacked
+    (M, in, out) on a leading axis and trained in one `nn.train` call
+    against the same rows, that differ only in their loss. `groups` lists
     (spec, count) pairs, and each spec runs over its `count` members' slice
     of the (M, F, b, classes) logits, in order. The hard-label CE, per row,
     is computed once over all members, and each spec takes its slice."""
 
     def __init__(self, groups):
         self.groups = groups
-        self.members = sum(count for _, count in groups)
 
     def value_and_grad(self, logits, labels, idx):
         ce, dce = ce_rows(softmax_t(logits, 1.0), labels)
@@ -224,11 +225,13 @@ def takd_pipeline(specs, X, y, cfg: KDConfig, train_cfg: TrainConfig, variants):
     tier, in nn.TIERS order, so that a fit's teachers exist before it, each
     tier seeded train_cfg.seed plus its index in nn.TIERS. A tier's keys
     share the spec, seed, rows and batch order and differ only in their
-    loss, so they train as the members of one `nn.train` call, ordered by
-    loss: a `MemberLosses` of one CELoss, one DualLoss and one TriLoss,
-    each over its group's stacked upstream logits. A tier with one key
-    trains alone, through `distill_train` when it has one teacher. As a
-    one-member stack it gives the same bits but is no faster (best of 7
+    loss, so they train as the members of one `nn.train` call: the tier's
+    initial model stacked once per key, ordered by loss, under a
+    `MemberLosses` of one CELoss, one DualLoss and one TriLoss, each over
+    its group's stacked upstream logits; the trained stack is then split
+    into one fit per key. A tier with one key trains alone, through
+    `distill_train` when it has one teacher. As a one-member stack it
+    gives the same bits but is no faster (best of 7
     teacher fits on a 2-core host: 38.7 ms alone, 39.0 ms stacked), and
     `distill_train` is a boundary that perfbench's tracer must see fire.
     X and y may hold a stack of folds, (F, n, in) and (F, n), which train
@@ -281,7 +284,8 @@ def takd_pipeline(specs, X, y, cfg: KDConfig, train_cfg: TrainConfig, variants):
             groups = [list(group) for _, group in itertools.groupby(members, key=len)]
             loss = MemberLosses([(_taught_by([np.stack(c) for c in zip(*map(taught, group))],
                                              cfg), len(group)) for group in groups])
-            fits.update(zip(members, train(model, X, y, tier_cfg, loss)))
+            stack = train(model.stacked(len(members)), X, y, tier_cfg, loss)
+            fits.update((key, stack.at(m)) for m, key in enumerate(members))
     if solo:
         fits = {key: fit.fold(0) for key, fit in fits.items()}
     return [{tier: fits[key] for tier, key in plan.items()} for plan in plans]

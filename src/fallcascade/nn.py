@@ -68,12 +68,12 @@ def default_tier_spec(tier: str) -> TierSpec:
 
 @dataclass
 class TieredModel:
-    """One model, or a stack of F fold models along a leading axis whose
-    biases keep a unit row axis so that `a @ W + b` broadcasts."""
+    """One model, or a stack of models along leading axes. Each bias keeps a
+    unit row axis, so that `a @ W + b` broadcasts in every layout."""
 
     spec: TierSpec
-    weights: list  # weights[l] has shape (in, out), stacked (F, in, out)
-    biases: list   # biases[l] has shape (out,), stacked (F, 1, out)
+    weights: list  # weights[l] has shape (in, out), stacked (..., in, out)
+    biases: list   # biases[l] has shape (1, out), stacked (..., 1, out)
 
     @classmethod
     def init(cls, spec: TierSpec, seed: int = 0) -> "TieredModel":
@@ -83,23 +83,27 @@ class TieredModel:
         for fan_in, fan_out in zip(spec.layer_widths, spec.layer_widths[1:]):
             limit = np.sqrt(6.0 / fan_in)
             weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
+            biases.append(np.zeros((1, fan_out)))
         return cls(spec=spec, weights=weights, biases=biases)
 
-    def stacked(self, *lead: int) -> "TieredModel":
-        """Copies of this solo model along the leading axes `lead`: (F,) for
-        a stack of folds, (M, F) for M members of such a stack."""
-        return TieredModel(self.spec, [np.tile(w, (*lead, 1, 1)) for w in self.weights],
-                           [np.tile(b, (*lead, 1, 1)) for b in self.biases])
+    def _map(self, view) -> "TieredModel":
+        return TieredModel(self.spec, [view(w) for w in self.weights],
+                           [view(b) for b in self.biases])
+
+    def stacked(self, n: int) -> "TieredModel":
+        """n copies of this model on a new axis just before each layer's
+        (in, out): (n, in, out) from a solo model, (M, n, in, out) from a
+        stack of M."""
+        return self._map(lambda a: np.tile(a[..., None, :, :], (n, 1, 1)))
 
     def fold(self, k: int) -> "TieredModel":
-        """Fold k of a stack, as a solo model (views of the stack)."""
-        return TieredModel(self.spec, [w[k] for w in self.weights],
-                           [b[k, 0] for b in self.biases])
+        """Entry k of the axis just before each layer's (in, out), the fold
+        axis of `train` (views of the stack)."""
+        return self._map(lambda a: a[..., k, :, :])
 
-    def member(self, m: int) -> "TieredModel":
-        """Member m of a member stack, as a stack of folds (views)."""
-        return TieredModel(self.spec, [w[m] for w in self.weights], [b[m] for b in self.biases])
+    def at(self, i: int) -> "TieredModel":
+        """Entry i of the leading axis (views of the stack)."""
+        return self._map(lambda a: a[i])
 
 
 def forward(model: TieredModel, x) -> np.ndarray:
@@ -141,7 +145,7 @@ def ce_rows(probs: np.ndarray, labels) -> tuple:
     clamped at 1e-12, and its gradient with respect to the logits the rows
     of `probs` are the T=1 softmax of. The labels broadcast over the leading
     axes of `probs`: n labels for (n, classes), (F, n) for a stack's
-    (F, n, classes) and for its members' (M, F, n, classes)."""
+    (F, n, classes) and for any further leading axes, as (M, F, n, classes)."""
     hot = np.asarray(labels)[..., None] == np.arange(probs.shape[-1])
     # adding the zeros of the other classes leaves the picked value exact
     ce = -np.log(np.clip(np.where(hot, probs, 0.0).sum(axis=-1), 1e-12, None))
@@ -164,9 +168,10 @@ class CELoss:
 
 
 def grad(model: TieredModel, X, y, loss_spec=None, idx=None):
-    """Backpropagated gradients: (loss, dW list, db list). A stacked model
-    takes (F, n, in) rows and (F, n) labels and gives a loss per fold; a
-    member stack takes the same rows and gives an (M, F) loss."""
+    """Backpropagated gradients: (loss, dW list, db list), each gradient in
+    its parameter's layout. A model stacked (F, in, out) takes (F, n, in)
+    rows and (F, n) labels and gives a loss per fold; one stacked
+    (M, F, in, out) takes the same rows and gives an (M, F) loss."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.size == 0:
@@ -181,7 +186,7 @@ def grad(model: TieredModel, X, y, loss_spec=None, idx=None):
     grads_b = [None] * len(model.biases)
     for l in range(len(model.weights) - 1, -1, -1):
         grads_w[l] = activations[l].swapaxes(-1, -2) @ delta
-        grads_b[l] = delta.sum(axis=-2).reshape(model.biases[l].shape)
+        grads_b[l] = delta.sum(axis=-2, keepdims=True)
         if l > 0:
             delta = (delta @ model.weights[l].swapaxes(-1, -2)) * (activations[l] > 0)
     return loss, grads_w, grads_b
@@ -247,32 +252,31 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     model: TieredModel
-    epoch_losses: list = field(default_factory=list)  # (F, epochs) for a stack
+    epoch_losses: list = field(default_factory=list)  # (..., F, epochs) for a stack
 
     def fold(self, k: int) -> "TrainResult":
-        """Fold k of a stacked fit, as the solo fit it equals."""
-        return TrainResult(self.model.fold(k), self.epoch_losses[k].tolist())
+        """Fold k of a stacked fit, as the fit it equals; its losses are a
+        list."""
+        return TrainResult(self.model.fold(k), self.epoch_losses[..., k, :].tolist())
 
-    def member(self, m: int) -> "TrainResult":
-        """Member m of a member stack, as the stacked fit it equals."""
-        return TrainResult(self.model.member(m), self.epoch_losses[m])
+    def at(self, i: int) -> "TrainResult":
+        """Entry i of the leading axis of a stacked fit, as the fit it equals."""
+        return TrainResult(self.model.at(i), self.epoch_losses[i])
 
 
-def train(model: TieredModel, X, y, cfg: TrainConfig,
-          loss_spec=None) -> TrainResult | list[TrainResult]:
+def train(model: TieredModel, X, y, cfg: TrainConfig, loss_spec=None) -> TrainResult:
     """SGD with momentum; deterministic given cfg.seed. The input model is
     not mutated; the trained copy and per-epoch mean losses are returned.
 
     X is (n, in) with n labels, or a stack of F folds' (F, n, in) rows with
-    (F, n) labels. The solo input model is broadcast over the folds, which
-    share the permutation and step in lockstep; the result is stacked, and
-    each fold is bit-identical to its solo fit, which is the F = 1 case.
-    A loss spec with `members` M > 0 trains M members, copies of the model
-    that differ only in their loss, on a leading axis: (M, F, in, out)
-    weights against the same rows, and returns a list of M results, each
-    bit-identical to its own solo or stacked fit.
+    (F, n) labels. The initial model, solo or itself stacked on leading
+    axes, is broadcast over the folds, which share the permutation and step
+    in lockstep: a model stacked (M, in, out) trains (M, F, in, out)
+    weights against the same rows, and its loss spec gives an (M, F) loss.
+    The result is stacked, and each of its entries is bit-identical to its
+    own fit; a solo fit is fold 0 of a one-fold stack.
     The first epoch whose mean loss is not finite in some fold of some
-    member raises NonFiniteLoss, naming the tier and epoch, with the first
+    entry raises NonFiniteLoss, naming the tier and epoch, with the first
     such fold."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -283,8 +287,7 @@ def train(model: TieredModel, X, y, cfg: TrainConfig,
     solo = X.ndim == 2
     if solo:
         X, y = X[None], y[None]
-    members = getattr(loss_spec, "members", 0)
-    model = model.stacked(*((members, len(X)) if members else (len(X),)))
+    model = model.stacked(len(X))
     rng = np.random.default_rng(cfg.seed)
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
@@ -310,16 +313,13 @@ def train(model: TieredModel, X, y, cfg: TrainConfig,
                     v -= g
                     p += v
         losses.append(epoch_loss / n_batches)
-        # (members or 1, F): a fold fails when any member's loss does
+        # (..., F): a fold fails when any entry's loss does
         finite = np.isfinite(losses[-1]).reshape(-1, len(X))
         if not finite.all():
             fold = int(np.argmin(finite.all(axis=0)))
             value = losses[-1].reshape(-1, len(X))[np.argmin(finite[:, fold]), fold]
             raise NonFiniteLoss(f"{model.spec.tier} training loss is "
                                 f"{float(value)} at epoch {len(losses)}", fold)
-    # (epochs, [M,] F) -> ([M,] F, epochs)
+    # (epochs, ..., F) -> (..., F, epochs)
     result = TrainResult(model=model, epoch_losses=np.moveaxis(np.array(losses), 0, -1))
-    results = [result.member(m) for m in range(members)] if members else [result]
-    if solo:
-        results = [r.fold(0) for r in results]
-    return results if members else results[0]
+    return result.fold(0) if solo else result

@@ -53,6 +53,10 @@ class Node:
 
 @dataclass(frozen=True)
 class Topology:
+    """A tree of nodes in layers, bottom first: every layer has nodes, their
+    names are unique within the layer, and each node names a parent in the
+    layer above it, except on the top layer, where no node names one."""
+
     layers: tuple  # tuple of tuples of Node, bottom first
 
     def __post_init__(self):
@@ -61,12 +65,20 @@ class Topology:
         for n, layer in enumerate(layers):
             if not layer:
                 raise ValueError(f"layer {n} has no nodes")
-        for n, layer in enumerate(layers[:-1]):
-            above = {node.name for node in layers[n + 1]}
+        for n, layer in enumerate(layers):
+            names = [node.name for node in layer]
+            for name in names:
+                if names.count(name) > 1:
+                    raise ValueError(f"node {name!r} is named twice on layer {n}")
+            above = {node.name for node in layers[n + 1]} if n + 1 < len(layers) else {None}
             for node in layer:
-                if node.parent not in above:
-                    raise ValueError(
-                        f"node {node.name!r} on layer {n} has no parent in layer {n + 1}")
+                if node.parent in above:
+                    continue
+                if n + 1 == len(layers):
+                    raise ValueError(f"node {node.name!r} on the top layer {n} names "
+                                     f"parent {node.parent!r}; a top node has none")
+                raise ValueError(
+                    f"node {node.name!r} on layer {n} has no parent in layer {n + 1}")
 
 
 def check_topology(topology: Topology, n_stations: int) -> None:
@@ -167,32 +179,35 @@ def _node_values(tokens) -> dict:
 
 
 def load_topology(path) -> Topology:
+    """The topology of a file of `layer` and `node` lines, bottom layer
+    first; every error names the file."""
     layers = []
-    current = None
     with open(path) as f:
-        for raw in f:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("layer "):
-                current = []
-                layers.append(current)
-            elif line.startswith("node "):
-                if current is None:
-                    raise ValueError(f"{path}: node before any layer line")
-                parts = line.split()
-                name = parts[1]
-                try:
-                    kv = _node_values(parts[2:])
-                    params = NodeParams(**{key: float(kv[key]) for key in NODE_KEYS[1:]})
-                except KeyError as e:
-                    raise ValueError(f"{path}: node {name} lacks {e}") from e
-                except ValueError as e:
-                    raise ValueError(f"{path}: node {name}: {e}") from e
-                parent = None if kv.get("parent", "-") == "-" else kv["parent"]
-                current.append(Node(name, parent, params))
-            else:
-                raise ValueError(f"{path}: unrecognized line {line!r}")
-    if not layers:
-        raise ValueError(f"{path}: empty topology")
-    return Topology(tuple(tuple(layer) for layer in layers))
+        try:
+            for raw in f:
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if line.startswith("layer "):
+                    layers.append([])
+                elif line.startswith("node "):
+                    if not layers:
+                        raise ValueError("node before any layer line")
+                    parts = line.split()
+                    name = parts[1]
+                    try:
+                        kv = _node_values(parts[2:])
+                        params = NodeParams(**{key: float(kv[key]) for key in NODE_KEYS[1:]})
+                    except KeyError as e:
+                        raise ValueError(f"node {name} lacks {e}") from e
+                    except ValueError as e:
+                        raise ValueError(f"node {name}: {e}") from e
+                    parent = None if kv.get("parent", "-") == "-" else kv["parent"]
+                    layers[-1].append(Node(name, parent, params))
+                else:
+                    raise ValueError(f"unrecognized line {line!r}")
+            if not layers:
+                raise ValueError("empty topology")
+            return Topology(tuple(tuple(layer) for layer in layers))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e

@@ -156,14 +156,23 @@ class TestValidate:
     @pytest.mark.parametrize("edit, message", [
         (("theta=1e9 rho=0.2", "theta=nan rho=0.2"), "{topo}: node m: theta must be > 0, got nan"),
         (("b=2.0", "b=-5"), "{topo}: node m: b must be >= 0, got -5.0"),
-        (None, "layer 0 has no nodes"),
+        (None, "{topo}: layer 0 has no nodes"),
         (("parent=c s=0.5", "parent=c s"), "{topo}: node m: token 's' is not key=value"),
         (("rho=0.2", "rho=0.2 lambda=0"), "{topo}: node m: unknown key 'lambda'; " + LOAD),
         (("rho=0.2", "rho=0.2 beta=0"), "{topo}: node m: unknown key 'beta'; " + LOAD),
         (("rho=0.2", "rho=0.2 thetta=5"), "{topo}: node m: unknown key 'thetta'; " + LOAD),
         (("parent=c s=0.5", "parent=c s=0.5 s=0.7"), "{topo}: node m: key 's' is set twice"),
+        (("node c parent=-", "node c parent=nowhere"),
+         "{topo}: node 'c' on the top layer 2 names parent 'nowhere'; a top node has none"),
+        (("layer 2\n", "node m parent=c s=0.5 b=1.0 theta=1e9 rho=0.1 phi=1e6\nlayer 2\n"),
+         "{topo}: node 'm' is named twice on layer 1"),
+        (("node c parent=- s=0.5 b=1.0 theta=1e9 rho=0.1 phi=1e6\n", ""),
+         "{topo}: layer 2 has no nodes"),
+        (("node e parent=m", "node g parent=x"),
+         "{topo}: node 'g' on layer 0 has no parent in layer 1"),
     ], ids=["nan_theta", "negative_b", "empty_layers", "token_without_equals", "lambda",
-            "beta", "unknown_key", "repeated_key"])
+            "beta", "unknown_key", "repeated_key", "top_parent", "repeated_name",
+            "empty_top_layer", "orphan"])
     def test_bad_topology_value_names_the_node(self, tmp_path, capsys, edit, message):
         topo = tmp_path / "topo.txt"
         good = ("layer 0\nnode e parent=m s=0.5 b=1.0 theta=1e9 rho=0.1 phi=1e6\n"
@@ -926,6 +935,25 @@ class TestCompare:
                          "latency_reduction ed_gate_to_mec1=NA",
                          f"latency_reduction mec1_to_cc="
                          f"{perfmodel.percent_reduction(0.04, 0.03):+.4f}%"]
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text.replace("[pooled_metrics]", "[pooled]"), "no [pooled_metrics] section"),
+        (lambda text: text.replace("acc=0.5", "acc=abc", 1),
+         "[pooled_metrics] acc=abc is not a number"),
+        (lambda text: text.replace("variant=x", "variant=\udcff"),
+         "not utf-8 text (invalid start byte at byte {at})"),
+    ], ids=["no_section", "not_a_number", "not_utf8"])
+    def test_a_damaged_report_is_one_error_line(self, tmp_path, capsys, damage, message):
+        m = ev.Metrics(acc=0.5, pre=0.5, rec=0.5, f1=0.5)
+        self._write(tmp_path / "a.txt", m, [0.2, 0.1])
+        text = (tmp_path / "a.txt").read_text()
+        bad = tmp_path / "bad.txt"
+        # a lone surrogate escapes to the one byte 0xff
+        bad.write_bytes(damage(text).encode("utf-8", "surrogateescape"))
+        at = text.index("variant=x") + len("variant=")
+        assert cli.main(["compare", str(tmp_path / "a.txt"), str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {bad}: {message.format(at=at)}\n")
 
     def test_only_shared_hops_are_compared(self, tmp_path, capsys):
         m = ev.Metrics(acc=0.5, pre=0.5, rec=0.5, f1=0.5)

@@ -44,6 +44,16 @@ class TestLoadTrace:
         with pytest.raises(ds.MalformedHeader):
             ds.load_trace(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("label=ADL", "header key 'label' is set twice"),
+        ("colour=red", "unknown header key 'colour'; a header sets subject, trial, label, rate_hz"),
+    ], ids=["repeated_key", "unknown_key"])
+    def test_header_sets_each_known_key_once(self, tmp_path, line, message):
+        path = _write(tmp_path, line + "\n" + HEADER + "1,0,0\n")
+        with pytest.raises(ds.MalformedHeader) as e:
+            ds.load_trace(path)
+        assert str(e.value) == f"{path}: {message}"
+
     def test_empty_body(self, tmp_path):
         with pytest.raises(ds.EmptyTrace):
             ds.load_trace(_write(tmp_path, HEADER))

@@ -390,7 +390,7 @@ class TestLockstep:
 
         def counted(model, X, y, cfg, loss_spec=None):
             # a member stack is one call with one fit per member
-            calls.extend([model.spec.tier] * (getattr(loss_spec, "members", 0) or 1))
+            calls.extend([model.spec.tier] * int(np.prod(model.weights[0].shape[:-2])))
             return train(model, X, y, cfg, loss_spec)
 
         with mock.patch.object(distill, "train", counted):
@@ -455,5 +455,5 @@ class TestLockstep:
         loss = distill.MemberLosses([(nn.CELoss(), 1), (dual, 2), (Poisoned(), 1)])
         with pytest.raises(nn.NonFiniteLoss,
                            match="^student training loss is nan at epoch 1$") as e:
-            nn.train(model, X, y, nn.TrainConfig(epochs=2, batch_size=10), loss)
+            nn.train(model.stacked(4), X, y, nn.TrainConfig(epochs=2, batch_size=10), loss)
         assert e.value.fold == 1

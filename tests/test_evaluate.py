@@ -346,7 +346,7 @@ class TestSharedPass:
         def count_fit(model, X, y, cfg, loss_spec=None):
             # a stack of folds is one call with one fit per fold, and a
             # member stack one with a stack per member
-            members = getattr(loss_spec, "members", 0) or 1
+            members = int(np.prod(model.weights[0].shape[:-2]))
             fits[model.spec.tier] += members * (len(X) if np.ndim(X) == 3 else 1)
             return train(model, X, y, cfg, loss_spec)
 

@@ -33,12 +33,12 @@ class TestForward:
         model = tiny_model(widths=(6, 5, 4, 2), seed=seed)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=6)
-        a = x
+        a = x[None]
         for l, (W, b) in enumerate(zip(model.weights, model.biases)):
             a = a @ W + b
             if l < len(model.weights) - 1:
                 a = np.where(a > 0, a, 0.0)
-        np.testing.assert_allclose(nn.forward(model, x), a, rtol=1e-9)
+        np.testing.assert_allclose(nn.forward(model, x), a[0], rtol=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(nn.ShapeMismatch):
@@ -204,6 +204,62 @@ class TestTrain:
         model = nn.TieredModel.init(nn.TierSpec(nn.TA, (2, 4, 2)), seed=0)
         with pytest.raises(nn.NonFiniteLoss, match="^ta training loss is nan at epoch 1$"):
             nn.train(model, X, y, nn.TrainConfig(epochs=3, batch_size=16))
+
+
+def arrays(model):
+    return model.weights + model.biases
+
+
+def same_bits(a, b) -> bool:
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(arrays(a), arrays(b)))
+
+
+class TestStacks:
+    """A stack's fold and leading-axis views, and a trained member stack,
+    give back the model or fit each entry stands for."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(widths=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+           lead=st.sampled_from([(), (3,), (2, 3)]), n=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_views_give_back_the_stacked_arrays(self, widths, lead, n, seed):
+        # a solo model, a stack of folds (3,) or members of one (2, 3), with
+        # distinct entries
+        rng = np.random.default_rng(seed)
+        spec = nn.TierSpec(nn.STUDENT, (*widths, 2))
+        pairs = list(zip(spec.layer_widths, spec.layer_widths[1:]))
+        model = nn.TieredModel(spec, [rng.normal(size=(*lead, i, o)) for i, o in pairs],
+                               [rng.normal(size=(*lead, 1, o)) for _, o in pairs])
+        stack = model.stacked(n)
+        views = [stack, *(stack.fold(k) for k in range(n))]
+        if lead:
+            views += [model.at(i) for i in range(lead[0])]
+            assert all(same_bits(stack.at(i).fold(k), model.at(i))
+                       for i in range(lead[0]) for k in range(n))
+        else:
+            assert all(same_bits(stack.at(i), model) for i in range(n))
+        assert all(same_bits(stack.fold(k), model) for k in range(n))
+        for view in [nn.TieredModel.init(spec, seed=0), *views]:
+            assert [b.shape[-2:] for b in view.biases] == [(1, o) for _, o in pairs]
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(width=st.integers(1, 4), hidden=st.integers(1, 6), members=st.integers(1, 3),
+           folds=st.sampled_from([None, 1, 3]), n=st.integers(1, 20),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_each_member_is_its_own_fit(self, width, hidden, members, folds, n, seed):
+        # folds None gives (n, in) rows, else (folds, n, in)
+        rng = np.random.default_rng(seed)
+        lead = () if folds is None else (folds,)
+        X, y = rng.normal(size=(*lead, n, width)), rng.integers(0, 2, size=(*lead, n))
+        model = nn.TieredModel.init(nn.TierSpec(nn.STUDENT, (width, hidden, 2)), seed=seed)
+        cfg = nn.TrainConfig(epochs=2, batch_size=8, learning_rate=0.1, seed=seed % 100)
+        solo = nn.train(model, X, y, cfg)
+        stack = nn.train(model.stacked(members), X, y, cfg)
+        for m in range(members):
+            fit = stack.at(m)
+            assert same_bits(fit.model, solo.model)
+            assert np.array(fit.epoch_losses).tobytes() == np.array(solo.epoch_losses).tobytes()
 
 
 class TestCountParams:
