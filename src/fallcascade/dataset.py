@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import check_fields, check_non_negative, check_positive
-from .preprocess import ADL, FALL, Window, norm_xyz
+from .nn import check_fields, check_non_empty, check_non_negative, check_positive
+from .preprocess import ADL, FALL, NoSamples, Window, norm_xyz
 
 
 class DatasetError(Exception):
@@ -49,23 +49,22 @@ class Trace:
     sample_rate_hz: int
     samples: np.ndarray  # shape (n, 3), unit g
 
-    # each checked field's one rule, a check(name, value); the label's is the window's
-    CHECKS = {"label": Window.CHECKS["label"], "sample_rate_hz": check_positive}
+    # each checked field's one rule, a check(name, value); the label's and
+    # the samples' are the window's
+    CHECKS = {"subject_id": check_non_empty, "trial_id": check_non_empty,
+              "label": Window.CHECKS["label"], "sample_rate_hz": check_positive,
+              "samples": Window.CHECKS["samples"]}
 
     def __post_init__(self):
-        try:
-            check_fields(self)
-        except ValueError as e:
-            raise DatasetError(str(e)) from e
         samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 2 or samples.shape[1] != 3:
-            raise DatasetError("samples must have shape (n, 3)")
-        if samples.shape[0] == 0:
-            raise EmptyTrace(f"trace {self.subject_id}/{self.trial_id} has no samples")
-        if not np.all(np.isfinite(samples)):
-            raise DatasetError("samples must be finite")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+        try:
+            check_fields(self)
+        except NoSamples as e:
+            raise EmptyTrace(f"trace {self.subject_id}/{self.trial_id} has no samples") from e
+        except ValueError as e:
+            raise DatasetError(str(e)) from e
 
     def __eq__(self, other):
         if not isinstance(other, Trace):
@@ -212,13 +211,16 @@ def load_trace(path) -> Trace:
             raise NonNumericSample(f"{path}: non-numeric sample row {line!r}")
     if not rows:
         raise EmptyTrace(f"{path}: no sample rows")
-    return Trace(
-        subject_id=header["subject"],
-        trial_id=header["trial"],
-        label=header["label"],
-        sample_rate_hz=rate,
-        samples=np.array(rows, dtype=np.float64),
-    )
+    try:
+        return Trace(
+            subject_id=header["subject"],
+            trial_id=header["trial"],
+            label=header["label"],
+            sample_rate_hz=rate,
+            samples=np.array(rows, dtype=np.float64),
+        )
+    except DatasetError as e:
+        raise type(e)(f"{path}: {e}") from e
 
 
 def write_dataset(dataset: Dataset, out_dir) -> str:

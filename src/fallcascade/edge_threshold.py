@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .preprocess import ADL, FALL, Window, norm_hori, norm_xyz
+import numpy as np
+
+from .preprocess import ADL, FALL, Window, sample_norms
 
 
 class MissingClass(Exception):
@@ -23,9 +25,10 @@ class EdgeThresholds:
 
 
 def window_peaks(window: Window):
-    """(max norm_xyz, max norm_hori about its vertical axis) of the window."""
-    return (float(norm_xyz(window.samples).max()),
-            float(norm_hori(window.samples, window.vertical_axis).max()))
+    """(max spatial norm, max horizontal-plane norm about its vertical axis)
+    of the window: the maxima of the first and last rows of sample_norms."""
+    xyz, _, hori = np.maximum.reduce(sample_norms(window.samples, window.vertical_axis), 1)
+    return float(xyz), float(hori)
 
 
 def fit_thresholds(train_windows) -> EdgeThresholds:

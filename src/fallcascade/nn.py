@@ -204,6 +204,13 @@ def check_non_negative(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+def check_non_empty(name: str, value) -> None:
+    """Raise ValueError, naming the field, unless value is a non-empty
+    string."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+
+
 def check_fraction(name: str, value) -> None:
     """Raise ValueError, naming the field, unless 0 <= value < 1."""
     if not 0 <= value < 1:

@@ -61,16 +61,36 @@ class WindowSpec:
         return self.before(rate_hz) + 1 + int(round(self.ws_f_s * rate_hz))
 
 
+class BadSamples(ValueError):
+    """Samples that are not an (n >= 1, 3) array of finite floats."""
+
+
+class NoSamples(BadSamples):
+    """Samples of the right shape with no rows."""
+
+
+def check_samples(name: str, samples: np.ndarray) -> None:
+    """Raise BadSamples, naming the field, unless samples is an (n, 3) float
+    array with n >= 1 and every reading finite (NoSamples when n == 0)."""
+    if samples.ndim != 2 or samples.shape[1] != 3:
+        raise BadSamples(f"{name} must have shape (n, 3), got {samples.shape}")
+    if len(samples) == 0:
+        raise NoSamples(f"{name} must have at least one row")
+    if not np.isfinite(samples).all():
+        raise BadSamples(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class Window:
     """Fixed-size impact-centered segment of one trace."""
 
-    samples: np.ndarray  # (length, 3)
+    samples: np.ndarray  # (length, 3), length >= 1, finite
     label: str  # FALL or ADL
     vertical_axis: str = "x"  # picks the planes the gate and the features read
 
     # each checked field's one rule, a check(name, value)
-    CHECKS = {"label": one_of(*LABELS), "vertical_axis": WindowSpec.CHECKS["vertical_axis"]}
+    CHECKS = {"samples": check_samples, "label": one_of(*LABELS),
+              "vertical_axis": WindowSpec.CHECKS["vertical_axis"]}
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -80,25 +100,25 @@ class Window:
 
 
 # channel index pairs of the six Pearson correlations, in FEATURE_NAMES order
-_CORR_PAIRS = np.array([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+_CORR_I, _CORR_J = np.array([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]).T
+
+
+def sample_norms(samples, vertical_axis: str = "x") -> np.ndarray:
+    """The spatial norm sqrt(ax^2 + ay^2 + az^2), then the vertical- and
+    horizontal-plane norms over PLANE_AXES[vertical_axis] (sqrt(ax^2 + ay^2)
+    and sqrt(ay^2 + az^2) under x), as the three rows of a (3, n) array for
+    (n, 3) samples, or a (3,) array for one sample. Each reading is squared
+    once, and each sum of squares adds in axis order."""
+    s = np.asarray(samples, dtype=np.float64)
+    sq = (s * s).T
+    (va, vb), (ha, hb) = PLANE_AXES[vertical_axis]
+    return np.sqrt([sq[0] + sq[1] + sq[2], sq[va] + sq[vb], sq[ha] + sq[hb]])
 
 
 def norm_xyz(s):
-    """Spatial acceleration norm sqrt(ax^2 + ay^2 + az^2) of each sample in a
-    (..., 3) array; one sample gives a scalar."""
-    s = np.asarray(s, dtype=np.float64)
-    return np.sqrt(np.sum(s * s, axis=-1))
-
-
-def _plane_norm(s, axes):
-    a, b = s[..., axes[0]], s[..., axes[1]]
-    return np.sqrt(a * a + b * b)
-
-
-def norm_hori(s, vertical_axis: str = "x"):
-    """Horizontal-plane norm, over PLANE_AXES[vertical_axis] (sqrt(ay^2 + az^2)
-    under x), of each sample in a (..., 3) array; one sample gives a scalar."""
-    return _plane_norm(np.asarray(s, dtype=np.float64), PLANE_AXES[vertical_axis][1])
+    """Spatial acceleration norm of each sample in an (n, 3) array; one
+    sample gives a scalar."""
+    return sample_norms(s)[0]
 
 
 def find_impact(samples) -> int:
@@ -122,12 +142,14 @@ def extract_window(trace: Trace, spec: WindowSpec) -> Window:
 
 
 def channel_matrix(samples: np.ndarray, vertical_axis: str = "x") -> np.ndarray:
-    """Stack the six analysis channels as columns."""
+    """Stack the six analysis channels as the columns of a C-ordered (n, 6)
+    array: the three axes, then the three rows of sample_norms."""
     WindowSpec.CHECKS["vertical_axis"]("vertical_axis", vertical_axis)
     samples = np.asarray(samples, dtype=np.float64)
-    verti, hori = PLANE_AXES[vertical_axis]
-    return np.column_stack([samples, norm_xyz(samples),
-                            _plane_norm(samples, verti), _plane_norm(samples, hori)])
+    ch = np.empty((len(samples), 6))
+    ch[:, :3] = samples
+    ch[:, 3:] = sample_norms(samples, vertical_axis).T
+    return ch
 
 
 def extract_features(window: Window) -> np.ndarray:
@@ -137,34 +159,45 @@ def extract_features(window: Window) -> np.ndarray:
     excess kurtosis, skewness), then Pearson correlations for the axis
     pairs (x,y), (x,z), (y,z) and the norm pairs (norm,verti), (norm,hori),
     (verti,hori). Zero-variance channels yield 0 for the shape statistics.
+
+    The mean and the variance sum each column of the (n, 6) channels in
+    sequence, as ch.mean(axis=0) and ch.var(axis=0) do, and the SD is the
+    root of the variance, as ch.std(axis=0) is. The moments and the
+    correlations sum each channel's contiguous row pairwise.
     """
     ch = channel_matrix(window.samples, window.vertical_axis)
-    f = np.empty(N_FEATURES)
-    f[0:6] = ch.mean(axis=0)
-    f[6:12] = ch.std(axis=0)
-    f[12:18] = ch.var(axis=0)
-    hi, lo = ch.max(axis=0), ch.min(axis=0)
-    f[18:24] = hi
-    f[24:30] = lo
-    f[30:36] = hi - lo
+    n = len(ch)
+    # np.add.reduce sums as ndarray.sum and .mean do, without their wrappers
+    f = np.zeros(N_FEATURES)
+    # one view of f per statistic, each written in place; a correlation the
+    # divide below skips keeps f's 0
+    mean, sd, var, hi, lo, spread, kurt, skew, corr = f.reshape(-1, 6)
+    np.divide(np.add.reduce(ch, 0), n, out=mean)
+    dev = ch - mean
+    np.multiply(dev, dev, out=dev)
+    np.divide(np.add.reduce(dev, 0), n, out=var)
+    np.sqrt(var, out=sd)
     # one channel per contiguous row, so each sum below is numpy's pairwise
     # sum over that channel alone
-    rows = np.ascontiguousarray(ch.T)
-    d = rows - rows.mean(axis=1, keepdims=True)
+    d = ch.T.copy()
+    np.maximum.reduce(d, 1, out=hi)
+    np.minimum.reduce(d, 1, out=lo)
+    np.subtract(hi, lo, out=spread)
+    d -= np.add.reduce(d, 1, keepdims=True) / n
     d[hi == lo] = 0.0  # a constant channel's float mean can miss its reading
-    ss = np.sum(d * d, axis=1)
-    m2 = ss / len(ch)
+    ss = np.add.reduce(d * d, 1)
+    m2 = ss / n
     # a flat channel's shape statistics are 0; dividing its zero moments by 1
     # keeps 0/0 out. float_power rounds as libm's pow does; array ** may take
     # a SIMD pow that differs from it in the last bit
     flat = m2 == 0
-    m2 = np.where(flat, 1.0, m2)
-    f[36:42] = np.where(flat, 0.0, np.mean(d ** 4, axis=1) / np.float_power(m2, 2) - 3.0)
-    f[42:48] = np.where(flat, 0.0, np.mean(d ** 3, axis=1) / np.float_power(m2, 1.5))
-    i, j = _CORR_PAIRS.T
-    denom = np.sqrt(ss[i] * ss[j])
-    f[48:54] = np.divide(np.sum(d[i] * d[j], axis=1), denom,
-                         out=np.zeros(len(denom)), where=denom != 0)
+    m2[flat] = 1.0
+    np.divide(np.add.reduce(d ** 4, 1) / n, np.float_power(m2, 2), out=kurt)
+    kurt -= 3.0
+    np.divide(np.add.reduce(d ** 3, 1) / n, np.float_power(m2, 1.5), out=skew)
+    kurt[flat] = skew[flat] = 0.0
+    denom = np.sqrt(ss[_CORR_I] * ss[_CORR_J])
+    np.divide(np.add.reduce(d[_CORR_I] * d[_CORR_J], 1), denom, out=corr, where=denom != 0)
     return f
 
 

@@ -421,10 +421,11 @@ CHECKED = {
     ev.ExperimentConfig: ({}, {"kd_variant": "megakd", "layers": "quad",
                                "normalization": "zcore", "inference_temperature": -1.0}),
     pp.Window: ({"samples": np.zeros((4, 3)), "label": pp.ADL},
-                {"label": "fall", "vertical_axis": "w"}),
+                {"samples": np.zeros((4, 2)), "label": "fall", "vertical_axis": "w"}),
     ds.Trace: ({"subject_id": "S01", "trial_id": "T01", "label": ds.FALL,
                 "sample_rate_hz": 50, "samples": np.zeros((4, 3))},
-               {"label": "fall", "sample_rate_hz": 0}),
+               {"subject_id": "", "trial_id": "", "label": "fall", "sample_rate_hz": 0,
+                "samples": np.zeros((4, 2))}),
     cascade.Cascade: ({"models": [nn.TieredModel.init(nn.TierSpec(nn.STUDENT, (54, 2)))],
                        "thresholds": TH},
                       {"inference_temperature": -1.0}),

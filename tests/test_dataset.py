@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fallcascade import dataset as ds
+from fallcascade import preprocess as pp
 
 
 def _write(tmp_path, text, name="trace.txt"):
@@ -60,8 +61,32 @@ class TestLoadTrace:
 
     def test_non_positive_rate(self, tmp_path):
         path = _write(tmp_path, HEADER.replace("rate_hz=200", "rate_hz=0") + "1,0,0\n")
-        with pytest.raises(ds.DatasetError, match=r"^sample_rate_hz must be > 0, got 0$"):
+        with pytest.raises(ds.DatasetError) as e:
             ds.load_trace(path)
+        assert str(e.value) == f"{path}: sample_rate_hz must be > 0, got 0"
+
+
+    @pytest.mark.parametrize("line, field", [("subject=S1", "subject_id"),
+                                             ("trial=T1", "trial_id")])
+    def test_an_empty_id_names_file_and_key(self, tmp_path, line, field):
+        # an empty subject would be held out by LOSO as a subject of its own
+        key = line.partition("=")[0]
+        path = _write(tmp_path, HEADER.replace(line, f"{key}=") + "1,0,0\n")
+        with pytest.raises(ds.DatasetError) as e:
+            ds.load_trace(path)
+        assert str(e.value) == f"{path}: {field} must be a non-empty string, got ''"
+
+
+@pytest.mark.parametrize("samples, error, message", [
+    (np.zeros((4, 2)), ds.DatasetError, "samples must have shape (n, 3), got (4, 2)"),
+    (np.full((4, 3), np.nan), ds.DatasetError, "samples must be finite"),
+    (np.zeros((0, 3)), ds.EmptyTrace, "trace S1/T1 has no samples"),
+], ids=["two_axes", "nan", "no_rows"])
+def test_trace_and_window_share_one_samples_rule(samples, error, message):
+    assert ds.Trace.CHECKS["samples"] is pp.Window.CHECKS["samples"]
+    with pytest.raises(error) as e:
+        ds.Trace("S1", "T1", ds.FALL, 50, samples)
+    assert str(e.value) == message
 
 
 class TestRoundTrip:

@@ -1,10 +1,12 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from fallcascade import edge_threshold as et
 from fallcascade import preprocess as pp
 from fallcascade.dataset import Trace
 from fallcascade.evaluate import fit_scaler
@@ -24,16 +26,17 @@ class TestNorms:
     def test_norm_xyz_ones(self):
         assert pp.norm_xyz((1, 1, 1)) == pytest.approx(1.7320508, abs=1e-6)
 
+    # the horizontal-plane norm is the last row of sample_norms
     def test_norm_hori_yz(self):
-        assert pp.norm_hori((7, 3, 4)) == pytest.approx(5.0)
+        assert pp.sample_norms((7, 3, 4))[2] == pytest.approx(5.0)
 
     def test_norm_hori_vertical_only(self):
-        assert pp.norm_hori((5, 0, 0)) == 0.0
+        assert pp.sample_norms((5, 0, 0))[2] == 0.0
 
     def test_norm_hori_bounded_by_norm_xyz(self):
         rng = np.random.default_rng(0)
         for s in rng.normal(size=(50, 3)):
-            assert pp.norm_hori(s) <= pp.norm_xyz(s) + 1e-12
+            assert pp.sample_norms(s)[2] <= pp.norm_xyz(s) + 1e-12
 
 
 class TestFindImpact:
@@ -60,6 +63,26 @@ class TestWindowSpec:
     def test_bad_value_fails_when_built(self, kw):
         with pytest.raises(ValueError):
             pp.WindowSpec(**kw)
+
+
+class TestWindowSamples:
+    @pytest.mark.parametrize("samples, error, message", [
+        (np.zeros((5, 2)), pp.BadSamples, "samples must have shape (n, 3), got (5, 2)"),
+        (np.zeros(3), pp.BadSamples, "samples must have shape (n, 3), got (3,)"),
+        (np.zeros((0, 3)), pp.NoSamples, "samples must have at least one row"),
+        (np.full((4, 3), np.nan), pp.BadSamples, "samples must be finite"),
+        ([[0.0, 1.0, np.inf]], pp.BadSamples, "samples must be finite"),
+    ], ids=["two_axes", "one_sample_flat", "no_rows", "all_nan", "inf"])
+    def test_bad_samples_fail_when_built(self, samples, error, message):
+        # the kernel and the gate read (n >= 1, 3) finite samples; any other
+        # window fails deep inside them or is decided on NaN features
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            pp.Window(samples, "ADL")
+
+    def test_samples_are_read_only_floats(self):
+        window = pp.Window([[1, 2, 3]], "FALL")
+        assert window.samples.dtype == np.float64
+        assert not window.samples.flags.writeable
 
 
 class TestExtractWindow:
@@ -253,12 +276,15 @@ class TestChannelMatrix:
             pp.channel_matrix(np.zeros((4, 3)), "w")
 
 
+DYADIC_READINGS = st.integers(-32, 32).map(lambda k: k / 8.0)
+
+
 @st.composite
-def feature_windows(draw):
+def feature_windows(draw, readings=DYADIC_READINGS):
     """Random windows of length 1-300: gravity-offset noise, optionally a
     zero-padded run at either end and axes held at a constant reading.
-    Constant readings are dyadic and at most one is non-zero, so every
-    constant channel (the norms included) has a mean the float sum
+    Constant readings are dyadic by default and at most one is non-zero, so
+    every constant channel (the norms included) has a mean the float sum
     reproduces exactly."""
     length = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -266,7 +292,7 @@ def feature_windows(draw):
     scale = draw(st.floats(0.01, 5.0))
     samples = offset + scale * rng.normal(size=(length, 3))
     held = draw(st.lists(st.integers(0, 2), unique=True, max_size=3))
-    reading = draw(st.integers(-32, 32)) / 8.0
+    reading = draw(readings)
     for i, axis in enumerate(held):
         samples[:, axis] = reading if i == 0 else 0.0
     pad = draw(st.integers(0, length))
@@ -293,3 +319,100 @@ class TestFeatureProperties:
         for k, (i, j) in enumerate(pairs):
             if constant[i] or constant[j]:
                 assert f[48 + k] == 0.0
+
+
+# the feature kernel and gate peaks as they were before the lean rewrite,
+# kept verbatim as the oracles of the bit-identity property below
+_CORR_PAIRS = np.array([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+
+
+def reference_norm_xyz(s):
+    s = np.asarray(s, dtype=np.float64)
+    return np.sqrt(np.sum(s * s, axis=-1))
+
+
+def reference_plane_norm(s, axes):
+    a, b = s[..., axes[0]], s[..., axes[1]]
+    return np.sqrt(a * a + b * b)
+
+
+def reference_norm_hori(s, vertical_axis="x"):
+    return reference_plane_norm(np.asarray(s, dtype=np.float64),
+                                pp.PLANE_AXES[vertical_axis][1])
+
+
+def reference_channel_matrix(samples, vertical_axis="x"):
+    samples = np.asarray(samples, dtype=np.float64)
+    verti, hori = pp.PLANE_AXES[vertical_axis]
+    return np.column_stack([samples, reference_norm_xyz(samples),
+                            reference_plane_norm(samples, verti),
+                            reference_plane_norm(samples, hori)])
+
+
+def reference_extract_features(window):
+    ch = reference_channel_matrix(window.samples, window.vertical_axis)
+    f = np.empty(pp.N_FEATURES)
+    f[0:6] = ch.mean(axis=0)
+    f[6:12] = ch.std(axis=0)
+    f[12:18] = ch.var(axis=0)
+    hi, lo = ch.max(axis=0), ch.min(axis=0)
+    f[18:24] = hi
+    f[24:30] = lo
+    f[30:36] = hi - lo
+    rows = np.ascontiguousarray(ch.T)
+    d = rows - rows.mean(axis=1, keepdims=True)
+    d[hi == lo] = 0.0
+    ss = np.sum(d * d, axis=1)
+    m2 = ss / len(ch)
+    flat = m2 == 0
+    m2 = np.where(flat, 1.0, m2)
+    f[36:42] = np.where(flat, 0.0, np.mean(d ** 4, axis=1) / np.float_power(m2, 2) - 3.0)
+    f[42:48] = np.where(flat, 0.0, np.mean(d ** 3, axis=1) / np.float_power(m2, 1.5))
+    i, j = _CORR_PAIRS.T
+    denom = np.sqrt(ss[i] * ss[j])
+    f[48:54] = np.divide(np.sum(d[i] * d[j], axis=1), denom,
+                         out=np.zeros(len(denom)), where=denom != 0)
+    return f
+
+
+def reference_window_peaks(window):
+    return (float(reference_norm_xyz(window.samples).max()),
+            float(reference_norm_hori(window.samples, window.vertical_axis).max()))
+
+
+class TestLeanKernel:
+    """The feature kernel and the gate's peaks equal their references bit for
+    bit, -0.0 and NaN patterns included: every report byte rests on it."""
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    # any float held reading: a constant channel's float mean can miss it
+    @given(window=st.one_of(feature_windows(),
+                            feature_windows(readings=st.floats(-8.0, 8.0))))
+    def test_features_and_peaks_equal_the_reference_bytes(self, axis, window):
+        window = dataclasses.replace(window, vertical_axis=axis)
+        # a tiny held reading underflows a channel's second moment, and both
+        # kernels divide 0 by 0 there: their NaNs must match too
+        with np.errstate(all="ignore"):
+            got, want = pp.extract_features(window), reference_extract_features(window)
+        assert got.tobytes() == want.tobytes()
+        assert np.array(et.window_peaks(window)).tobytes() == \
+            np.array(reference_window_peaks(window)).tobytes()
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    @pytest.mark.parametrize("samples", [np.zeros((56, 3)), np.tile([0.1, -0.3, 1.0], (56, 1)),
+                                         np.zeros((1, 3)), [[0.1, 0.2, 0.3]]],
+                             ids=["zeros", "constant", "one_zero_row", "one_row"])
+    def test_degenerate_windows_equal_the_reference_bytes(self, axis, samples):
+        window = pp.Window(samples, "ADL", axis)
+        assert pp.extract_features(window).tobytes() == \
+            reference_extract_features(window).tobytes()
+        assert et.window_peaks(window) == reference_window_peaks(window)
+
+    def test_norms_equal_the_reference_norms(self):
+        rng = np.random.default_rng(12)
+        samples = rng.normal(scale=3.0, size=(500, 3))
+        assert pp.norm_xyz(samples).tobytes() == reference_norm_xyz(samples).tobytes()
+        for axis in pp.PLANE_AXES:
+            assert (pp.sample_norms(samples, axis)[2].tobytes()
+                    == reference_norm_hori(samples, axis).tobytes())
