@@ -237,7 +237,7 @@ def write_dataset(dataset: Dataset, out_dir) -> str:
     return manifest
 
 
-def load_manifest(manifest_path, name: str = "dataset") -> Dataset:
+def load_manifest(manifest_path) -> Dataset:
     base = os.path.dirname(os.path.abspath(manifest_path))
     try:
         with open(manifest_path) as f:
@@ -251,7 +251,7 @@ def load_manifest(manifest_path, name: str = "dataset") -> Dataset:
             traces.append(load_trace(path))
         except (OSError, UnicodeError, DatasetError) as e:
             raise DatasetError(f"manifest entry {entry}: {e}") from e
-    return Dataset(name=name, traces=tuple(traces))
+    return Dataset(name="dataset", traces=tuple(traces))
 
 
 def _unit_vector(rng) -> np.ndarray:

@@ -86,11 +86,11 @@ def _composite_rows(log_p, log_q, log_r, temperature: float, combine: str):
         return comp, p * (a * b + b - comp[..., None] - eb[..., None]) / temperature
 
 
-def _blend(cfg: KDConfig, div, ddiv, logits, labels, hard=None):
+def _blend(cfg: KDConfig, div, ddiv, hard):
     """Batch mean of lam * T^2 * divergence + (1 - lam) * CE(hard), per
     fold of a stack, and its gradient with respect to the logits; `hard` is
-    the logits' (CE, gradient) pair, when the caller has it."""
-    ce, dce = ce_rows(softmax_t(logits, 1.0), labels) if hard is None else hard
+    the logits' hard-label (CE, gradient) pair."""
+    ce, dce = hard
     scale = cfg.lam * cfg.temperature * cfg.temperature
     loss = (scale * div + (1.0 - cfg.lam) * ce).sum(axis=-1) / ce.shape[-1]
     return loss, (scale * ddiv + (1.0 - cfg.lam) * dce) / ce.shape[-1]
@@ -105,10 +105,15 @@ def kl_soft(t_logits, s_logits, temperature: float,
     return float(_kl_rows(log_p, log_q, temperature, direction)[0][0])
 
 
+def _one_row(spec, s_logits, label: int) -> float:
+    """A batch loss spec's value on one row, the n = 1 case of a batch."""
+    logits = np.atleast_2d(s_logits)
+    return float(spec.value_and_grad(logits, ce_rows(softmax_t(logits, 1.0), [label]), [0])[0])
+
+
 def loss_dual(t_logits, s_logits, label: int, cfg: KDConfig) -> float:
     """lam * T^2 * KL(softened) + (1 - lam) * CE(hard)."""
-    spec = DualLoss(np.atleast_2d(t_logits), cfg)
-    return float(spec.value_and_grad(np.atleast_2d(s_logits), [label], [0])[0])
+    return _one_row(DualLoss(np.atleast_2d(t_logits), cfg), s_logits, label)
 
 
 def loss_tri(t_logits, ta_logits, s_logits, label: int, cfg: KDConfig) -> float:
@@ -116,8 +121,8 @@ def loss_tri(t_logits, ta_logits, s_logits, label: int, cfg: KDConfig) -> float:
     with hard-label cross-entropy. The operator joining the two bracketed
     log-difference terms is configurable (additive default, multiplicative
     selectable) because the printed form is ambiguous."""
-    spec = TriLoss(np.atleast_2d(t_logits), np.atleast_2d(ta_logits), cfg)
-    return float(spec.value_and_grad(np.atleast_2d(s_logits), [label], [0])[0])
+    return _one_row(TriLoss(np.atleast_2d(t_logits), np.atleast_2d(ta_logits), cfg),
+                    s_logits, label)
 
 
 class DualLoss:
@@ -132,11 +137,11 @@ class DualLoss:
         self.cfg = cfg
         self.log_q = _log_softmax(self.teacher_logits, cfg.temperature)
 
-    def value_and_grad(self, logits, labels, idx, hard=None):
+    def value_and_grad(self, logits, hard, idx):
         T = self.cfg.temperature
         kl, dkl = _kl_rows(_log_softmax(logits, T), self.log_q.take(idx, axis=-2),
                            T, self.cfg.direction)
-        return _blend(self.cfg, kl, dkl, logits, labels, hard)
+        return _blend(self.cfg, kl, dkl, hard)
 
 
 class TriLoss:
@@ -151,13 +156,13 @@ class TriLoss:
         self.log_q = _log_softmax(self.ta_logits, cfg.temperature)
         self.log_r = _log_softmax(self.teacher_logits, cfg.temperature)
 
-    def value_and_grad(self, logits, labels, idx, hard=None):
+    def value_and_grad(self, logits, hard, idx):
         T = self.cfg.temperature
         comp, dcomp = _composite_rows(_log_softmax(logits, T),
                                       self.log_q.take(idx, axis=-2),
                                       self.log_r.take(idx, axis=-2),
                                       T, self.cfg.tri_combine)
-        return _blend(self.cfg, comp, dcomp, logits, labels, hard)
+        return _blend(self.cfg, comp, dcomp, hard)
 
 
 class MemberLosses:
@@ -165,18 +170,18 @@ class MemberLosses:
     (M, in, out) on a leading axis and trained in one `nn.train` call
     against the same rows, that differ only in their loss. `groups` lists
     (spec, count) pairs, and each spec runs over its `count` members' slice
-    of the (M, F, b, classes) logits, in order. The hard-label CE, per row,
-    is computed once over all members, and each spec takes its slice."""
+    of the (M, F, b, classes) logits, in order, with its slice of the
+    hard-label CE pair that `nn.grad` computes once over all members."""
 
     def __init__(self, groups):
         self.groups = groups
 
-    def value_and_grad(self, logits, labels, idx):
-        ce, dce = ce_rows(softmax_t(logits, 1.0), labels)
+    def value_and_grad(self, logits, hard, idx):
+        ce, dce = hard
         parts, start = [], 0
         for spec, count in self.groups:
             at = slice(start, start + count)
-            parts.append(spec.value_and_grad(logits[at], labels, idx, (ce[at], dce[at])))
+            parts.append(spec.value_and_grad(logits[at], (ce[at], dce[at]), idx))
             start += count
         losses, grads = zip(*parts)
         return np.concatenate(losses), np.concatenate(grads)
@@ -229,11 +234,9 @@ def takd_pipeline(specs, X, y, cfg: KDConfig, train_cfg: TrainConfig, variants):
     initial model stacked once per key, ordered by loss, under a
     `MemberLosses` of one CELoss, one DualLoss and one TriLoss, each over
     its group's stacked upstream logits; the trained stack is then split
-    into one fit per key. A tier with one key trains alone, through
-    `distill_train` when it has one teacher. As a one-member stack it
-    gives the same bits but is no faster (best of 7
-    teacher fits on a 2-core host: 38.7 ms alone, 39.0 ms stacked), and
-    `distill_train` is a boundary that perfbench's tracer must see fire.
+    into one fit per key. A tier with one key is a one-member stack, except
+    that a lone key with one teacher trains through `distill_train`: it is
+    the one call that fires perfbench's `distill.distill_train` boundary.
     X and y may hold a stack of folds, (F, n, in) and (F, n), which train
     in lockstep (see `nn.train`); the results are then stacked.
     Returns each variant's {tier: TrainResult} over the tiers it trains.
@@ -276,16 +279,13 @@ def takd_pipeline(specs, X, y, cfg: KDConfig, train_cfg: TrainConfig, variants):
                                              cfg, tier_cfg)
             continue
         model = TieredModel.init(specs[tier], seed=tier_cfg.seed)
-        if len(members) == 1:
-            fits[members[0]] = train(model, X, y, tier_cfg, _taught_by(taught(members[0]), cfg))
-        else:
-            # one loss per group of K members, over their teachers' logits
-            # stacked (K, F, n, classes)
-            groups = [list(group) for _, group in itertools.groupby(members, key=len)]
-            loss = MemberLosses([(_taught_by([np.stack(c) for c in zip(*map(taught, group))],
-                                             cfg), len(group)) for group in groups])
-            stack = train(model.stacked(len(members)), X, y, tier_cfg, loss)
-            fits.update((key, stack.at(m)) for m, key in enumerate(members))
+        # one loss per group of K members, over their teachers' logits
+        # stacked (K, F, n, classes)
+        groups = [list(group) for _, group in itertools.groupby(members, key=len)]
+        loss = MemberLosses([(_taught_by([np.stack(c) for c in zip(*map(taught, group))],
+                                         cfg), len(group)) for group in groups])
+        stack = train(model.stacked(len(members)), X, y, tier_cfg, loss)
+        fits.update((key, stack.at(m)) for m, key in enumerate(members))
     if solo:
         fits = {key: fit.fold(0) for key, fit in fits.items()}
     return [{tier: fits[key] for tier, key in plan.items()} for plan in plans]

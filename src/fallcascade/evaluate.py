@@ -244,7 +244,7 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
                     inference_temperature=cfg.inference_temperature,
                     featurize=featurize)
                 report = run_dataset(cascade, held_out)
-                run[k] = FoldResult(splits[k][0], report,
-                                    {name: res.epoch_losses for name, res in results.items()})
+                losses = {name: res.epoch_losses.tolist() for name, res in results.items()}
+                run[k] = FoldResult(splits[k][0], report, losses)
     aggs = [AggregateReport.pool(run) for run in runs]
     return aggs[0] if variants is None else aggs

@@ -6,7 +6,7 @@ and deterministic given a seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,12 +158,12 @@ def cross_entropy(probs, label: int) -> float:
 
 
 class CELoss:
-    """Plain cross-entropy on the hard labels. Like every loss spec, it takes
-    the `hard` pair `ce_rows(softmax_t(logits, 1.0), labels)` when its
-    caller has computed it already."""
+    """Plain cross-entropy on the hard labels: the batch mean of the `hard`
+    pair, `ce_rows(softmax_t(logits, 1.0), labels)`, that `grad` hands every
+    loss spec's `value_and_grad(logits, hard, idx)`."""
 
-    def value_and_grad(self, logits: np.ndarray, labels: np.ndarray, idx, hard=None):
-        ce, grad = ce_rows(softmax_t(logits, 1.0), labels) if hard is None else hard
+    def value_and_grad(self, logits: np.ndarray, hard, idx):
+        ce, grad = hard
         return ce.sum(axis=-1) / ce.shape[-1], grad / ce.shape[-1]
 
 
@@ -171,7 +171,8 @@ def grad(model: TieredModel, X, y, loss_spec=None, idx=None):
     """Backpropagated gradients: (loss, dW list, db list), each gradient in
     its parameter's layout. A model stacked (F, in, out) takes (F, n, in)
     rows and (F, n) labels and gives a loss per fold; one stacked
-    (M, F, in, out) takes the same rows and gives an (M, F) loss."""
+    (M, F, in, out) takes the same rows and gives an (M, F) loss. The
+    hard-label CE pair is computed here, once per step, for the loss spec."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.size == 0:
@@ -181,7 +182,7 @@ def grad(model: TieredModel, X, y, loss_spec=None, idx=None):
     if idx is None:
         idx = np.arange(X.shape[-2])
     logits, activations = _forward_cached(model, X)
-    loss, delta = loss_spec.value_and_grad(logits, y, idx)
+    loss, delta = loss_spec.value_and_grad(logits, ce_rows(softmax_t(logits, 1.0), y), idx)
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     for l in range(len(model.weights) - 1, -1, -1):
@@ -259,12 +260,11 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     model: TieredModel
-    epoch_losses: list = field(default_factory=list)  # (..., F, epochs) for a stack
+    epoch_losses: np.ndarray  # (epochs,) for a solo fit, (..., F, epochs) for a stack
 
     def fold(self, k: int) -> "TrainResult":
-        """Fold k of a stacked fit, as the fit it equals; its losses are a
-        list."""
-        return TrainResult(self.model.fold(k), self.epoch_losses[..., k, :].tolist())
+        """Fold k of a stacked fit, as the fit it equals."""
+        return TrainResult(self.model.fold(k), self.epoch_losses[..., k, :])
 
     def at(self, i: int) -> "TrainResult":
         """Entry i of the leading axis of a stacked fit, as the fit it equals."""
@@ -289,8 +289,6 @@ def train(model: TieredModel, X, y, cfg: TrainConfig, loss_spec=None) -> TrainRe
     y = np.asarray(y, dtype=np.int64)
     if X.size == 0:
         raise EmptyData("no training data")
-    if loss_spec is None:
-        loss_spec = CELoss()
     solo = X.ndim == 2
     if solo:
         X, y = X[None], y[None]

@@ -158,7 +158,7 @@ def extract_features(window: Window) -> np.ndarray:
     Ordering: 8 stats x 6 channels (mean, SD, variance, max, min, range,
     excess kurtosis, skewness), then Pearson correlations for the axis
     pairs (x,y), (x,z), (y,z) and the norm pairs (norm,verti), (norm,hori),
-    (verti,hori). Zero-variance channels yield 0 for the shape statistics.
+    (verti,hori). Channels whose squared variance is 0 yield 0 shape statistics.
 
     The mean and the variance sum each column of the (n, 6) channels in
     sequence, as ch.mean(axis=0) and ch.var(axis=0) do, and the SD is the
@@ -187,12 +187,13 @@ def extract_features(window: Window) -> np.ndarray:
     d[hi == lo] = 0.0  # a constant channel's float mean can miss its reading
     ss = np.add.reduce(d * d, 1)
     m2 = ss / n
-    # a flat channel's shape statistics are 0; dividing its zero moments by 1
-    # keeps 0/0 out. float_power rounds as libm's pow does; array ** may take
-    # a SIMD pow that differs from it in the last bit
-    flat = m2 == 0
-    m2[flat] = 1.0
-    np.divide(np.add.reduce(d ** 4, 1) / n, np.float_power(m2, 2), out=kurt)
+    # a channel whose m2 squared is 0, flat or with a spread so tiny that it
+    # underflows, has shape statistics 0; dividing its moments by 1 keeps 0/0
+    # out. float_power rounds as libm's pow does; a SIMD array ** may not
+    m2_sq = np.float_power(m2, 2)
+    flat = m2_sq == 0
+    m2[flat] = m2_sq[flat] = 1.0
+    np.divide(np.add.reduce(d ** 4, 1) / n, m2_sq, out=kurt)
     kurt -= 3.0
     np.divide(np.add.reduce(d ** 3, 1) / n, np.float_power(m2, 1.5), out=skew)
     kurt[flat] = skew[flat] = 0.0

@@ -8,7 +8,8 @@ def loss_of(model, X, y, loss_spec, idx=None):
     if idx is None:
         idx = np.arange(len(X))
     logits = nn.forward(model, X)
-    loss, _ = loss_spec.value_and_grad(logits, y, idx)
+    hard = nn.ce_rows(nn.softmax_t(logits, 1.0), y)
+    loss, _ = loss_spec.value_and_grad(logits, hard, idx)
     return loss
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -128,14 +129,15 @@ class TestLossTri:
         rng = np.random.default_rng(seed)
         s, t, ta, other_ta = rng.normal(scale=scale, size=(4, n, 2))
         y, idx = rng.integers(0, 2, size=n), np.arange(n)
+        hard = nn.ce_rows(nn.softmax_t(s, 1.0), y)
         cfg = distill.KDConfig(lam=lam, temperature=T, direction=distill.PAPER_EQ8,
                                triple_mode=distill.COMPOSITE_EQ10,
                                tri_combine=distill.ADDITIVE)
-        loss, grad = distill.TriLoss(t, ta, cfg).value_and_grad(s, y, idx)
-        dual_loss, dual_grad = distill.DualLoss(t, cfg).value_and_grad(s, y, idx)
+        loss, grad = distill.TriLoss(t, ta, cfg).value_and_grad(s, hard, idx)
+        dual_loss, dual_grad = distill.DualLoss(t, cfg).value_and_grad(s, hard, idx)
         np.testing.assert_allclose(loss, dual_loss, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(grad, dual_grad, rtol=1e-12, atol=1e-12)
-        redrawn, _ = distill.TriLoss(t, other_ta, cfg).value_and_grad(s, y, idx)
+        redrawn, _ = distill.TriLoss(t, other_ta, cfg).value_and_grad(s, hard, idx)
         np.testing.assert_allclose(redrawn, loss, rtol=1e-12, atol=1e-12)
 
 
@@ -306,7 +308,7 @@ def same_fit(a: nn.TrainResult, b: nn.TrainResult) -> bool:
     """Weights, biases and epoch losses equal bit for bit."""
     return (all(x.tobytes() == y.tobytes() for x, y in
                 zip(a.model.weights + a.model.biases, b.model.weights + b.model.biases))
-            and np.array(a.epoch_losses).tobytes() == np.array(b.epoch_losses).tobytes())
+            and a.epoch_losses.tobytes() == b.epoch_losses.tobytes())
 
 
 @st.composite
@@ -409,6 +411,36 @@ class TestLockstep:
             for tier, fit in fits.items():
                 assert same_fit(fit, solo[tier])
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), width=st.integers(1, 6), student=st.integers(1, 4),
+           grow=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           loss=st.sampled_from(["ce", "dual", "composite"]), solo=st.booleans(),
+           kd=kd_configs, cfg=train_configs)
+    def test_one_key_tier_equals_its_own_train(self, data, width, student, grow, loss,
+                                               solo, kd, cfg):
+        # one variant plans one key per tier: a one-member stack, or through
+        # distill_train when one fit teaches it, each the bits of `nn.train`
+        # on the tier's initial model under its teachers' loss
+        X, y, _ = data.draw(fold_stacks(width))
+        if solo:
+            X, y = X[0], y[0]
+        specs = capacity_ordered(width, student, grow)
+        kd = dataclasses.replace(kd, triple_mode=distill.COMPOSITE_EQ10)
+        kd_variant = {"ce": distill.KD_NONE, "dual": distill.KD_DUAL,
+                      "composite": distill.KD_TRIPLE}[loss]
+        [fits] = distill.takd_pipeline(specs, X, y, kd, cfg, [(kd_variant, TRIPLE)])
+        assert list(fits) == list(nn.TIERS)
+
+        teacher, ta = (nn.forward(fits[tier].model, X) for tier in (nn.TEACHER, nn.TA))
+        dual = distill.DualLoss(teacher, kd)
+        losses = {nn.TEACHER: nn.CELoss(), nn.TA: nn.CELoss() if loss == "ce" else dual,
+                  nn.STUDENT: {"ce": nn.CELoss(), "dual": dual,
+                               "composite": distill.TriLoss(teacher, ta, kd)}[loss]}
+        for index, tier in enumerate(nn.TIERS):
+            tier_cfg = dataclasses.replace(cfg, seed=cfg.seed + index)
+            model = nn.TieredModel.init(specs[tier], seed=tier_cfg.seed)
+            assert same_fit(fits[tier], nn.train(model, X, y, tier_cfg, losses[tier]))
+
     def test_first_non_finite_epoch_then_first_fold_is_named(self):
         class Poisoned(nn.CELoss):
             """CE whose loss turns NaN for some folds from a given step on."""
@@ -416,8 +448,8 @@ class TestLockstep:
             def __init__(self, poison):
                 self.poison, self.step = poison, 0  # {fold: first poisoned step}
 
-            def value_and_grad(self, logits, labels, idx):
-                loss, grad = super().value_and_grad(logits, labels, idx)
+            def value_and_grad(self, logits, hard, idx):
+                loss, grad = super().value_and_grad(logits, hard, idx)
                 self.step += 1
                 for fold, step in self.poison.items():
                     if self.step >= step:
@@ -440,8 +472,8 @@ class TestLockstep:
         class Poisoned(nn.CELoss):
             """CE whose first member's loss in fold 1 is NaN."""
 
-            def value_and_grad(self, logits, labels, idx, hard=None):
-                loss, grad = super().value_and_grad(logits, labels, idx, hard)
+            def value_and_grad(self, logits, hard, idx):
+                loss, grad = super().value_and_grad(logits, hard, idx)
                 loss[0, 1] = np.nan
                 return loss, grad
 

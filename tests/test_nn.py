@@ -143,8 +143,8 @@ class TestGrad:
             def __init__(self, c):
                 self.c = c
 
-            def value_and_grad(self, logits, labels, idx):
-                loss, grad = super().value_and_grad(logits, labels, idx)
+            def value_and_grad(self, logits, hard, idx):
+                loss, grad = super().value_and_grad(logits, hard, idx)
                 return self.c * loss, self.c * grad
 
         rng = np.random.default_rng(8)
@@ -191,8 +191,7 @@ class TestTrain:
         X, y = separable_xy
         cfg = nn.TrainConfig(epochs=120, seed=4)
         result = nn.train(tiny_model(widths=(2, 8, 2), seed=4), X, y, cfg)
-        losses = np.array(result.epoch_losses)
-        smooth = np.convolve(losses, np.ones(5) / 5, mode="valid")
+        smooth = np.convolve(result.epoch_losses, np.ones(5) / 5, mode="valid")
         # after the warmup epochs the smoothed curve never rises more than 5%
         for i in range(20, len(smooth) - 1):
             assert smooth[i + 1] <= smooth[i] * 1.05
@@ -259,7 +258,7 @@ class TestStacks:
         for m in range(members):
             fit = stack.at(m)
             assert same_bits(fit.model, solo.model)
-            assert np.array(fit.epoch_losses).tobytes() == np.array(solo.epoch_losses).tobytes()
+            assert fit.epoch_losses.tobytes() == solo.epoch_losses.tobytes()
 
 
 class TestCountParams:

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from fallcascade import edge_threshold as et
@@ -202,6 +202,14 @@ def _oracle_features(window):
     return np.array(out)
 
 
+def tiny_spread_samples():
+    """56 zero rows but one ay reading of 3.6e-118: the channels holding it
+    have a positive second moment whose square underflows to 0."""
+    samples = np.zeros((56, 3))
+    samples[20, 1] = 3.6e-118
+    return samples
+
+
 class TestFeatures:
     def test_feature_count_and_names(self):
         assert pp.N_FEATURES == 54
@@ -227,6 +235,12 @@ class TestFeatures:
         f = pp.extract_features(pp.Window(samples, "ADL", axis))
         assert np.all(f[36:48] == 0.0)  # kurtosis and skewness of every channel
         assert np.all(f[48:54] == 0.0)  # every correlation has a constant channel
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_underflowing_spread_reads_flat(self, axis):
+        f = pp.extract_features(pp.Window(tiny_spread_samples(), "ADL", axis))
+        assert np.isfinite(f).all()
+        assert np.all(f[36:48] == 0.0)  # kurtosis and skewness of every channel
 
     def test_equal_axes_perfect_correlation(self):
         rng = np.random.default_rng(4)
@@ -382,20 +396,32 @@ def reference_window_peaks(window):
 
 class TestLeanKernel:
     """The feature kernel and the gate's peaks equal their references bit for
-    bit, -0.0 and NaN patterns included: every report byte rests on it."""
+    bit, -0.0 included, wherever the reference features are finite: every
+    report byte rests on it."""
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     # any float held reading: a constant channel's float mean can miss it
     @given(window=st.one_of(feature_windows(),
                             feature_windows(readings=st.floats(-8.0, 8.0))))
+    @example(window=pp.Window(tiny_spread_samples(), "FALL"))
     def test_features_and_peaks_equal_the_reference_bytes(self, axis, window):
         window = dataclasses.replace(window, vertical_axis=axis)
-        # a tiny held reading underflows a channel's second moment, and both
-        # kernels divide 0 by 0 there: their NaNs must match too
+        got = pp.extract_features(window)
+        # a tiny held reading underflows the square of a channel's second
+        # moment: the reference divides by 0 there, the kernel reads the
+        # channel flat
         with np.errstate(all="ignore"):
-            got, want = pp.extract_features(window), reference_extract_features(window)
-        assert got.tobytes() == want.tobytes()
+            want = reference_extract_features(window)
+        if np.isfinite(want).all():
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.isfinite(got).all()
+            shape = np.zeros((9, 6), dtype=bool)
+            # the kurtosis and skewness rows of the flattened channels
+            shape[6:8] = ~np.isfinite(want[36:42])
+            assert np.all(got[shape.ravel()] == 0.0)
+            assert got[~shape.ravel()].tobytes() == want[~shape.ravel()].tobytes()
         assert np.array(et.window_peaks(window)).tobytes() == \
             np.array(reference_window_peaks(window)).tobytes()
 
