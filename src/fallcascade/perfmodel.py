@@ -7,7 +7,8 @@ meaningful relative to one another.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 from .cascade import CascadeReport
 from .nn import check_fields, check_non_negative, check_positive, check_unit
@@ -31,17 +32,17 @@ class NodeParams:
     theta: float    # computing capacity, cycles per second
     rho: float      # compression ratio of processed data, in [0, 1]
     phi: float      # uplink transmit capacity, units per second
-    # the load, which cascade_latency sets from the routed volume
-    lam: float = field(default=0.0, kw_only=True)   # arrival rate, units per second
-    beta: float = field(default=0.0, kw_only=True)  # volume received from below, units
 
     # each checked field's one rule, a check(name, value)
     CHECKS = {"s": check_unit, "b": check_non_negative, "theta": check_positive,
-              "rho": check_unit, "lam": check_non_negative, "beta": check_non_negative,
-              "phi": check_positive}
+              "rho": check_unit, "phi": check_positive}
 
     def __post_init__(self):
         check_fields(self)
+        # like a config value, each value is finite: b=inf with s=0 makes a NaN hop
+        for name in self.CHECKS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -88,18 +89,22 @@ def check_topology(topology: Topology, n_stations: int) -> None:
                                f"cascade has {n_stations} stations")
 
 
-def node_latency(p: NodeParams) -> float:
-    """Compute-plus-transmission time contributed by one node."""
+def node_latency(p: NodeParams, lam: float, beta: float) -> float:
+    """Compute-plus-transmission time of one node under the load lam (arrival
+    rate, units per second) and beta (volume received from below, units)."""
     compute = p.s * p.b / p.theta
-    transmit = (p.rho * p.s * p.lam + (1.0 - p.s) * p.lam + p.beta) / p.phi
+    transmit = (p.rho * p.s * lam + (1.0 - p.s) * lam + beta) / p.phi
     return compute + transmit
 
 
-def layer_latency(topology: Topology, n: int) -> float:
-    """Total latency of layer n (1-based, bottom first), in seconds."""
+def layer_latency(topology: Topology, n: int, volume: float, horizon_s: float) -> float:
+    """Total latency of layer n (1-based, bottom first), in seconds, when
+    each of its k nodes receives volume / k units over horizon_s seconds."""
     if not (1 <= n <= len(topology.layers)):
         raise InvalidLayer(f"layer {n} out of range 1..{len(topology.layers)}")
-    return sum(node_latency(node.params) for node in topology.layers[n - 1])
+    layer = topology.layers[n - 1]
+    share = volume / len(layer)
+    return sum(node_latency(node.params, share / horizon_s, share) for node in layer)
 
 
 def flops_fc(n_in: int, n_out: int) -> int:
@@ -123,18 +128,14 @@ def cascade_latency(report: CascadeReport, topology: Topology,
     """Map per-layer routed volumes onto the latency model: {hop: ms}.
 
     Topology layers align one-to-one with cascade stations (bottom = edge
-    gate). For each station above the gate, the layer's nodes each get
-    lam = their share of the processed volume / horizon and beta = that
-    share; the hop latency is the layer's layer_latency.
+    gate). The hop into each station above the gate is the layer_latency
+    of that station's layer under the samples it processed.
     """
     check_topology(topology, len(report.station_names))
     check_positive("horizon_s", horizon_s)
     names = report.station_names
-    loaded = Topology([
-        [replace(node, params=replace(node.params, lam=v / len(layer) / horizon_s,
-                                      beta=v / len(layer))) for node in layer]
-        for layer, v in zip(topology.layers, report.processed_samples)])
-    return {f"{names[n - 1]}_to_{names[n]}": layer_latency(loaded, n + 1) * 1000.0
+    return {f"{names[n - 1]}_to_{names[n]}":
+            layer_latency(topology, n + 1, report.processed_samples[n], horizon_s) * 1000.0
             for n in range(1, len(names))}
 
 
@@ -149,8 +150,7 @@ def percent_reduction(before: float | None, after: float | None) -> float | None
 def uniform_topology(n_layers: int, s: float = 0.5, b: float = 1.0,
                      theta: float = 1e9, rho: float = 0.1,
                      phi: float = 1e6) -> Topology:
-    """One node per layer with identical parameters; the load (lam, beta)
-    is set by cascade_latency from routed volumes."""
+    """One node per layer with identical parameters."""
     layers = []
     for n in range(n_layers):
         parent = f"n{n + 1}" if n < n_layers - 1 else None

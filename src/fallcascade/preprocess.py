@@ -61,8 +61,15 @@ class WindowSpec:
         return self.before(rate_hz) + 1 + int(round(self.ws_f_s * rate_hz))
 
 
+# the largest reading magnitude a window or trace may hold, in g: far above
+# any body-worn accelerometer's full scale, and far below the ~1e76 g where
+# the kurtosis' fourth power overflows
+MAX_READING_G = 1e6
+
+
 class BadSamples(ValueError):
-    """Samples that are not an (n >= 1, 3) array of finite floats."""
+    """Samples that are not an (n >= 1, 3) array of finite floats within
+    ±MAX_READING_G."""
 
 
 class NoSamples(BadSamples):
@@ -71,20 +78,25 @@ class NoSamples(BadSamples):
 
 def check_samples(name: str, samples: np.ndarray) -> None:
     """Raise BadSamples, naming the field, unless samples is an (n, 3) float
-    array with n >= 1 and every reading finite (NoSamples when n == 0)."""
+    array with n >= 1 and every reading finite and within ±MAX_READING_G
+    (NoSamples when n == 0)."""
     if samples.ndim != 2 or samples.shape[1] != 3:
         raise BadSamples(f"{name} must have shape (n, 3), got {samples.shape}")
     if len(samples) == 0:
         raise NoSamples(f"{name} must have at least one row")
     if not np.isfinite(samples).all():
         raise BadSamples(f"{name} must be finite")
+    peak = np.abs(samples).max()
+    if peak > MAX_READING_G:
+        raise BadSamples(f"{name} must lie in [-{MAX_READING_G:g}, {MAX_READING_G:g}] g, "
+                         f"got a reading of magnitude {peak:g}")
 
 
 @dataclass(frozen=True)
 class Window:
     """Fixed-size impact-centered segment of one trace."""
 
-    samples: np.ndarray  # (length, 3), length >= 1, finite
+    samples: np.ndarray  # (length, 3), length >= 1, finite, within ±MAX_READING_G
     label: str  # FALL or ADL
     vertical_axis: str = "x"  # picks the planes the gate and the features read
 

@@ -30,9 +30,8 @@ def test_criterion_1_formula_goldens():
     assert abs(m.rec - 0.909091) <= 1e-6
     assert abs(m.f1 - 0.909091) <= 1e-6
     assert abs(ev.metrics(cm, f1_mode=ev.F1_PAPER).f1 - 0.454545) <= 1e-6
-    topo = pm.Topology(((pm.Node("n0", None, pm.NodeParams(
-        s=0.5, b=2.0, theta=4.0, rho=0.1, lam=10.0, beta=1.0, phi=2.0)),),))
-    assert abs(pm.layer_latency(topo, 1) - 3.5) <= 1e-9
+    node = pm.NodeParams(s=0.5, b=2.0, theta=4.0, rho=0.1, phi=2.0)
+    assert abs(pm.node_latency(node, lam=10.0, beta=1.0) - 3.5) <= 1e-9
 
 
 def test_criterion_2_gradient_suite():

@@ -156,6 +156,12 @@ class TestValidate:
     @pytest.mark.parametrize("edit, message", [
         (("theta=1e9 rho=0.2", "theta=nan rho=0.2"), "{topo}: node m: theta must be > 0, got nan"),
         (("b=2.0", "b=-5"), "{topo}: node m: b must be >= 0, got -5.0"),
+        (("s=0.5 b=2.0", "s=0 b=inf"), "{topo}: node m: b must be finite, got inf"),
+        (("node c parent=- s=0.5 b=1.0 theta=1e9", "node c parent=- s=0.5 b=1.0 theta=inf"),
+         "{topo}: node c: theta must be finite, got inf"),
+        (("node c parent=- s=0.5 b=1.0 theta=1e9 rho=0.1 phi=1e6",
+          "node c parent=- s=0.5 b=1.0 theta=1e9 rho=0.1 phi=inf"),
+         "{topo}: node c: phi must be finite, got inf"),
         (None, "{topo}: layer 0 has no nodes"),
         (("parent=c s=0.5", "parent=c s"), "{topo}: node m: token 's' is not key=value"),
         (("rho=0.2", "rho=0.2 lambda=0"), "{topo}: node m: unknown key 'lambda'; " + LOAD),
@@ -170,7 +176,8 @@ class TestValidate:
          "{topo}: layer 2 has no nodes"),
         (("node e parent=m", "node g parent=x"),
          "{topo}: node 'g' on layer 0 has no parent in layer 1"),
-    ], ids=["nan_theta", "negative_b", "empty_layers", "token_without_equals", "lambda",
+    ], ids=["nan_theta", "negative_b", "infinite_b", "infinite_theta", "infinite_phi",
+            "empty_layers", "token_without_equals", "lambda",
             "beta", "unknown_key", "repeated_key", "top_parent", "repeated_name",
             "empty_top_layer", "orphan"])
     def test_bad_topology_value_names_the_node(self, tmp_path, capsys, edit, message):
@@ -429,10 +436,9 @@ CHECKED = {
     cascade.Cascade: ({"models": [nn.TieredModel.init(nn.TierSpec(nn.STUDENT, (54, 2)))],
                        "thresholds": TH},
                       {"inference_temperature": -1.0}),
-    perfmodel.NodeParams: ({"s": 0.5, "b": 1.0, "theta": 1e9, "rho": 0.1, "lam": 0.0,
-                            "beta": 0.0, "phi": 1e6},
+    perfmodel.NodeParams: ({"s": 0.5, "b": 1.0, "theta": 1e9, "rho": 0.1, "phi": 1e6},
                            {"s": 1.5, "b": -5.0, "theta": float("nan"), "rho": -0.1,
-                            "lam": -1.0, "beta": float("nan"), "phi": 0.0}),
+                            "phi": 0.0}),
 }
 
 

@@ -65,6 +65,13 @@ class TestLoadTrace:
             ds.load_trace(path)
         assert str(e.value) == f"{path}: sample_rate_hz must be > 0, got 0"
 
+    def test_huge_reading_names_the_file(self, tmp_path):
+        path = _write(tmp_path, HEADER + "1,0,0\n0,-2e200,0\n")
+        with pytest.raises(ds.DatasetError) as e:
+            ds.load_trace(path)
+        assert str(e.value) == (f"{path}: samples must lie in [-1e+06, 1e+06] g, "
+                                f"got a reading of magnitude 2e+200")
+
 
     @pytest.mark.parametrize("line, field", [("subject=S1", "subject_id"),
                                              ("trial=T1", "trial_id")])

@@ -1,47 +1,61 @@
+from dataclasses import asdict, dataclass, field
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fallcascade import perfmodel as pm
 from fallcascade.cascade import CascadeReport
 from fallcascade.nn import TierSpec, STUDENT, TA, TEACHER, default_tier_spec
 
 
-def single_node_topology(**overrides):
-    params = dict(s=0.5, b=2.0, theta=4.0, rho=0.1, lam=10.0, beta=1.0, phi=2.0)
-    params.update(overrides)
-    return pm.Topology(((pm.Node("n0", None, pm.NodeParams(**params)),),))
+# the worked example's node and its load
+NODE = dict(s=0.5, b=2.0, theta=4.0, rho=0.1, phi=2.0)
+LOAD = dict(lam=10.0, beta=1.0)
+
+
+def latency(**overrides):
+    """node_latency of the worked example, with some node values or load
+    values overridden."""
+    values = {**NODE, **LOAD, **overrides}
+    lam, beta = values.pop("lam"), values.pop("beta")
+    return pm.node_latency(pm.NodeParams(**values), lam, beta)
 
 
 class TestLayerLatency:
     def test_worked_example(self):
         # 0.5*2/4 + (0.1*0.5*10 + 0.5*10 + 1)/2 = 0.25 + 3.25
-        assert pm.layer_latency(single_node_topology(), 1) == pytest.approx(3.5, abs=1e-9)
+        assert latency() == pytest.approx(3.5, abs=1e-9)
 
     def test_pure_forwarding(self):
-        topo = single_node_topology(s=0.0, beta=0.0)
-        assert pm.layer_latency(topo, 1) == pytest.approx(10.0 / 2.0)
+        assert latency(s=0.0, beta=0.0) == pytest.approx(10.0 / 2.0)
 
     def test_infinite_uplink_leaves_compute_term(self):
-        topo = single_node_topology(phi=1e12)
-        assert pm.layer_latency(topo, 1) == pytest.approx(0.25, abs=1e-6)
+        assert latency(phi=1e12) == pytest.approx(0.25, abs=1e-6)
+
+    @pytest.mark.parametrize("key", ["b", "theta", "phi"])
+    def test_infinite_value_fails_when_built(self, key):
+        # each passes its CHECKS rule; b=inf with s=0 gave a NaN latency
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got inf$"):
+            pm.NodeParams(**{**NODE, "s": 0.0, key: float("inf")})
 
     def test_invalid_layer(self):
+        topo = pm.Topology(((pm.Node("n0", None, pm.NodeParams(**NODE)),),))
         with pytest.raises(pm.InvalidLayer):
-            pm.layer_latency(single_node_topology(), 2)
+            pm.layer_latency(topo, 2, 1.0, 1.0)
 
     def test_monotonicity(self):
-        base = pm.layer_latency(single_node_topology(), 1)
-        assert pm.layer_latency(single_node_topology(lam=20.0), 1) >= base
-        assert pm.layer_latency(single_node_topology(beta=5.0), 1) >= base
-        assert pm.layer_latency(single_node_topology(b=4.0), 1) >= base
-        assert pm.layer_latency(single_node_topology(theta=8.0), 1) <= base
-        assert pm.layer_latency(single_node_topology(phi=4.0), 1) <= base
+        base = latency()
+        assert latency(lam=20.0) >= base
+        assert latency(beta=5.0) >= base
+        assert latency(b=4.0) >= base
+        assert latency(theta=8.0) <= base
+        assert latency(phi=4.0) <= base
 
     def test_linear_in_beta(self):
-        l0 = pm.layer_latency(single_node_topology(beta=0.0), 1)
-        l1 = pm.layer_latency(single_node_topology(beta=1.0), 1)
-        l3 = pm.layer_latency(single_node_topology(beta=3.0), 1)
+        l0 = latency(beta=0.0)
+        l1 = latency(beta=1.0)
+        l3 = latency(beta=3.0)
         assert l3 - l0 == pytest.approx(3 * (l1 - l0), rel=1e-12)
 
 
@@ -85,6 +99,14 @@ def make_report(processed, window_len=100):
         decided_adl=[0] * n,
         window_len=window_len,
     )
+
+
+def three_mec_topology():
+    """Gate, three mec nodes with unequal values, cc."""
+    mec = tuple(pm.Node(f"m{i}", "c", pm.NodeParams(0.5, 1.0 + i, 1e9, 0.1, 1e6 * (i + 1)))
+                for i in range(3))
+    return pm.Topology(((pm.Node("e", "m0", pm.NodeParams(0.5, 1.0, 1e9, 0.1, 1e6)),),
+                        mec, (pm.Node("c", None, pm.NodeParams(0.5, 1.0, 1e9, 0.1, 1e6)),)))
 
 
 class TestCascadeLatency:
@@ -152,9 +174,68 @@ class TestTopologyIO:
         assert {hop: ms.hex() for hop, ms in after.items()} == {
             hop: ms.hex() for hop, ms in before.items()}
 
+    def test_layer_latency_of_a_loaded_file_is_its_hop(self, tmp_path, write_topology):
+        path = tmp_path / "topo.txt"
+        write_topology(three_mec_topology(), path)
+        loaded = pm.load_topology(path)
+        report = make_report([100, 40, 20])
+        hops = pm.cascade_latency(report, loaded, 0.37)
+        for n, ms in enumerate(hops.values(), start=1):
+            volume = report.processed_samples[n]
+            assert pm.layer_latency(loaded, n + 1, volume, 0.37) * 1000.0 == ms
+            assert ms > 1.0  # the hop is loaded: transmission, not the ns compute floor
+
     def test_orphan_node_rejected(self):
         with pytest.raises(ValueError):
             pm.Topology((
                 (pm.Node("a", "missing", pm.NodeParams(0, 1, 1, 0, 1)),),
                 (pm.Node("b", None, pm.NodeParams(0, 1, 1, 0, 1)),),
             ))
+
+
+@dataclass(frozen=True)
+class LoadedParams:
+    """A node's values with its load as fields, as NodeParams held them
+    before the load became an argument of node_latency."""
+    s: float
+    b: float
+    theta: float
+    rho: float
+    phi: float
+    lam: float = field(default=0.0, kw_only=True)
+    beta: float = field(default=0.0, kw_only=True)
+
+
+def loaded_node_latency(p: LoadedParams) -> float:
+    compute = p.s * p.b / p.theta
+    transmit = (p.rho * p.s * p.lam + (1.0 - p.s) * p.lam + p.beta) / p.phi
+    return compute + transmit
+
+
+def loaded_cascade_latency(report, topology, horizon_s) -> dict:
+    """The oracle: cascade_latency as it was, loading a copy of every layer
+    with its even share of the routed volume and summing each loaded layer."""
+    names = report.station_names
+    loaded = [
+        [LoadedParams(**asdict(node.params), lam=v / len(layer) / horizon_s,
+                      beta=v / len(layer)) for node in layer]
+        for layer, v in zip(topology.layers, report.processed_samples)]
+    return {f"{names[n - 1]}_to_{names[n]}":
+            sum(loaded_node_latency(p) for p in loaded[n]) * 1000.0
+            for n in range(1, len(names))}
+
+
+class TestLoadArgument:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(topo=topologies(), counts=st.lists(st.integers(0, 10_000), min_size=4, max_size=4),
+           window_len=st.integers(1, 1000), horizon_s=st.floats(0.0, 1e6, exclude_min=True))
+    # drawn values rarely let the arrival rate's last bit reach the hop; here
+    # another order of the two divisions changes the hop into the mec layer
+    @example(topo=three_mec_topology(), counts=[100, 37, 20, 0], window_len=56, horizon_s=0.37)
+    def test_every_hop_equals_the_loaded_topology_oracle(self, topo, counts, window_len,
+                                                         horizon_s):
+        report = make_report(sorted(counts, reverse=True)[:len(topo.layers)], window_len)
+        hops = pm.cascade_latency(report, topo, horizon_s)
+        oracle = loaded_cascade_latency(report, topo, horizon_s)
+        assert list(hops) == list(oracle)
+        assert [ms.hex() for ms in hops.values()] == [ms.hex() for ms in oracle.values()]

@@ -72,7 +72,10 @@ class TestWindowSamples:
         (np.zeros((0, 3)), pp.NoSamples, "samples must have at least one row"),
         (np.full((4, 3), np.nan), pp.BadSamples, "samples must be finite"),
         ([[0.0, 1.0, np.inf]], pp.BadSamples, "samples must be finite"),
-    ], ids=["two_axes", "one_sample_flat", "no_rows", "all_nan", "inf"])
+        # a fourth power of 1e100 overflows, so its kurtosis would be NaN
+        (np.pad([[0.0, 1e100, 0.0]], ((27, 28), (0, 0))), pp.BadSamples,
+         "samples must lie in [-1e+06, 1e+06] g, got a reading of magnitude 1e+100"),
+    ], ids=["two_axes", "one_sample_flat", "no_rows", "all_nan", "inf", "huge"])
     def test_bad_samples_fail_when_built(self, samples, error, message):
         # the kernel and the gate read (n >= 1, 3) finite samples; any other
         # window fails deep inside them or is decided on NaN features
