@@ -6,7 +6,7 @@ and deterministic given a seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,42 +68,52 @@ def default_tier_spec(tier: str) -> TierSpec:
 
 @dataclass
 class TieredModel:
-    """One model, or a stack of models along leading axes. Each bias keeps a
-    unit row axis, so that `a @ W + b` broadcasts in every layout."""
+    """One model, or a stack of models along leading axes, held as one
+    parameter array: each layer's (in, out) weights and then its (1, out)
+    bias, flattened in layer order along the last axis. `weights` and
+    `biases` are views of it, and each bias keeps a unit row axis, so that
+    `a @ W + b` broadcasts in every layout."""
 
     spec: TierSpec
-    weights: list  # weights[l] has shape (in, out), stacked (..., in, out)
-    biases: list   # biases[l] has shape (1, out), stacked (..., 1, out)
+    params: np.ndarray  # (spec.n_params,), stacked (..., spec.n_params)
+    weights: list = field(init=False, repr=False)  # weights[l]: (..., in, out) view
+    biases: list = field(init=False, repr=False)   # biases[l]: (..., 1, out) view
+
+    def __post_init__(self):
+        if self.params.shape[-1:] != (self.spec.n_params,):
+            raise ShapeMismatch(f"{self.spec.tier} params have shape {self.params.shape}, "
+                                f"need a last axis of {self.spec.n_params}")
+        lead, end = self.params.shape[:-1], 0
+        self.weights, self.biases = [], []
+        for i, o in zip(self.spec.layer_widths, self.spec.layer_widths[1:]):
+            start, end = end, end + i * o + o
+            layer = self.params[..., start:end]
+            self.weights.append(layer[..., :i * o].reshape(*lead, i, o))
+            self.biases.append(layer[..., i * o:].reshape(*lead, 1, o))
 
     @classmethod
     def init(cls, spec: TierSpec, seed: int = 0) -> "TieredModel":
-        # He-style scaled uniform init, deterministic per seed
+        # He-style scaled uniform init, deterministic per seed; biases are 0
+        model = cls(spec, np.zeros(spec.n_params))
         rng = np.random.default_rng(seed)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(spec.layer_widths, spec.layer_widths[1:]):
-            limit = np.sqrt(6.0 / fan_in)
-            weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            biases.append(np.zeros((1, fan_out)))
-        return cls(spec=spec, weights=weights, biases=biases)
-
-    def _map(self, view) -> "TieredModel":
-        return TieredModel(self.spec, [view(w) for w in self.weights],
-                           [view(b) for b in self.biases])
+        for W in model.weights:
+            limit = np.sqrt(6.0 / len(W))
+            W[:] = rng.uniform(-limit, limit, size=W.shape)
+        return model
 
     def stacked(self, n: int) -> "TieredModel":
-        """n copies of this model on a new axis just before each layer's
-        (in, out): (n, in, out) from a solo model, (M, n, in, out) from a
-        stack of M."""
-        return self._map(lambda a: np.tile(a[..., None, :, :], (n, 1, 1)))
+        """n copies of this model on a new axis just before the parameter
+        axis: (n, P) from a solo model, (M, n, P) from a stack of M."""
+        return TieredModel(self.spec, np.tile(self.params[..., None, :], (n, 1)))
 
     def fold(self, k: int) -> "TieredModel":
-        """Entry k of the axis just before each layer's (in, out), the fold
-        axis of `train` (views of the stack)."""
-        return self._map(lambda a: a[..., k, :, :])
+        """Entry k of the axis just before the parameter axis, the fold axis
+        of `train` (a view of the stack)."""
+        return TieredModel(self.spec, self.params[..., k, :])
 
     def at(self, i: int) -> "TieredModel":
-        """Entry i of the leading axis (views of the stack)."""
-        return self._map(lambda a: a[i])
+        """Entry i of the leading axis (a view of the stack)."""
+        return TieredModel(self.spec, self.params[i])
 
 
 def forward(model: TieredModel, x) -> np.ndarray:
@@ -168,11 +178,12 @@ class CELoss:
 
 
 def grad(model: TieredModel, X, y, loss_spec=None, idx=None):
-    """Backpropagated gradients: (loss, dW list, db list), each gradient in
-    its parameter's layout. A model stacked (F, in, out) takes (F, n, in)
-    rows and (F, n) labels and gives a loss per fold; one stacked
-    (M, F, in, out) takes the same rows and gives an (M, F) loss. The
-    hard-label CE pair is computed here, once per step, for the loss spec."""
+    """Backpropagated gradient: (loss, g), where g is a TieredModel laid out
+    like `model` whose parameters are the gradient. A model stacked
+    (F, in, out) takes (F, n, in) rows and (F, n) labels and gives a loss
+    per fold; one stacked (M, F, in, out) takes the same rows and gives an
+    (M, F) loss. The hard-label CE pair is computed here, once per step,
+    for the loss spec."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.size == 0:
@@ -183,14 +194,13 @@ def grad(model: TieredModel, X, y, loss_spec=None, idx=None):
         idx = np.arange(X.shape[-2])
     logits, activations = _forward_cached(model, X)
     loss, delta = loss_spec.value_and_grad(logits, ce_rows(softmax_t(logits, 1.0), y), idx)
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    g = TieredModel(model.spec, np.empty_like(model.params))
     for l in range(len(model.weights) - 1, -1, -1):
-        grads_w[l] = activations[l].swapaxes(-1, -2) @ delta
-        grads_b[l] = delta.sum(axis=-2, keepdims=True)
+        np.matmul(activations[l].swapaxes(-1, -2), delta, out=g.weights[l])
+        np.add.reduce(delta, axis=-2, keepdims=True, out=g.biases[l])
         if l > 0:
             delta = (delta @ model.weights[l].swapaxes(-1, -2)) * (activations[l] > 0)
-    return loss, grads_w, grads_b
+    return loss, g
 
 
 def check_positive(name: str, value) -> None:
@@ -294,8 +304,7 @@ def train(model: TieredModel, X, y, cfg: TrainConfig, loss_spec=None) -> TrainRe
         X, y = X[None], y[None]
     model = model.stacked(len(X))
     rng = np.random.default_rng(cfg.seed)
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
+    vel = np.zeros_like(model.params)
     n = X.shape[1]
     losses = []
     for _ in range(cfg.epochs):
@@ -306,17 +315,14 @@ def train(model: TieredModel, X, y, cfg: TrainConfig, loss_spec=None) -> TrainRe
             batch = order[start:start + cfg.batch_size]
             # take gives contiguous rows, so that each fold's sums add in
             # the order of a solo fit's
-            loss, gw, gb = grad(model, X.take(batch, axis=1), y.take(batch, axis=1),
-                                loss_spec, idx=batch)
+            loss, g = grad(model, X.take(batch, axis=1), y.take(batch, axis=1),
+                           loss_spec, idx=batch)
             epoch_loss += loss
             n_batches += 1
-            for params, vels, grads in ((model.weights, vel_w, gw),
-                                        (model.biases, vel_b, gb)):
-                for p, v, g in zip(params, vels, grads):
-                    v *= cfg.momentum
-                    g *= cfg.learning_rate
-                    v -= g
-                    p += v
+            vel *= cfg.momentum
+            g.params *= cfg.learning_rate
+            vel -= g.params
+            model.params += vel
         losses.append(epoch_loss / n_batches)
         # (..., F): a fold fails when any entry's loss does
         finite = np.isfinite(losses[-1]).reshape(-1, len(X))

@@ -1,10 +1,12 @@
 import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fallcascade import nn
+from fallcascade import distill, nn
 from gradcheck import max_rel_error
 
 
@@ -127,8 +129,8 @@ class TestGrad:
             W[:] = 0.0
         X = np.array([[1.0, 2.0], [1.0, 2.0]])
         y = np.array([0, 1])  # balanced labels, symmetric loss
-        _, gw, gb = nn.grad(model, X, y)
-        np.testing.assert_allclose(gb[-1], 0.0, atol=1e-12)
+        _, g = nn.grad(model, X, y)
+        np.testing.assert_allclose(g.biases[-1], 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_finite_difference_check(self, seed):
@@ -151,9 +153,9 @@ class TestGrad:
         model = tiny_model(widths=(3, 5, 2), seed=8)
         X = rng.normal(size=(4, 3))
         y = rng.integers(0, 2, size=4)
-        _, gw1, _ = nn.grad(model, X, y, nn.CELoss())
-        _, gw3, _ = nn.grad(model, X, y, ScaledCE(3.0))
-        for a, b in zip(gw1, gw3):
+        _, g1 = nn.grad(model, X, y, nn.CELoss())
+        _, g3 = nn.grad(model, X, y, ScaledCE(3.0))
+        for a, b in zip(g1.weights, g3.weights):
             np.testing.assert_allclose(3.0 * a, b, rtol=1e-12)
 
     def test_empty_batch(self):
@@ -228,8 +230,7 @@ class TestStacks:
         rng = np.random.default_rng(seed)
         spec = nn.TierSpec(nn.STUDENT, (*widths, 2))
         pairs = list(zip(spec.layer_widths, spec.layer_widths[1:]))
-        model = nn.TieredModel(spec, [rng.normal(size=(*lead, i, o)) for i, o in pairs],
-                               [rng.normal(size=(*lead, 1, o)) for _, o in pairs])
+        model = nn.TieredModel(spec, rng.normal(size=(*lead, spec.n_params)))
         stack = model.stacked(n)
         views = [stack, *(stack.fold(k) for k in range(n))]
         if lead:
@@ -278,3 +279,169 @@ class TestCountParams:
         ta = nn.default_tier_spec(nn.TA).n_params
         t = nn.default_tier_spec(nn.TEACHER).n_params
         assert t > ta > s
+
+
+class TestParamsLayout:
+    """`params` is the model: every weight and bias is a view of it, in
+    layer order, and a wrong parameter length fails when the model is made."""
+
+    @pytest.mark.parametrize("shape", [(7,), (5,), (3, 7), ()])
+    def test_wrong_length_names_tier_shape_and_length(self, shape):
+        spec = nn.TierSpec(nn.TA, (2, 2))  # 6 parameters
+        message = rf"^ta params have shape {re.escape(str(shape))}, need a last axis of 6$"
+        with pytest.raises(nn.ShapeMismatch, match=message):
+            nn.TieredModel(spec, np.zeros(shape))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(widths=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           lead=st.sampled_from([(), (3,), (2, 3)]), n=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_layout_is_views_of_params(self, widths, lead, n, seed):
+        spec = nn.TierSpec(nn.STUDENT, (*widths, 2))
+        rng = np.random.default_rng(seed)
+        model = nn.TieredModel(spec, rng.normal(size=(*lead, spec.n_params)))
+        stack = model.stacked(n)
+        views = [model, stack, *(stack.fold(k) for k in range(n))]
+        views += [v.at(i) for v in (model, stack) if lead for i in range(lead[0])]
+        for view in views:
+            rows = view.params.shape[:-1]
+            assert all(np.shares_memory(a, view.params) for a in arrays(view))
+            # each layer's weights, then its bias, in layer order
+            flat = [a.reshape(*rows, -1) for layer in zip(view.weights, view.biases)
+                    for a in layer]
+            assert np.concatenate(flat, axis=-1).tobytes() == view.params.tobytes()
+            # a write through a view, as TestForward makes, reaches params
+            view.weights[0][:] = 7.0
+            view.biases[-1][:] = -1.0
+            assert (view.params[..., :spec.layer_widths[0] * spec.layer_widths[1]] == 7.0).all()
+            assert (view.params[..., -2:] == -1.0).all()
+        # fold and at views write into the stack they were taken from
+        stack.fold(n - 1).biases[0][:] = 3.0
+        assert (stack.biases[0][..., n - 1, :, :] == 3.0).all()
+
+
+@dataclass
+class ListModel:
+    """A model as it was held before `params`, the oracle's layout: a list
+    of weights and a list of biases, each its own array."""
+    spec: nn.TierSpec
+    weights: list
+    biases: list
+
+    def _map(self, view) -> "ListModel":
+        return ListModel(self.spec, [view(w) for w in self.weights],
+                         [view(b) for b in self.biases])
+
+    def stacked(self, n: int) -> "ListModel":
+        return self._map(lambda a: np.tile(a[..., None, :, :], (n, 1, 1)))
+
+    def fold(self, k: int) -> "ListModel":
+        return self._map(lambda a: a[..., k, :, :])
+
+
+def list_grad(model, X, y, loss_spec=None, idx=None):
+    """`nn.grad` as it was: (loss, dW list, db list)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if loss_spec is None:
+        loss_spec = nn.CELoss()
+    if idx is None:
+        idx = np.arange(X.shape[-2])
+    logits, activations = nn._forward_cached(model, X)
+    loss, delta = loss_spec.value_and_grad(logits, nn.ce_rows(nn.softmax_t(logits, 1.0), y), idx)
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.biases)
+    for l in range(len(model.weights) - 1, -1, -1):
+        grads_w[l] = activations[l].swapaxes(-1, -2) @ delta
+        grads_b[l] = delta.sum(axis=-2, keepdims=True)
+        if l > 0:
+            delta = (delta @ model.weights[l].swapaxes(-1, -2)) * (activations[l] > 0)
+    return loss, grads_w, grads_b
+
+
+def list_train(model, X, y, cfg, loss_spec=None):
+    """`nn.train` as it was, with its momentum update per parameter array:
+    (trained ListModel, epoch losses)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    solo = X.ndim == 2
+    if solo:
+        X, y = X[None], y[None]
+    model = model.stacked(len(X))
+    rng = np.random.default_rng(cfg.seed)
+    vel_w = [np.zeros_like(w) for w in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
+    n = X.shape[1]
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        n_batches = 0
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            loss, gw, gb = list_grad(model, X.take(batch, axis=1), y.take(batch, axis=1),
+                                     loss_spec, idx=batch)
+            epoch_loss += loss
+            n_batches += 1
+            for params, vels, grads in ((model.weights, vel_w, gw),
+                                        (model.biases, vel_b, gb)):
+                for p, v, g in zip(params, vels, grads):
+                    v *= cfg.momentum
+                    g *= cfg.learning_rate
+                    v -= g
+                    p += v
+        losses.append(epoch_loss / n_batches)
+    losses = np.moveaxis(np.array(losses), 0, -1)
+    return (model.fold(0), losses[..., 0, :]) if solo else (model, losses)
+
+
+def kd_loss(kind, lead, n, rng):
+    """A loss spec of `kind`, "ce", "dual" or "tri", whose upstream logits
+    are (*lead, n, 2)."""
+    if kind == "ce":
+        return nn.CELoss()
+    cfg = distill.KDConfig(lam=float(rng.uniform()), temperature=float(rng.uniform(1.0, 20.0)),
+                           tri_combine=rng.choice([distill.ADDITIVE, distill.MULTIPLICATIVE]))
+    t, ta = (rng.normal(scale=3.0, size=(*lead, n, 2)) for _ in range(2))
+    return distill.DualLoss(t, cfg) if kind == "dual" else distill.TriLoss(t, ta, cfg)
+
+
+class TestFlatParamsOracle:
+    """`nn.train` on one parameter array equals the per-array update it
+    replaced, byte for byte, in every layout and loss."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(width=st.integers(1, 5), hidden=st.lists(st.integers(1, 6), max_size=3),
+           layout=st.sampled_from(["solo", "stack"]), folds=st.integers(1, 3),
+           counts=st.lists(st.integers(0, 2), min_size=3, max_size=3).filter(any),
+           n=st.integers(1, 12), batch_size=st.integers(1, 16), epochs=st.integers(1, 3),
+           lr=st.sampled_from([0.0, 0.01, 0.5]), momentum=st.sampled_from([0.0, 0.9]),
+           kind=st.sampled_from(["ce", "dual", "tri", "members"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_train_equals_the_per_array_update(self, width, hidden, layout, folds, counts, n,
+                                               batch_size, epochs, lr, momentum, kind, seed):
+        rng = np.random.default_rng(seed)
+        spec = nn.TierSpec(nn.STUDENT, (width, *hidden, 2))
+        cfg = nn.TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=lr,
+                             momentum=momentum, seed=seed % 1000)
+        if layout == "solo":
+            # members need a leading member axis, so a solo fit takes CE
+            model = nn.TieredModel.init(spec, seed=seed % 1000)
+            X, y = rng.normal(size=(n, width)), rng.integers(0, 2, size=n)
+            loss = kd_loss("ce" if kind == "members" else kind, (), n, rng)
+        else:
+            # an (M, F) stack: M distinct members trained against F folds' rows
+            members = sum(counts) if kind == "members" else 1 + counts[0]
+            model = nn.TieredModel(spec, rng.normal(scale=0.5, size=(members, spec.n_params)))
+            X = rng.normal(size=(folds, n, width))
+            y = rng.integers(0, 2, size=(folds, n))
+            loss = (distill.MemberLosses([(kd_loss(k, (c, folds), n, rng), c)
+                                          for k, c in zip(["ce", "dual", "tri"], counts) if c])
+                    if kind == "members" else kd_loss(kind, (members, folds), n, rng))
+        want, want_losses = list_train(ListModel(spec, [W.copy() for W in model.weights],
+                                                 [b.copy() for b in model.biases]),
+                                       X, y, cfg, loss)
+        got = nn.train(model, X, y, cfg, loss)
+        assert same_bits(got.model, want)
+        assert got.epoch_losses.shape == want_losses.shape
+        assert got.epoch_losses.tobytes() == want_losses.tobytes()

@@ -141,12 +141,21 @@ class TestCascadeLatency:
 UNIT = st.floats(0.0, 1.0)
 NON_NEGATIVE = st.floats(0.0, 1e12)
 POSITIVE = st.floats(0.0, 1e12, exclude_min=True)
+# mid-range bands, away from the bounds that draws over the full ranges
+# favour (0, 1, 1e12, subnormals), where a zero factor or a huge compute
+# term swallows the load's last bits: 1e-3 to 1e3 on a log scale, and
+# 0.001 to 0.999
+MID = st.integers(-3000, 3000).map(lambda e: 10.0 ** (e / 1000))
+MID_UNIT = st.integers(1, 999).map(lambda i: i / 1000)
 
 
 @st.composite
 def topologies(draw):
     """1-4 layers of 1-3 nodes, each value inside its NodeParams.CHECKS rule
-    and each parent a node of the layer above."""
+    and each parent a node of the layer above. Every value is drawn over
+    its full range, or, as often, every value from its mid-range band."""
+    unit, non_negative, positive = draw(st.sampled_from(
+        [(UNIT, NON_NEGATIVE, POSITIVE), (MID_UNIT, MID, MID)]))
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     names = [[f"l{n}n{i}" for i in range(size)] for n, size in enumerate(sizes)]
     layers = []
@@ -154,7 +163,7 @@ def topologies(draw):
         above = names[n + 1] if n + 1 < len(names) else [None]
         layers.append(tuple(
             pm.Node(name, draw(st.sampled_from(above)), pm.NodeParams(
-                draw(UNIT), draw(NON_NEGATIVE), draw(POSITIVE), draw(UNIT), draw(POSITIVE)))
+                draw(unit), draw(non_negative), draw(positive), draw(unit), draw(positive)))
             for name in layer))
     return pm.Topology(tuple(layers))
 
@@ -228,9 +237,10 @@ def loaded_cascade_latency(report, topology, horizon_s) -> dict:
 class TestLoadArgument:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(topo=topologies(), counts=st.lists(st.integers(0, 10_000), min_size=4, max_size=4),
-           window_len=st.integers(1, 1000), horizon_s=st.floats(0.0, 1e6, exclude_min=True))
-    # drawn values rarely let the arrival rate's last bit reach the hop; here
-    # another order of the two divisions changes the hop into the mec layer
+           window_len=st.integers(1, 1000),
+           horizon_s=st.one_of(st.floats(0.0, 1e6, exclude_min=True), MID))
+    # a fixed case beside the draws: here another order of the two
+    # divisions changes the hop into the mec layer
     @example(topo=three_mec_topology(), counts=[100, 37, 20, 0], window_len=56, horizon_s=0.37)
     def test_every_hop_equals_the_loaded_topology_oracle(self, topo, counts, window_len,
                                                          horizon_s):
