@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import (STUDENT, TA, TEACHER, TIERS, CELoss, TieredModel, TrainConfig, TrainResult,
-                 ce_rows, check_fields, check_positive, check_unit, forward, one_of,
-                 softmax_t, train)
+                 check_fields, check_positive, check_unit, forward, one_of, train)
 
 PAPER_EQ8 = "paper_eq8"     # student-leading KL, as printed
 STANDARD_KD = "standard"    # teacher-leading KL, conventional KD
@@ -73,7 +72,10 @@ def _kl_rows(log_p, log_q, temperature: float, direction: str):
 
 def _composite_rows(log_p, log_q, log_r, temperature: float, combine: str):
     """Per-row nested student (log_p) / TA (log_q) / teacher (log_r)
-    divergence, and its gradient with respect to the student logits."""
+    divergence, and its gradient with respect to the student logits. The
+    operator joining the two bracketed log-difference terms is configurable
+    (additive default, multiplicative selectable) because the printed form
+    is ambiguous."""
     p = np.exp(log_p)
     a = log_p - log_q
     b = log_q - log_r
@@ -94,35 +96,6 @@ def _blend(cfg: KDConfig, div, ddiv, hard):
     scale = cfg.lam * cfg.temperature * cfg.temperature
     loss = (scale * div + (1.0 - cfg.lam) * ce).sum(axis=-1) / ce.shape[-1]
     return loss, (scale * ddiv + (1.0 - cfg.lam) * dce) / ce.shape[-1]
-
-
-def kl_soft(t_logits, s_logits, temperature: float,
-            direction: str = PAPER_EQ8) -> float:
-    """Divergence between the temperature-softened output distributions."""
-    KDConfig.CHECKS["direction"]("direction", direction)
-    log_p = _log_softmax(np.atleast_2d(s_logits), temperature)  # student
-    log_q = _log_softmax(np.atleast_2d(t_logits), temperature)  # teacher
-    return float(_kl_rows(log_p, log_q, temperature, direction)[0][0])
-
-
-def _one_row(spec, s_logits, label: int) -> float:
-    """A batch loss spec's value on one row, the n = 1 case of a batch."""
-    logits = np.atleast_2d(s_logits)
-    return float(spec.value_and_grad(logits, ce_rows(softmax_t(logits, 1.0), [label]), [0])[0])
-
-
-def loss_dual(t_logits, s_logits, label: int, cfg: KDConfig) -> float:
-    """lam * T^2 * KL(softened) + (1 - lam) * CE(hard)."""
-    return _one_row(DualLoss(np.atleast_2d(t_logits), cfg), s_logits, label)
-
-
-def loss_tri(t_logits, ta_logits, s_logits, label: int, cfg: KDConfig) -> float:
-    """Triple-layer loss: the nested teacher/TA/student divergence blended
-    with hard-label cross-entropy. The operator joining the two bracketed
-    log-difference terms is configurable (additive default, multiplicative
-    selectable) because the printed form is ambiguous."""
-    return _one_row(TriLoss(np.atleast_2d(t_logits), np.atleast_2d(ta_logits), cfg),
-                    s_logits, label)
 
 
 class DualLoss:
@@ -201,8 +174,8 @@ def distill_train(teacher: TieredModel, student_spec, X, y,
     a stacked one for a stack of folds' rows."""
     X = np.asarray(X, dtype=np.float64)
     teacher_logits = forward(teacher, X)
-    student = TieredModel.init(student_spec, seed=train_cfg.seed)
-    return train(student, X, y, train_cfg, DualLoss(teacher_logits, cfg))
+    return train(TieredModel.init(student_spec, seed=train_cfg.seed), X, y, train_cfg,
+                 DualLoss(teacher_logits, cfg))
 
 
 def check_capacity(teacher, ta, student) -> None:
@@ -278,13 +251,13 @@ def takd_pipeline(specs, X, y, cfg: KDConfig, train_cfg: TrainConfig, variants):
             fits[members[0]] = distill_train(fits[upstream].model, specs[tier], X, y,
                                              cfg, tier_cfg)
             continue
-        model = TieredModel.init(specs[tier], seed=tier_cfg.seed)
         # one loss per group of K members, over their teachers' logits
         # stacked (K, F, n, classes)
         groups = [list(group) for _, group in itertools.groupby(members, key=len)]
         loss = MemberLosses([(_taught_by([np.stack(c) for c in zip(*map(taught, group))],
                                          cfg), len(group)) for group in groups])
-        stack = train(model.stacked(len(members)), X, y, tier_cfg, loss)
+        stack = train(TieredModel.init(specs[tier], seed=tier_cfg.seed).stacked(len(members)),
+                      X, y, tier_cfg, loss)
         fits.update((key, stack.at(m)) for m, key in enumerate(members))
     if solo:
         fits = {key: fit.fold(0) for key, fit in fits.items()}

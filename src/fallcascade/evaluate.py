@@ -246,5 +246,7 @@ def loso_evaluate(dataset: Dataset, cfg: ExperimentConfig,
                 report = run_dataset(cascade, held_out)
                 losses = {name: res.epoch_losses.tolist() for name, res in results.items()}
                 run[k] = FoldResult(splits[k][0], report, losses)
+        # this stack's models are not live while the next stack trains
+        del fits, tiers, results, deployed, cascade
     aggs = [AggregateReport.pool(run) for run in runs]
     return aggs[0] if variants is None else aggs

@@ -162,11 +162,6 @@ def ce_rows(probs: np.ndarray, labels) -> tuple:
     return ce, probs - hot
 
 
-def cross_entropy(probs, label: int) -> float:
-    """Negative log-likelihood of the true label; log argument clamped at 1e-12."""
-    return float(ce_rows(np.asarray(probs, dtype=np.float64)[None], [label])[0][0])
-
-
 class CELoss:
     """Plain cross-entropy on the hard labels: the batch mean of the `hard`
     pair, `ce_rows(softmax_t(logits, 1.0), labels)`, that `grad` hands every
@@ -323,6 +318,7 @@ def train(model: TieredModel, X, y, cfg: TrainConfig, loss_spec=None) -> TrainRe
             g.params *= cfg.learning_rate
             vel -= g.params
             model.params += vel
+            del g  # released before the next step allocates its own
         losses.append(epoch_loss / n_batches)
         # (..., F): a fold fails when any entry's loss does
         finite = np.isfinite(losses[-1]).reshape(-1, len(X))

@@ -1,4 +1,5 @@
-"""Central finite-difference gradient checking shared by the test modules."""
+"""Loss evaluation and central finite-difference gradient checking shared
+by the test modules."""
 import numpy as np
 
 from fallcascade import nn
@@ -11,6 +12,14 @@ def loss_of(model, X, y, loss_spec, idx=None):
     hard = nn.ce_rows(nn.softmax_t(logits, 1.0), y)
     loss, _ = loss_spec.value_and_grad(logits, hard, idx)
     return loss
+
+
+def one_row(loss_spec, logits, label: int):
+    """A batch loss spec's value on one row of logits, the n = 1 case of a
+    batch; (F, classes) logits are a stack of F one-row folds, one value each."""
+    logits = np.asarray(logits, dtype=np.float64)[..., None, :]
+    hard = nn.ce_rows(nn.softmax_t(logits, 1.0), np.full(logits.shape[:-1], label))
+    return loss_spec.value_and_grad(logits, hard, [0])[0][()]
 
 
 def max_rel_error(model, X, y, loss_spec, h=1e-5):

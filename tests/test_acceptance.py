@@ -17,7 +17,7 @@ from fallcascade.dataset import ADL, FALL, SynthSpec, synth_generate
 from fallcascade.edge_threshold import (EdgeThresholds, classify_tc, fit_thresholds,
                                         window_peaks)
 from fallcascade.preprocess import Window, WindowSpec, extract_window
-from gradcheck import max_rel_error
+from gradcheck import max_rel_error, one_row
 
 
 def test_criterion_1_formula_goldens():
@@ -60,19 +60,21 @@ def test_criterion_2_gradient_suite():
 
 
 def test_criterion_3_kl_properties():
+    # the KL that training runs: DualLoss's one-row value at lam = 1,
+    # T^2 * KL + 0 * CE, divided by T^2, for each pair as a one-row fold
     rng = np.random.default_rng(0)
     pairs = rng.normal(scale=4.0, size=(1000, 2, 2))
     for direction in (distill.PAPER_EQ8, distill.STANDARD_KD):
         for T in (1.0, 5.0, 20.0):
-            for t_logits, s_logits in pairs:
-                assert abs(distill.kl_soft(t_logits, t_logits, T, direction)) <= 1e-9
-                assert distill.kl_soft(t_logits, s_logits, T, direction) >= -1e-9
+            cfg = distill.KDConfig(lam=1.0, temperature=T, direction=direction)
+            loss = distill.DualLoss(pairs[:, :1], cfg)  # each pair's teacher row
+            assert np.all(np.abs(one_row(loss, pairs[:, 0], 0) / (T * T)) <= 1e-9)
+            assert np.all(one_row(loss, pairs[:, 1], 0) / (T * T) >= -1e-9)
     uniform = np.array([0.0, 0.0])
     skewed = np.array([math.log(0.9), math.log(0.1)])
-    assert abs(distill.kl_soft(skewed, uniform, 1.0, distill.PAPER_EQ8)
-               - 0.510826) <= 1e-5
-    assert abs(distill.kl_soft(skewed, uniform, 1.0, distill.STANDARD_KD)
-               - 0.368064) <= 1e-5
+    for direction, value in ((distill.PAPER_EQ8, 0.510826), (distill.STANDARD_KD, 0.368064)):
+        cfg = distill.KDConfig(lam=1.0, temperature=1.0, direction=direction)
+        assert abs(one_row(distill.DualLoss([skewed], cfg), uniform, 0) - value) <= 1e-5
 
 
 def _synthetic_windows(n, seed):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fallcascade import distill, nn
 from fallcascade.evaluate import DEPLOYED_TIERS, LAYERS_DUAL, LAYERS_TRIPLE
-from gradcheck import max_rel_error
+from gradcheck import max_rel_error, one_row
 
 # logits whose T=1 softmax gives exactly (0.5, 0.5) and (0.9, 0.1)
 UNIFORM = np.array([0.0, 0.0])
@@ -16,43 +16,48 @@ SKEWED = np.array([math.log(0.9), math.log(0.1)])
 
 
 class TestKlSoft:
+    """The softened KL is DualLoss's one-row value at lam = 1, T^2 * KL + 0 * CE,
+    divided by T^2."""
+
     @pytest.mark.parametrize("direction", [distill.PAPER_EQ8, distill.STANDARD_KD])
     @pytest.mark.parametrize("T", [1.0, 5.0, 20.0])
     def test_identical_logits_zero(self, direction, T):
+        cfg = distill.KDConfig(lam=1.0, temperature=T, direction=direction)
         rng = np.random.default_rng(1)
         for _ in range(20):
             logits = rng.normal(scale=3.0, size=2)
-            assert abs(distill.kl_soft(logits, logits, T, direction)) < 1e-9
+            assert abs(one_row(distill.DualLoss([logits], cfg), logits, 0) / (T * T)) < 1e-9
 
     def test_unknown_direction_is_the_kd_config_rule(self):
         message = "^direction must be one of paper_eq8, standard, got 'up'$"
-        with pytest.raises(ValueError, match=message):
-            distill.kl_soft([0, 1], [1, 0], 2.0, "up")
         with pytest.raises(ValueError, match=message):
             distill.KDConfig(direction="up")
 
     def test_paper_direction_hand_value(self):
         # 0.5*ln(0.5/0.9) + 0.5*ln(0.5/0.1)
-        val = distill.kl_soft(SKEWED, UNIFORM, 1.0, distill.PAPER_EQ8)
+        cfg = distill.KDConfig(lam=1.0, temperature=1.0, direction=distill.PAPER_EQ8)
+        val = one_row(distill.DualLoss([SKEWED], cfg), UNIFORM, 0)
         assert val == pytest.approx(0.510826, abs=1e-5)
 
     def test_standard_direction_hand_value(self):
         # 0.9*ln(0.9/0.5) + 0.1*ln(0.1/0.5)
-        val = distill.kl_soft(SKEWED, UNIFORM, 1.0, distill.STANDARD_KD)
+        cfg = distill.KDConfig(lam=1.0, temperature=1.0, direction=distill.STANDARD_KD)
+        val = one_row(distill.DualLoss([SKEWED], cfg), UNIFORM, 0)
         assert val == pytest.approx(0.368064, abs=1e-5)
 
     @pytest.mark.parametrize("direction", [distill.PAPER_EQ8, distill.STANDARD_KD])
     @pytest.mark.parametrize("T", [1.0, 5.0, 20.0])
     def test_non_negative(self, direction, T):
+        cfg = distill.KDConfig(lam=1.0, temperature=T, direction=direction)
         rng = np.random.default_rng(2)
         for _ in range(300):
             t_logits = rng.normal(scale=4.0, size=2)
             s_logits = rng.normal(scale=4.0, size=2)
-            assert distill.kl_soft(t_logits, s_logits, T, direction) >= -1e-9
+            assert one_row(distill.DualLoss([t_logits], cfg), s_logits, 0) / (T * T) >= -1e-9
 
     def test_nonpositive_temperature(self):
         with pytest.raises(ValueError, match=r"^temperature must be > 0, got 0\.0$"):
-            distill.kl_soft(UNIFORM, SKEWED, 0.0)
+            distill.KDConfig(temperature=0.0)
 
 
 class TestLossDual:
@@ -63,27 +68,27 @@ class TestLossDual:
             t = rng.normal(size=2)
             s = rng.normal(size=2)
             label = int(rng.integers(0, 2))
-            ce = nn.cross_entropy(nn.softmax_t(s, 1.0), label)
-            assert distill.loss_dual(t, s, label, cfg) == pytest.approx(ce, abs=1e-12)
+            ce = nn.ce_rows(nn.softmax_t([s], 1.0), [label])[0][0]
+            assert one_row(distill.DualLoss([t], cfg), s, label) == pytest.approx(ce, abs=1e-12)
 
     def test_lambda_one_identical_logits_zero(self):
         cfg = distill.KDConfig(lam=1.0, temperature=20.0)
         logits = np.array([1.3, -0.2])
-        assert distill.loss_dual(logits, logits, 0, cfg) == pytest.approx(0.0, abs=1e-12)
+        assert one_row(distill.DualLoss([logits], cfg), logits, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_composed_value(self):
         cfg = distill.KDConfig(lam=0.5, temperature=20.0)
         t = np.array([2.0, -1.0])
         s = np.array([-0.5, 0.7])
-        kl = distill.kl_soft(t, s, 20.0, cfg.direction)
-        ce = nn.cross_entropy(nn.softmax_t(s, 1.0), 1)
+        kl = one_row(distill.DualLoss([t], dataclasses.replace(cfg, lam=1.0)), s, 1) / 400.0
+        ce = nn.ce_rows(nn.softmax_t([s], 1.0), [1])[0][0]
         expected = 0.5 * 400.0 * kl + 0.5 * ce
-        assert distill.loss_dual(t, s, 1, cfg) == pytest.approx(expected, rel=1e-12)
+        assert one_row(distill.DualLoss([t], cfg), s, 1) == pytest.approx(expected, rel=1e-12)
 
     def test_affine_in_lambda(self):
         t = np.array([1.0, 0.0])
         s = np.array([0.2, 0.4])
-        vals = [distill.loss_dual(t, s, 0, distill.KDConfig(lam=l))
+        vals = [one_row(distill.DualLoss([t], distill.KDConfig(lam=l)), s, 0)
                 for l in (0.0, 0.5, 1.0)]
         assert vals[1] == pytest.approx((vals[0] + vals[2]) / 2, rel=1e-12)
 
@@ -92,16 +97,16 @@ class TestLossTri:
     def test_all_equal_reduces_to_weighted_ce(self):
         cfg = distill.KDConfig(lam=0.5)
         logits = np.array([0.8, -0.3])
-        ce = nn.cross_entropy(nn.softmax_t(logits, 1.0), 0)
-        val = distill.loss_tri(logits, logits, logits, 0, cfg)
+        ce = nn.ce_rows(nn.softmax_t([logits], 1.0), [0])[0][0]
+        val = one_row(distill.TriLoss([logits], [logits], cfg), logits, 0)
         assert val == pytest.approx((1 - cfg.lam) * ce, abs=1e-12)
 
     def test_lambda_zero_is_cross_entropy(self):
         cfg = distill.KDConfig(lam=0.0)
         rng = np.random.default_rng(4)
         t, ta, s = rng.normal(size=(3, 2))
-        ce = nn.cross_entropy(nn.softmax_t(s, 1.0), 1)
-        assert distill.loss_tri(t, ta, s, 1, cfg) == pytest.approx(ce, abs=1e-12)
+        ce = nn.ce_rows(nn.softmax_t([s], 1.0), [1])[0][0]
+        assert one_row(distill.TriLoss([t], [ta], cfg), s, 1) == pytest.approx(ce, abs=1e-12)
 
     @pytest.mark.parametrize("combine", [distill.ADDITIVE, distill.MULTIPLICATIVE])
     def test_matches_hand_evaluation(self, combine):
@@ -115,9 +120,9 @@ class TestLossTri:
         a = np.log(p) - np.log(q)
         b = np.log(q) - np.log(r)
         comp = np.sum(p * (a + b)) if combine == distill.ADDITIVE else np.sum(p * a * b)
-        ce = nn.cross_entropy(nn.softmax_t(s, 1.0), 1)
+        ce = nn.ce_rows(nn.softmax_t([s], 1.0), [1])[0][0]
         expected = 0.5 * 4.0 * comp + 0.5 * ce
-        assert distill.loss_tri(t, ta, s, 1, cfg) == pytest.approx(expected, rel=1e-10)
+        assert one_row(distill.TriLoss([t], [ta], cfg), s, 1) == pytest.approx(expected, rel=1e-10)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64),

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -492,6 +493,26 @@ class TestLockstepFolds:
             assert list(agg.loss_curves) == list(ref.loss_curves)
             for name, curve in agg.loss_curves.items():
                 assert np.array(curve).tobytes() == np.array(ref.loss_curves[name]).tobytes()
+
+    def test_no_earlier_stack_is_live_while_a_stack_trains(self, small_dataset, monkeypatch):
+        # one fold per stack: each stack's fits are released before the next trains
+        monkeypatch.setattr(ev, "stack_size", lambda *a: 1)
+        takd_pipeline, earlier = distill.takd_pipeline, []
+
+        def spied(*args, **kwargs):
+            assert not any(ref() is not None for refs in earlier for ref in refs)
+            fits = takd_pipeline(*args, **kwargs)
+            earlier.append([])
+            for fit in (fit for tiers in fits for fit in tiers.values()):
+                base = fit.model.params
+                while base.base is not None:
+                    base = base.base
+                earlier[-1].append(weakref.ref(base))
+            return fits
+
+        monkeypatch.setattr(distill, "takd_pipeline", spied)
+        ev.loso_evaluate(small_dataset, fast_config(), variants=TestSharedPass.VARIANTS)
+        assert len(earlier) == len(small_dataset.subjects) == 3
 
     def test_non_finite_later_fold_of_a_stack_is_named(self, small_dataset, monkeypatch):
         # a NaN feature in a row of the first subject reaches every fold but

@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,13 +79,13 @@ class TestSoftmaxT:
 
 class TestCrossEntropy:
     def test_perfect_prediction(self):
-        assert nn.cross_entropy([1.0, 0.0], 0) == 0.0
+        assert nn.ce_rows(np.array([[1.0, 0.0]]), [0])[0][0] == 0.0
 
     def test_uniform(self):
-        assert nn.cross_entropy([0.5, 0.5], 1) == pytest.approx(math.log(2))
+        assert nn.ce_rows(np.array([[0.5, 0.5]]), [1])[0][0] == pytest.approx(math.log(2))
 
     def test_wrong_confident(self):
-        assert nn.cross_entropy([0.9, 0.1], 1) == pytest.approx(2.302585, abs=1e-6)
+        assert nn.ce_rows(np.array([[0.9, 0.1]]), [1])[0][0] == pytest.approx(2.302585, abs=1e-6)
 
 
 def fancy_ce_rows(probs, labels):
@@ -197,6 +198,22 @@ class TestTrain:
         # after the warmup epochs the smoothed curve never rises more than 5%
         for i in range(20, len(smooth) - 1):
             assert smooth[i + 1] <= smooth[i] * 1.05
+
+    def test_one_gradient_is_live_at_a_time(self, separable_xy, monkeypatch):
+        # each step's gradient is released before the next step computes its own
+        X, y = separable_xy
+        grad, earlier = nn.grad, []
+
+        def spied(*args, **kwargs):
+            assert not any(ref() is not None for ref in earlier)
+            loss, g = grad(*args, **kwargs)
+            earlier.append(weakref.ref(g.params))
+            return loss, g
+
+        monkeypatch.setattr(nn, "grad", spied)
+        nn.train(tiny_model(widths=(2, 4, 2), seed=5), X, y,
+                 nn.TrainConfig(epochs=2, batch_size=64, seed=5))
+        assert len(earlier) == 8
 
     def test_non_finite_loss_names_tier_and_epoch(self, separable_xy):
         X, y = separable_xy
